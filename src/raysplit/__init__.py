@@ -37,8 +37,6 @@ from .orbits import (
     primitive_count,
 )
 from .graph import (
-    GraphScatteringModel,
-    build_graph,
     build_smatrix,
     counting_function,
     det_one_minus_s,
@@ -100,8 +98,6 @@ __all__ = [
     "necklace_count",
     "orbit_record",
     "primitive_count",
-    "GraphScatteringModel",
-    "build_graph",
     "build_smatrix",
     "counting_function",
     "det_one_minus_s",

@@ -17,7 +17,7 @@ from functools import wraps
 import click
 import numpy as np
 
-from . import analysis, combinatorics, graph, orbits, spectrum, trace
+from . import __version__, analysis, combinatorics, graph, orbits, spectrum, trace
 from .model import NStepPotential, ScaledStepPotential, build_nstep, build_potential
 
 SCHEMA_VERSION = 1
@@ -107,6 +107,27 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_table(opts: dict, kind: str, columns: dict, records: str | None = None,
+                 meta: dict | None = None, trailer: list[str] = ()) -> None:
+    """Write equal-length columns, keyed by header name, as --format asks.
+
+    CSV has one line per row, floats in 15 digits, and the trailer as "# "
+    notes after the rows.  JSON holds the rows as objects under the key
+    records, or one array per column when records is None, plus the meta
+    fields.
+    """
+    if opts["fmt"] == "csv":
+        rows = [[_fmt(v) if isinstance(v, float) else str(v) for v in row]
+                for row in zip(*columns.values())]
+        _write_text(opts["out"], _csv_text(kind, list(columns), rows, trailer))
+        return
+    columns = {name: col.tolist() if isinstance(col, np.ndarray) else list(col)
+               for name, col in columns.items()}
+    if records is not None:
+        columns = {records: [dict(zip(columns, row)) for row in zip(*columns.values())]}
+    _write_text(opts["out"], _json_text({"kind": kind, **columns, **(meta or {})}))
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -133,9 +154,6 @@ def _common(fn):
                       help="Output path for the main artifact ('-' = stdout).")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                       default="csv", show_default=True)(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      envvar="RAYSPLIT_THREADS",
-                      help="Worker threads where supported (env RAYSPLIT_THREADS).")(fn)
     fn = click.option("--config", type=click.Path(), default=None,
                       help="JSON file supplying defaults for any option of this command.")(fn)
     return fn
@@ -157,7 +175,7 @@ def _chain_options(fn):
 
 
 @click.group()
-@click.version_option(package_name="raysplit")
+@click.version_option(version=__version__, prog_name="raysplit")
 def main() -> None:
     """Spectra of scaled step potentials and their periodic-orbit analysis."""
 
@@ -174,63 +192,43 @@ def spectrum_cmd(ctx, **opts):
     opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
     if isinstance(pot, NStepPotential):
-        result = spectrum.nstep_find_roots(pot, opts["kmax"], threads=opts["threads"])
+        result = spectrum.nstep_find_roots(pot, opts["kmax"])
         residual_fn = spectrum._real_secular_chain(pot)
     else:
-        result = spectrum.find_roots(pot, opts["kmax"], threads=opts["threads"])
+        result = spectrum.find_roots(pot, opts["kmax"])
         residual_fn = lambda k: spectrum.secular(pot, k)
     roots = result.roots
     residuals = np.abs(np.asarray(residual_fn(roots))) if len(roots) else np.empty(0)
     rep = result.completeness
-    if opts["fmt"] == "csv":
-        rows = [
-            [str(i + 1), _fmt(k), _fmt(k * k), _fmt(res)]
-            for i, (k, res) in enumerate(zip(roots, residuals))
-        ]
-        trailer = [
-            f"max_staircase_deviation={_fmt(rep.max_staircase_deviation)}",
-            f"staircase_tolerance={_fmt(rep.tolerance)}",
-            f"rescans={rep.rescans}",
-            f"near_degenerate_count={len(rep.near_degenerate)}",
-        ]
-        _write_text(opts["out"], _csv_text("spectrum", ["n", "k", "E", "residual"], rows, trailer))
-    else:
-        payload = {
-            "kind": "spectrum",
-            "k_max": result.k_max,
-            "roots": [
-                {"n": i + 1, "k": k, "E": k * k, "residual": res}
-                for i, (k, res) in enumerate(zip(roots.tolist(), residuals.tolist()))
-            ],
-            "completeness": {
-                "max_staircase_deviation": rep.max_staircase_deviation,
-                "tolerance": rep.tolerance,
-                "near_degenerate": list(rep.near_degenerate),
-                "rescans": rep.rescans,
-            },
-        }
-        _write_text(opts["out"], _json_text(payload))
+    columns = {"n": range(1, len(roots) + 1), "k": roots, "E": roots * roots, "residual": residuals}
+    completeness = {
+        "max_staircase_deviation": rep.max_staircase_deviation,
+        "tolerance": rep.tolerance,
+        "near_degenerate": list(rep.near_degenerate),
+        "rescans": rep.rescans,
+    }
+    trailer = [
+        f"max_staircase_deviation={_fmt(rep.max_staircase_deviation)}",
+        f"staircase_tolerance={_fmt(rep.tolerance)}",
+        f"rescans={rep.rescans}",
+        f"near_degenerate_count={len(rep.near_degenerate)}",
+    ]
+    _write_table(opts, "spectrum", columns, records="roots",
+                 meta={"k_max": result.k_max, "completeness": completeness}, trailer=trailer)
 
 
 def _sized_records(pot: ScaledStepPotential, max_length: int | None, count: int | None):
     """Primitive orbit records in (length, action, word) order, truncated."""
-    if count is None:
-        codes = orbits.enumerate_primitive(max_length)
-        recs = [orbits.orbit_record(c, pot) for c in codes]
-    else:
-        recs = []
-        length = 0
-        while len(recs) < count:
-            length += 1
-            if length > 32:
-                raise ValueError(f"count {count} needs orbits longer than 32 symbols")
-            for code in orbits.enumerate_necklaces(length):
-                if code.nu == 1:
-                    recs.append(orbits.orbit_record(code, pot))
-    recs.sort(key=lambda rec: (rec.code.length, rec.s0, rec.code.word))
     if count is not None:
-        recs = recs[:count]
-    return recs
+        # the shortest length whose primitive necklaces number at least count
+        max_length = 1
+        while sum(map(orbits.primitive_count, range(1, max_length + 1))) < count:
+            if max_length == 32:
+                raise ValueError(f"count {count} needs orbits longer than 32 symbols")
+            max_length += 1
+    recs = [orbits.orbit_record(c, pot) for c in orbits.enumerate_primitive(max_length)]
+    recs.sort(key=lambda rec: (rec.code.length, rec.s0, rec.code.word))
+    return recs if count is None else recs[:count]
 
 
 @main.command("orbits")
@@ -249,25 +247,14 @@ def orbits_cmd(ctx, **opts):
         raise ValueError("--b and --lambda are required")
     pot = build_potential(opts["b"], opts["lam"])
     recs = _sized_records(pot, opts["max_length"], opts["count"])
-    header = ["code", "length", "nu", "nL", "nR", "sigma", "tau2", "sign", "S0"]
-    if opts["fmt"] == "csv":
-        rows = [
-            [r.code.word, str(r.code.length), str(r.code.nu), str(r.n_l), str(r.n_r),
-             str(r.sigma), str(r.tau2), str(r.sign), _fmt(r.s0)]
-            for r in recs
-        ]
-        _write_text(opts["out"], _csv_text("orbits", header, rows))
-    else:
-        payload = {
-            "kind": "orbits",
-            "orbits": [
-                {"code": r.code.word, "length": r.code.length, "nu": r.code.nu,
-                 "nL": r.n_l, "nR": r.n_r, "sigma": r.sigma, "tau2": r.tau2,
-                 "sign": r.sign, "S0": r.s0}
-                for r in recs
-            ],
-        }
-        _write_text(opts["out"], _json_text(payload))
+    columns = {
+        "code": [r.code.word for r in recs], "length": [r.code.length for r in recs],
+        "nu": [r.code.nu for r in recs], "nL": [r.n_l for r in recs],
+        "nR": [r.n_r for r in recs], "sigma": [r.sigma for r in recs],
+        "tau2": [r.tau2 for r in recs], "sign": [r.sign for r in recs],
+        "S0": [r.s0 for r in recs],
+    }
+    _write_table(opts, "orbits", columns, records="orbits")
 
 
 @main.command("trace")
@@ -290,9 +277,9 @@ def orbits_cmd(ctx, **opts):
 def trace_cmd(ctx, **opts):
     """Reconstruct the level density from periodic orbits on a k grid."""
     opts = _apply_config(ctx, opts)
-    pot = _potential_from(opts)
-    if not isinstance(pot, ScaledStepPotential):
-        raise ValueError("trace reconstruction supports the single-step potential only")
+    if opts["b"] is None or opts["lam"] is None:
+        raise ValueError("--b and --lambda are required")
+    pot = build_potential(opts["b"], opts["lam"])
     if opts["kmin"] <= 0 or opts["kmax"] <= opts["kmin"]:
         raise ValueError("need 0 < kmin < kmax")
     if opts["points"] < 2:
@@ -309,15 +296,7 @@ def trace_cmd(ctx, **opts):
     peaks = k_grid[1:-1][inner]
     comb = trace.newtonian_prediction(pot, max(1, int(opts["kmax"] * pot.omega1 / np.pi) + 1))
     comb = comb[(comb >= opts["kmin"]) & (comb <= opts["kmax"])]
-    if opts["fmt"] == "csv":
-        rows = [[_fmt(k), _fmt(v)] for k, v in zip(k_grid, vals)]
-        _write_text(opts["out"], _csv_text("trace", ["k", "rho"], rows))
-    else:
-        _write_text(opts["out"], _json_text({
-            "kind": "trace",
-            "k": k_grid.tolist(), "rho": vals.tolist(),
-            "truncation": profile.truncation,
-        }))
+    _write_table(opts, "trace", {"k": k_grid, "rho": vals}, meta={"truncation": profile.truncation})
     if opts["report"]:
         nearest = [float(np.min(np.abs(comb - p))) if len(comb) else math.inf for p in peaks]
         _write_text(opts["report"], _json_text({
@@ -380,7 +359,7 @@ def fourier_cmd(ctx, **opts):
     else:
         if pot is None or opts["kmax"] is None:
             raise ValueError("--roots or (--b, --lambda, --kmax) is required")
-        roots = spectrum.find_roots(pot, opts["kmax"], threads=opts["threads"]).roots
+        roots = spectrum.find_roots(pot, opts["kmax"]).roots
     k_top = float(roots.max())
     ds = opts["ds"] if opts["ds"] is not None else analysis.default_s_spacing(k_top)
     s_grid = np.arange(opts["smin"], opts["smax"] + ds, ds)
@@ -394,15 +373,8 @@ def fourier_cmd(ctx, **opts):
         min_s0 = min(r.s0 for r in recs)
         spect = orbits.action_spectrum(recs, int(opts["smax"] / min_s0) + 1, opts["smax"] + tol)
         report = analysis.match_peaks(peaks, [s for s, _ in spect], tol)
-    if opts["fmt"] == "csv":
-        rows = [[_fmt(s), _fmt(m)] for s, m in zip(profile.s_grid, profile.magnitude)]
-        _write_text(opts["out"], _csv_text("fourier", ["s", "absF"], rows))
-    else:
-        _write_text(opts["out"], _json_text({
-            "kind": "fourier",
-            "s": profile.s_grid.tolist(), "absF": profile.magnitude.tolist(),
-            "j_roots": profile.j_roots, "k_max": profile.k_max,
-        }))
+    _write_table(opts, "fourier", {"s": profile.s_grid, "absF": profile.magnitude},
+                 meta={"j_roots": profile.j_roots, "k_max": profile.k_max})
     if opts["report"]:
         if report is None:
             raise ValueError("--report needs --b and --lambda for the candidate actions")
@@ -452,10 +424,8 @@ def graph_check_cmd(ctx, **opts):
         if is_step:
             for n in range(1, opts["nmax"] + 1):
                 word_dev = max(word_dev, abs(traces[2 * n - 1] - graph.orbit_trace_sum(pot, k, n)))
-    if is_step:
-        result = spectrum.find_roots(pot, (opts["n_roots"] + 1.5) * np.pi / pot.omega1)
-    else:
-        result = spectrum.nstep_find_roots(pot, (opts["n_roots"] + 1.5) * np.pi / pot.total_length)
+    k_top = (opts["n_roots"] + 1.5) * np.pi / pot.total_length
+    result = spectrum.find_roots(pot, k_top) if is_step else spectrum.nstep_find_roots(pot, k_top)
     roots = result.roots[:opts["n_roots"]]
     det_dev = float(np.max(np.abs(graph.det_one_minus_s(pot, roots)))) if len(roots) else 0.0
     checks = {

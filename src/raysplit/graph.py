@@ -11,15 +11,11 @@ to the periodic-orbit sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import NStepPotential, ScaledStepPotential, interface_coefficients
 
 __all__ = [
-    "GraphScatteringModel",
-    "build_graph",
     "build_smatrix",
     "det_one_minus_s",
     "trace_power",
@@ -30,75 +26,19 @@ __all__ = [
 _MAX_WORD_POWER = 24
 
 
-@dataclass(frozen=True)
-class GraphScatteringModel:
-    """Static description of the chain graph underlying a potential.
-
-    connectivity is the symmetric vertex adjacency matrix, vertex_blocks holds
-    -1.0 for each dead end and the 2x2 orthogonal block [[r, t], [t, -r]] for
-    each interface vertex, bond_lengths the weighted lengths, and dimension
-    the size 2 * n_bonds of the directed-bond basis.
-    """
-
-    connectivity: np.ndarray
-    vertex_blocks: tuple
-    bond_lengths: np.ndarray
-    dimension: int
-
-
-def _chain_params(pot: ScaledStepPotential | NStepPotential):
-    """Betas and weighted lengths of the chain, for either potential type."""
-    if isinstance(pot, ScaledStepPotential):
-        return (1.0, pot.beta), (pot.l1, pot.l2)
-    if isinstance(pot, NStepPotential):
-        return pot.betas, pot.lengths
-    raise TypeError(f"unsupported potential type {type(pot).__name__}")
-
-
-def build_graph(pot: ScaledStepPotential | NStepPotential) -> GraphScatteringModel:
-    """Connectivity, vertex blocks and bond lengths of the chain graph."""
-    betas, lengths = _chain_params(pot)
-    n = len(lengths)
-    conn = np.zeros((n + 1, n + 1), dtype=int)
-    for i in range(n):
-        conn[i, i + 1] = conn[i + 1, i] = 1
-    blocks: list = [-1.0]
-    for i in range(n - 1):
-        r, t = interface_coefficients(betas[i], betas[i + 1])
-        blocks.append(np.array([[r, t], [t, -r]]))
-    blocks.append(-1.0)
-    return GraphScatteringModel(
-        connectivity=conn,
-        vertex_blocks=tuple(blocks),
-        bond_lengths=np.asarray(lengths, dtype=float),
-        dimension=2 * n,
-    )
-
-
-def _smatrix_stack(pot, k: np.ndarray) -> np.ndarray:
+def _smatrix_stack(pot: ScaledStepPotential | NStepPotential, k: np.ndarray) -> np.ndarray:
     """S(k) for an array of wavenumbers, shape (len(k), 2N, 2N).
 
-    Single step: the 4x4 block form [[0, -D], [D sigma, 0]] with
-    D = diag(e^{i l1 k}, e^{i l2 k}) and sigma = [[r, t], [t, -r]].
-
-    Chain: directed-bond basis (1>, ..., N>, 1<, ..., N<) where i> moves
-    right.  Each entry carries the vertex coefficient into the new bond times
-    that bond's phase e^{i l k}; dead ends contribute -1.
+    Directed-bond basis (1>, ..., N>, 1<, ..., N<) where i> moves right.
+    Each entry carries the vertex coefficient into the new bond times that
+    bond's phase e^{i l k}; dead ends contribute -1.  A single step is the
+    two-region chain.
     """
     k = np.asarray(k)
-    betas, lengths = _chain_params(pot)
+    betas, lengths = pot.betas, pot.lengths
     n = len(lengths)
     ph = np.exp(1j * np.multiply.outer(k, np.asarray(lengths)))  # (..., n)
     S = np.zeros(k.shape + (2 * n, 2 * n), dtype=complex)
-    if isinstance(pot, ScaledStepPotential):
-        r, t = pot.r, pot.t
-        S[..., 0, 2] = -ph[..., 0]
-        S[..., 1, 3] = -ph[..., 1]
-        S[..., 2, 0] = r * ph[..., 0]
-        S[..., 2, 1] = t * ph[..., 0]
-        S[..., 3, 0] = t * ph[..., 1]
-        S[..., 3, 1] = -r * ph[..., 1]
-        return S
     for i in range(n - 1):
         r, t = interface_coefficients(betas[i], betas[i + 1])
         S[..., n + i, i] = r * ph[..., i]            # i> reflects into i<
@@ -189,11 +129,10 @@ def counting_function(pot, k: float, n_max: int) -> float:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    _, lengths = _chain_params(pot)
     S = build_smatrix(pot, k)
     acc = 0.0
     power = np.eye(S.shape[0], dtype=complex)
     for n in range(1, n_max + 1):
         power = power @ S
         acc += np.trace(power).imag / n
-    return sum(lengths) * k / np.pi - 0.5 + acc / np.pi
+    return pot.total_length * k / np.pi - 0.5 + acc / np.pi

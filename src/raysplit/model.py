@@ -27,6 +27,9 @@ class ScaledStepPotential:
     omega1  l1 + l2, the total weighted length (mean level spacing pi/omega1)
     omega2  l1 - l2
     r, t    reflection and transmission coefficients of the step
+
+    betas, lengths and total_length describe the same step as the two-region
+    chain that NStepPotential spells out, so chain code serves both types.
     """
 
     b: float
@@ -38,6 +41,18 @@ class ScaledStepPotential:
     omega2: float
     r: float
     t: float
+
+    @property
+    def betas(self) -> tuple[float, float]:
+        return (1.0, self.beta)
+
+    @property
+    def lengths(self) -> tuple[float, float]:
+        return (self.l1, self.l2)
+
+    @property
+    def total_length(self) -> float:
+        return self.omega1
 
 
 @dataclass(frozen=True)

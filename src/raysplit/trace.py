@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import NStepPotential, ScaledStepPotential
+from .model import ScaledStepPotential
 from .orbits import OrbitRecord, amplitude
 
 __all__ = [
@@ -46,8 +46,7 @@ class DensityProfile:
 
 
 def _weyl_density(pot, k: np.ndarray) -> np.ndarray:
-    slope = pot.omega1 if isinstance(pot, ScaledStepPotential) else pot.total_length
-    return slope / (2.0 * np.pi * k)
+    return pot.total_length / (2.0 * np.pi * k)
 
 
 def _check_grid(k_grid: np.ndarray) -> np.ndarray:

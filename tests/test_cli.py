@@ -50,9 +50,7 @@ def test_spectrum_output_is_reproducible(runner):
     args = ["spectrum", *STEP, "--kmax", "60"]
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)
-    c = runner.invoke(main, args + ["--threads", "3"])
-    d = runner.invoke(main, args, env={"RAYSPLIT_THREADS": "4"})
-    assert a.stdout == b.stdout == c.stdout == d.stdout
+    assert a.stdout == b.stdout
     assert "\r" not in a.stdout
 
 
@@ -66,6 +64,34 @@ def test_spectrum_chain_flags(runner):
     rows = data_rows(res.stdout)
     assert len(rows) == 4
     assert float(rows[0].split(",")[1]) == pytest.approx(4.32791598392805, abs=1e-9)
+
+
+def test_version_flag(runner):
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0
+    assert "0.1.0" in res.stdout
+
+
+@pytest.mark.parametrize("args, records", [
+    (["spectrum", *STEP, "--kmax", "30"], "roots"),
+    (["orbits", *STEP, "--max-length", "6"], "orbits"),
+    (["trace", "--b", "0.7", "--lambda", "0.98", "--kmin", "2", "--kmax", "20",
+      "--points", "50"], None),
+    (["fourier", *STEP, "--kmax", "200"], None),
+])
+def test_json_and_csv_hold_the_same_table(runner, args, records):
+    csv = runner.invoke(main, args)
+    js = runner.invoke(main, args + ["--format", "json"])
+    assert csv.exit_code == 0 and js.exit_code == 0
+    header = [l for l in csv.stdout.splitlines() if not l.startswith("#")][0].split(",")
+    doc = json.loads(js.stdout)
+    if records is None:
+        values = list(zip(*(doc[name] for name in header)))
+    else:
+        values = [[rec[name] for name in header] for rec in doc[records]]
+    fields = [[v if isinstance(v, str) else f"{v:.15g}" for v in row] for row in values]
+    assert len(fields) > 0
+    assert fields == [row.split(",") for row in data_rows(csv.stdout)]
 
 
 def test_unknown_flag_is_usage_error(runner):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from raysplit.model import build_nstep, build_potential
 from raysplit.graph import (
-    build_graph,
     build_smatrix,
     counting_function,
     det_one_minus_s,
@@ -21,17 +20,18 @@ REF = build_potential(0.7, 0.5)
 
 
 def test_single_step_matrix_literal_form():
+    # chain basis (1>, 2>, 1<, 2<); i> moves right
     k = 2.3
     S = build_smatrix(REF, k)
     d1 = np.exp(1j * REF.l1 * k)
     d2 = np.exp(1j * REF.l2 * k)
     expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 2] = -d1
-    expected[1, 3] = -d2
-    expected[2, 0] = REF.r * d1
-    expected[2, 1] = REF.t * d1
-    expected[3, 0] = REF.t * d2
-    expected[3, 1] = -REF.r * d2
+    expected[0, 2] = -d1             # left wall: 1< -> 1>
+    expected[3, 1] = -d2             # right wall: 2> -> 2<
+    expected[2, 0] = REF.r * d1      # 1> reflects into 1<
+    expected[1, 0] = REF.t * d2      # 1> transmits into 2>
+    expected[1, 3] = -REF.r * d2     # 2< reflects into 2>
+    expected[2, 3] = REF.t * d1      # 2< transmits into 1<
     assert np.max(np.abs(S - expected)) == 0.0
 
 
@@ -40,17 +40,15 @@ def test_transparent_step_block():
     S = build_smatrix(pot, 1.7)
     # r = 0: the step block is pure transmission
     assert S[2, 0] == 0
-    assert S[3, 1] == 0
-    assert abs(S[2, 1]) == pytest.approx(1.0, abs=1e-15)
+    assert S[1, 3] == 0
+    assert abs(S[1, 0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_two_region_chain_equals_step_matrix():
     chain = build_nstep([0.0, 0.7, 1.0], [0.0, 0.5])
     for k in (0.9, 4.2, 17.0):
         A = build_smatrix(REF, k)
-        # chain basis (1>, 2>, 1<, 2<) vs step basis (1>, 2<, 1<, 2>)
-        perm = [0, 3, 2, 1]
-        B = build_smatrix(chain, k)[np.ix_(perm, perm)]
+        B = build_smatrix(chain, k)
         assert np.max(np.abs(A - B)) == 0.0
 
 
@@ -186,18 +184,3 @@ def test_counting_function_rejects_bad_n():
     with pytest.raises(ValueError, match="n_max"):
         counting_function(REF, 1.0, 0)
 
-
-def test_build_graph_structure():
-    g = build_graph(REF)
-    assert g.dimension == 4
-    assert g.connectivity.shape == (3, 3)
-    assert g.connectivity.sum() == 4            # two undirected edges
-    assert g.vertex_blocks[0] == -1.0 and g.vertex_blocks[-1] == -1.0
-    block = g.vertex_blocks[1]
-    assert np.allclose(block @ block.T, np.eye(2), atol=1e-15)
-    assert np.allclose(g.bond_lengths, [REF.l1, REF.l2])
-
-    chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
-    g3 = build_graph(chain)
-    assert g3.dimension == 6
-    assert len(g3.vertex_blocks) == 4

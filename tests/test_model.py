@@ -129,6 +129,9 @@ def test_two_region_chain_matches_single_step(b, lam):
     r, t = interface_coefficients(chain.betas[0], chain.betas[1])
     assert r == pytest.approx(step.r, abs=1e-14)
     assert t == pytest.approx(step.t, abs=1e-14)
+    assert step.betas == chain.betas
+    assert step.lengths == chain.lengths
+    assert step.total_length == chain.total_length == step.omega1
 
 
 def test_dataclasses_are_frozen():

@@ -93,10 +93,17 @@ def test_root_invariants_random_geometry(b, lam):
     assert res.completeness.max_staircase_deviation <= STAIRCASE_TOLERANCE
 
 
-def test_thread_count_does_not_change_bits():
-    a = find_roots(REF, 300.0, threads=1).roots
-    b = find_roots(REF, 300.0, threads=4).roots
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("lam", [0.3, 0.7])
+def test_comb_roots_within_four_ulp(lam):
+    # b = beta / (1 + beta) makes l1 = l2, so the levels are n pi / (l1 + l2)
+    beta = math.sqrt(1.0 - lam)
+    pot = build_potential(beta / (1.0 + beta), lam)
+    roots = find_roots(pot, 1e5).roots
+    n = np.arange(1, len(roots) + 1, dtype=np.longdouble)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    exact = n * pi / (np.longdouble(pot.l1) + np.longdouble(pot.l2))
+    err = np.abs(roots.astype(np.longdouble) - exact) / np.spacing(roots)
+    assert np.max(err) <= 4.0
 
 
 def test_weyl_count_examples():
@@ -146,14 +153,12 @@ def test_nstep_rejects_single_step_type():
 def test_find_roots_rejects_bad_arguments():
     with pytest.raises(ValueError, match="k_max"):
         find_roots(REF, -1.0)
-    with pytest.raises(ValueError, match="threads"):
-        find_roots(REF, 10.0, threads=0)
 
 
 def test_engine_raises_when_roots_stay_missing():
     # claim twice the true density of sin(k): rescans cannot conjure roots
     with pytest.raises(CompletenessError) as exc:
-        _find_roots_engine(np.sin, 2.0, 20.0, threads=1)
+        _find_roots_engine(np.sin, 2.0, 20.0)
     err = exc.value
     assert err.deviation > STAIRCASE_TOLERANCE
     lo, hi = err.interval
