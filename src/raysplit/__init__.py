@@ -69,6 +69,7 @@ from .combinatorics import (
     binomial_sums,
     build_word_table,
     poisson_special_case_check,
+    sum_rule_polynomial,
     verify_sum_rule,
 )
 
@@ -124,6 +125,7 @@ __all__ = [
     "binomial_sums",
     "build_word_table",
     "poisson_special_case_check",
+    "sum_rule_polynomial",
     "verify_sum_rule",
     "__version__",
 ]

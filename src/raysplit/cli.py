@@ -463,7 +463,7 @@ def identity_cmd(ctx, **opts):
     records = []
     for m in ms:
         sums = combinatorics.binomial_sums(m)
-        coeffs, poly_ok = combinatorics.verify_sum_rule(m)
+        coeffs, poly_ok = combinatorics.sum_rule_polynomial(sums)
         row_ok = all(s == math.comb(m, i) for i, s in enumerate(sums))
         ok = poly_ok and row_ok
         if not ok:

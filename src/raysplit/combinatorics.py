@@ -8,6 +8,13 @@ identities tie the family together exactly, independent of the potential:
 summed against x^beta (1-x)^gamma the classes give the constant polynomial 1;
 restricted to fixed beta they give the binomial coefficient C(M, beta).  Both
 are verified here in exact rational arithmetic, never floating point.
+
+The verifiers never list the classes.  A transfer-matrix pass over the bits
+counts the cyclic words of each length by their exact pair counts, Moebius
+inversion over the divisors keeps the primitive ones, and dividing by the
+length counts primitive necklaces; a class is a primitive necklace repeated
+nu times.  The cost is polynomial in M.  build_word_table still enumerates
+the necklaces one by one and is the oracle the counts are tested against.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ __all__ = [
     "PoissonCaseReport",
     "build_word_table",
     "verify_sum_rule",
+    "sum_rule_polynomial",
     "binomial_sums",
     "poisson_special_case_check",
 ]
@@ -81,7 +89,8 @@ def build_word_table(m: int, allow_large: bool = False) -> WordClassTable:
     """Enumerate every cyclic class of length 2M with its exact weights.
 
     Memory grows with the necklace count (~2.6M classes at M = 13); the
-    streaming verifiers below avoid materializing the table.
+    verifiers below count the classes by (beta, nu) instead of listing them,
+    and this table is their test oracle.
     """
     _check_m(m, allow_large)
     n = 2 * m
@@ -99,37 +108,67 @@ def build_word_table(m: int, allow_large: bool = False) -> WordClassTable:
     return WordClassTable(m=m, classes=tuple(classes))
 
 
+def _cyclic_word_counts(n: int) -> dict[tuple[int, int], int]:
+    """W[(tau2, rr)]: binary words of length n by cyclic pair statistics.
+
+    tau2 counts the cyclic unequal pairs and rr the cyclic RR pairs, both
+    exact.  A transfer-matrix pass over the bits carries the states
+    (last bit, tau2, rr) for each first bit and closes the cycle at the end,
+    so the work is O(n^3) instead of the 2^n of listing the words.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for first in (0, 1):
+        states = {(first, 0, 0): 1}
+        for _ in range(n - 1):
+            step: dict[tuple[int, int, int], int] = {}
+            for (last, tau2, rr), words in states.items():
+                for bit in (0, 1):
+                    key = (bit, tau2 + (last ^ bit), rr + (last & bit))
+                    step[key] = step.get(key, 0) + words
+            states = step
+        for (last, tau2, rr), words in states.items():
+            key = (tau2 + (last ^ first), rr + (last & first))
+            counts[key] = counts.get(key, 0) + words
+    return counts
+
+
+def _primitive_word_counts(p: int) -> dict[tuple[int, int], int]:
+    """Primitive (aperiodic) words of length p by (tau2, rr).
+
+    A word u^q with u primitive of length p/q has q times the pair counts of
+    u, so W(p; t, r) = sum over q | p of P(p/q; t/q, r/q), and Moebius
+    inversion gives P(p; t, r) = sum over q | p of mu(q) W(p/q; t/q, r/q).
+    Every entry is a multiple of p: the p rotations of a primitive word are
+    distinct, so entry / p counts primitive necklaces.
+    """
+    primitive: dict[tuple[int, int], int] = {}
+    for q in _orbits._divisors(p):
+        mu = _orbits._moebius(q)
+        if mu == 0:
+            continue
+        for (tau2, rr), words in _cyclic_word_counts(p // q).items():
+            key = (q * tau2, q * rr)
+            primitive[key] = primitive.get(key, 0) + mu * words
+    return {key: words for key, words in primitive.items() if words}
+
+
 def _signed_counts(m: int) -> dict[int, dict[int, int]]:
     """acc[beta][nu] = sum over classes with that beta and nu of (-1)^alpha.
 
-    Streams the necklace generator with integer words only; exact rational
-    work happens once per (beta, nu) cell instead of once per class.
+    Counts the classes without listing them: a class of length 2M and
+    repetition nu is u^nu for a primitive necklace u of length p = 2M / nu,
+    so it has tau2 = nu * tau2(u), beta = (2M - tau2) / 2 and
+    alpha = nu * rr(u) mod 2.  A cell is present exactly when some class
+    falls in it, even if its signed sum is zero.
     """
     n = 2 * m
     acc: dict[int, dict[int, int]] = {}
-    a = [0] * (n + 1)
-
-    def emit(period: int) -> None:
-        x = 0
-        for bit in a[1:]:
-            x = (x << 1) | bit
-        alpha, beta, _ = _pair_weights(x, n)
-        by_nu = acc.setdefault(beta, {})
-        nu = n // period
-        by_nu[nu] = by_nu.get(nu, 0) + (-1 if alpha else 1)
-
-    def gen(t: int, p: int) -> None:
-        if t > n:
-            if n % p == 0:
-                emit(p)
-            return
-        a[t] = a[t - p]
-        gen(t + 1, p)
-        if a[t - p] == 0:
-            a[t] = 1
-            gen(t + 1, t)
-
-    gen(1, 1)
+    for p in _orbits._divisors(n):
+        nu = n // p
+        for (tau2, rr), words in _primitive_word_counts(p).items():
+            by_nu = acc.setdefault((n - nu * tau2) // 2, {})
+            sign = -1 if nu * rr % 2 else 1
+            by_nu[nu] = by_nu.get(nu, 0) + sign * (words // p)
     return acc
 
 
@@ -150,22 +189,27 @@ def binomial_sums(m: int, allow_large: bool = False) -> tuple[Fraction, ...]:
     return tuple(sums)
 
 
-def verify_sum_rule(m: int, allow_large: bool = False) -> tuple[tuple[Fraction, ...], bool]:
+def sum_rule_polynomial(beta_sums: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], bool]:
     """Expand P(x) = sum_w T_w (-1)^alpha x^beta (1-x)^gamma exactly.
 
-    Returns the coefficient tuple of P (degree M) and whether P is the
-    constant polynomial 1.  gamma = M - beta for every class, so the sum
-    collapses onto the per-beta totals before expansion.
+    beta_sums are the per-beta totals of binomial_sums(M); gamma = M - beta
+    for every class, so the sum over classes collapses onto them.  Returns
+    the coefficient tuple of P (degree M) and whether P is the constant
+    polynomial 1.
     """
-    _check_m(m, allow_large)
-    per_beta = binomial_sums(m, allow_large)
+    m = len(beta_sums) - 1
     coeffs = [Fraction(0)] * (m + 1)
-    for beta, total in enumerate(per_beta):
+    for beta, total in enumerate(beta_sums):
         gamma = m - beta
         for j in range(gamma + 1):
             coeffs[beta + j] += total * comb(gamma, j) * (-1) ** j
     expected = [Fraction(1)] + [Fraction(0)] * m
     return tuple(coeffs), coeffs == expected
+
+
+def verify_sum_rule(m: int, allow_large: bool = False) -> tuple[tuple[Fraction, ...], bool]:
+    """sum_rule_polynomial of the classes of length 2M."""
+    return sum_rule_polynomial(binomial_sums(m, allow_large))
 
 
 @dataclass(frozen=True)

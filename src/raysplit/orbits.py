@@ -16,6 +16,10 @@ from typing import Iterable, Iterator
 from .model import ScaledStepPotential
 
 _MAX_LENGTH = 32
+# Largest orbit table enumerate_primitive builds: every length up to 20
+# (111,013 orbits; with their records about 2 s and 50 MB on a 2-vCPU VM).
+# Length 21 would double that, and length 31 would hold 1.4e8 Python objects.
+_MAX_ROWS = 2 ** 17
 
 __all__ = [
     "OrbitCode",
@@ -162,8 +166,16 @@ def enumerate_primitive(max_length: int) -> list[OrbitCode]:
 
     Ordered by length, then lexicographically; this is the deterministic
     "shortest orbits first" ordering used for trace-formula truncations.
+    Raises ValueError, before building any necklace, when the table would
+    hold more than _MAX_ROWS orbits.
     """
     _check_length(max_length, "max_length")
+    rows = sum(map(primitive_count, range(1, max_length + 1)))
+    if rows > _MAX_ROWS:
+        raise ValueError(
+            f"orbits up to length {max_length} number {rows}, more than the "
+            f"{_MAX_ROWS} one table may hold"
+        )
     out: list[OrbitCode] = []
     for n in range(1, max_length + 1):
         out.extend(

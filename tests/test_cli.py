@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +164,21 @@ def test_orbits_table_by_count(runner):
     assert all(int(r.split(",")[1]) == 8 for r in rows[41:])
 
 
+@pytest.mark.parametrize("args", [
+    ["orbits", *STEP, "--count", "100000000"],
+    ["orbits", *STEP, "--max-length", "30"],
+    ["trace", *STEP, "--max-length", "30"],
+])
+def test_oversized_orbit_table_fails_at_once(runner, args):
+    start = time.perf_counter()
+    res = runner.invoke(main, args)
+    assert time.perf_counter() - start < 5.0   # unbounded, this ran for minutes
+    assert res.exit_code == 3
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "invalid-parameter"
+    assert "more than the 131072" in err["message"]
+
+
 def test_trace_artifacts(runner, tmp_path):
     out = tmp_path / "trace.csv"
     rep = tmp_path / "peaks.json"
@@ -251,6 +267,14 @@ def test_identity_text_report(runner):
     assert "1, 4, 6, 4, 1" in res.stdout
     assert "PASS" in res.stdout
     assert "FAIL" not in res.stdout
+
+
+def test_identity_at_the_default_cap(runner):
+    res = runner.invoke(main, ["identity", "--m", "13"])
+    assert res.exit_code == 0
+    assert "  beta sums: " + ", ".join(str(math.comb(13, i)) for i in range(14)) in res.stdout
+    assert "  P(x) coefficients: 1, " + ", ".join(["0"] * 13) in res.stdout
+    assert "PASS" in res.stdout
 
 
 def test_identity_json_and_poisson(runner):

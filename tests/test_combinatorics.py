@@ -6,13 +6,21 @@ from fractions import Fraction
 import pytest
 
 from raysplit.combinatorics import (
+    _primitive_word_counts,
+    _signed_counts,
     binomial_sums,
     build_word_table,
     poisson_special_case_check,
     verify_sum_rule,
 )
 from raysplit.model import build_potential
-from raysplit.orbits import canonical_rotation, necklace_count, orbit_record, OrbitCode
+from raysplit.orbits import (
+    OrbitCode,
+    canonical_rotation,
+    necklace_count,
+    orbit_record,
+    primitive_count,
+)
 
 
 def test_half_length_one_classes():
@@ -114,6 +122,24 @@ def test_table_route_matches_streaming_route():
         sums = binomial_sums(m)
         for beta in range(m + 1):
             assert by_beta.get(beta, Fraction(0)) == sums[beta]
+
+
+def test_class_counts_match_enumerated_classes():
+    # every (beta, nu) cell, zero-sum cells included, against the listed classes
+    for m in range(1, 11):
+        expected = {}
+        for cls in build_word_table(m).classes:
+            by_nu = expected.setdefault(cls.beta, {})
+            by_nu[cls.nu] = by_nu.get(cls.nu, 0) + (-1) ** cls.alpha
+        assert _signed_counts(m) == expected
+
+
+def test_primitive_word_counts_give_primitive_necklaces():
+    for p in range(1, 33):
+        counts = _primitive_word_counts(p)
+        assert all(words > 0 and words % p == 0 for words in counts.values())
+        assert all(tau2 % 2 == 0 and 0 <= rr <= p for tau2, rr in counts)
+        assert sum(counts.values()) // p == primitive_count(p)
 
 
 def test_m_range_validation():
