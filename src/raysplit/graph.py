@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _MAX_WORD_POWER = 24
+_DET_BLOCK = 4096          # wavenumbers per stack of S(k) in det_one_minus_s
 
 
 def _smatrix_stack(pot: ScaledStepPotential | NStepPotential, k: np.ndarray) -> np.ndarray:
@@ -59,13 +60,17 @@ def det_one_minus_s(pot, k) -> complex | np.ndarray:
     """det(1 - S(k)); vanishes exactly on the spectrum.
 
     Accepts scalar or array k, real or complex (small imaginary parts are
-    useful for probing zeros off the real axis).
+    useful for probing zeros off the real axis).  Arrays are evaluated in
+    blocks of _DET_BLOCK points, so the matrix stacks stay bounded in size.
     """
     karr = np.asarray(k, dtype=complex)
-    S = _smatrix_stack(pot, karr)
-    eye = np.eye(S.shape[-1])
-    d = np.linalg.det(eye - S)
-    return complex(d) if karr.ndim == 0 else d
+    flat = karr.reshape(-1)
+    d = np.empty(flat.size, dtype=complex)
+    eye = np.eye(2 * len(pot.lengths))
+    for i in range(0, flat.size, _DET_BLOCK):
+        block = slice(i, i + _DET_BLOCK)
+        d[block] = np.linalg.det(eye - _smatrix_stack(pot, flat[block]))
+    return complex(d[0]) if karr.ndim == 0 else d.reshape(karr.shape)
 
 
 def trace_power(pot, k: float, n: int) -> complex:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raysplit.analysis import (
+    _fft_length,
     _magnitude_direct,
     default_s_spacing,
     default_tolerance,
@@ -14,6 +15,8 @@ from raysplit.analysis import (
     fourier_transform,
     match_peaks,
 )
+from raysplit.model import build_potential
+from raysplit.spectrum import find_roots
 
 
 def comb_roots(n):
@@ -40,10 +43,67 @@ def test_magnitude_never_exceeds_level_count():
 def test_uniform_grid_fast_path_matches_direct():
     rng = np.random.default_rng(9)
     roots = np.sort(rng.uniform(1.0, 500.0, 400))
-    s = np.arange(0.2, 9.0, 0.001)           # uniform: takes the blocked path
+    s = np.arange(0.2, 9.0, 0.001)           # uniform: takes the NUFFT path
     prof = fourier_transform(roots, s)
     direct = _magnitude_direct(roots, s)
     assert np.max(np.abs(prof.magnitude - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("n_actions", [None, 414_720])
+def test_nufft_matches_direct_at_bench_scale(n_actions):
+    # J = 8,710 levels on the default grid of 374,326 actions, and on a grid
+    # of 414,720 whose FFT length 829,440 makes fl(m / 2 pi) off by 1.4e-16
+    roots = find_roots(build_potential(0.7, 0.5), 3e4).roots
+    ds = default_s_spacing(roots[-1])
+    if n_actions is None:
+        s = np.arange(0.2, 10.0 + ds, ds)
+    else:
+        s = 0.2 + ds * np.arange(n_actions)
+    prof = fourier_transform(roots, s)
+    idx = np.random.default_rng(4).choice(s.size, 2000, replace=False)
+    direct = _magnitude_direct(roots, s[idx])
+    assert np.max(np.abs(prof.magnitude[idx] - direct)) <= 1e-12 * roots.size
+
+
+def test_nufft_with_wrapping_phases():
+    # k_max ds = 18.5 > 2 pi: level positions wrap round the periodic grid
+    rng = np.random.default_rng(9)
+    roots = np.sort(rng.uniform(1.0, 500.0, 400))
+    s = np.arange(0.3, 300.0, 0.037)
+    prof = fourier_transform(roots, s)
+    direct = _magnitude_direct(roots, s)
+    assert np.max(np.abs(prof.magnitude - direct)) <= 1e-12 * roots.size
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 1001])
+def test_nufft_small_and_odd_grids(n):
+    roots = np.sort(np.random.default_rng(n).uniform(1.0, 500.0, 400))
+    s = 0.7 + 0.013 * np.arange(n)
+    prof = fourier_transform(roots, s)
+    assert prof.magnitude.shape == (n,)
+    assert np.max(np.abs(prof.magnitude - _magnitude_direct(roots, s))) <= 1e-12 * roots.size
+
+
+def test_nufft_is_deterministic():
+    roots = np.sort(np.random.default_rng(3).uniform(1.0, 2000.0, 5000))
+    s = np.arange(0.2, 9.0, 0.0004)
+    a = fourier_transform(roots, s).magnitude
+    b = fourier_transform(roots, s).magnitude
+    assert np.array_equal(a, b)
+
+
+def test_fft_length_is_smallest_five_smooth():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    for n in range(1, 3000):
+        m = _fft_length(n)
+        assert m >= n and smooth(m)
+        assert not any(smooth(x) for x in range(n, m))
+    assert _fft_length(748_652) == 750_000
 
 
 def test_nonuniform_grid_falls_back_to_direct():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from raysplit.model import build_nstep, build_potential
 from raysplit.graph import (
+    _DET_BLOCK,
     build_smatrix,
     counting_function,
     det_one_minus_s,
@@ -89,6 +90,19 @@ def test_det_vanishes_exactly_on_spectrum():
     # and is far from zero between roots
     mids = 0.5 * (roots[:-1] + roots[1:])
     assert np.min(np.abs(det_one_minus_s(REF, mids))) > 1e-1
+
+
+def test_det_blocks_equal_pointwise_values():
+    # an array spanning several blocks gives exactly the scalar results
+    chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
+    rng = np.random.default_rng(11)
+    ks = rng.uniform(0.0, 5e4, 2 * _DET_BLOCK + 17)
+    for pot, k in ((chain, ks), (REF, ks + 1e-3j)):
+        det = det_one_minus_s(pot, k)
+        assert det.shape == k.shape
+        assert np.all(det == np.array([det_one_minus_s(pot, x) for x in k]))
+    assert det_one_minus_s(chain, ks.reshape(-1, 1)).shape == (ks.size, 1)
+    assert isinstance(det_one_minus_s(chain, 3.0), complex)
 
 
 def test_det_has_no_extra_zeros_between_roots():
