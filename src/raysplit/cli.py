@@ -26,6 +26,8 @@ EXIT_CONTRACT = 1
 EXIT_RANGE = 3
 EXIT_IO = 4
 
+_CSV_BLOCK = 4096    # rows formatted per column slice, bounding the cell strings
+
 
 class ContractFailure(RuntimeError):
     """A requested verification did not hold."""
@@ -94,10 +96,18 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _csv_text(kind: str, header: list[str], rows: list[list[str]], trailer: list[str] = ()) -> str:
+def _csv_cells(values) -> list[str]:
+    """One column slice as CSV cells: floats in 15 digits, the rest by str."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return [_fmt(v) if isinstance(v, float) else str(v) for v in values]
+
+
+def _csv_text(kind: str, header: list[str], rows: list[str], trailer: list[str] = ()) -> str:
+    """The CSV artifact from its header, row lines and trailer notes."""
     lines = [f"# schema_version={SCHEMA_VERSION} kind={kind}"]
     lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     lines.extend(f"# {note}" for note in trailer)
     return "\n".join(lines) + "\n"
 
@@ -117,8 +127,11 @@ def _write_table(opts: dict, kind: str, columns: dict, records: str | None = Non
     fields.
     """
     if opts["fmt"] == "csv":
-        rows = [[_fmt(v) if isinstance(v, float) else str(v) for v in row]
-                for row in zip(*columns.values())]
+        rows = []
+        n = len(next(iter(columns.values()), ()))
+        for i in range(0, n, _CSV_BLOCK):
+            cells = [_csv_cells(col[i:i + _CSV_BLOCK]) for col in columns.values()]
+            rows.extend(map(",".join, zip(*cells)))
         _write_text(opts["out"], _csv_text(kind, list(columns), rows, trailer))
         return
     columns = {name: col.tolist() if isinstance(col, np.ndarray) else list(col)

@@ -5,8 +5,9 @@ The spectrum of a single scaled step is the positive zero set of
     secular(k) = sin(k omega1) - r sin(k omega2),
 
 an almost-periodic function with mean zero spacing pi/omega1.  Roots are
-isolated by a uniform sign-change scan oversampling that spacing, refined by
-bisection plus one Newton step, and certified against the Weyl average
+isolated by a uniform sign-change scan oversampling that spacing, evaluated
+in chunks of bounded size, refined to adjacent floats by Illinois regula
+falsi plus one Newton step, and certified against the Weyl average
 staircase: any deficit triggers progressively finer rescans before failing
 loudly.  N-region chains use det(1 - S(k)) rotated onto the real axis so the
 same sign-change machinery applies.
@@ -14,6 +15,7 @@ same sign-change machinery applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +36,12 @@ __all__ = [
 ]
 
 STAIRCASE_TOLERANCE = 1.5
-_BISECT_ITERS = 46
+_ILLINOIS_ITERS = 40
 _MAX_RESCANS = 4
 _DEGENERATE_SLOPE = 1e-8
 _REFINE_BLOCK = 4096
+_SCAN_CHUNK = 65536
+_DUPLICATE_ULP = 4
 
 
 class CompletenessError(RuntimeError):
@@ -114,41 +118,108 @@ def weyl_count(pot: ScaledStepPotential | NStepPotential, k):
     return pot.total_length * np.asarray(k, dtype=float) / np.pi
 
 
-def _refine_blocks(f, lo, hi, flo):
-    """Bisect every bracket to ~1e-15 width, in fixed blocks of brackets.
+def _refine_blocks(f, lo, hi, flo, fhi):
+    """Refine every bracket to adjacent floats by Illinois regula falsi.
 
-    Blocks of _REFINE_BLOCK brackets bound the temporaries of each bisection
-    step (the midpoints, f values and masks) however many brackets there are.
+    Each step evaluates f at the secant point of the bracket, with the
+    Illinois modification (Dowell & Jarratt, BIT 11, 168 (1971)): an end
+    kept by two secant steps running has its f value halved, which gives
+    superlinear convergence from both sides.  A secant point that rounds
+    onto or past an end is moved one float inside, so the bracket shrinks at
+    every step and a root already found to rounding level costs one more
+    evaluation; a NaN secant point, and every step after _ILLINOIS_ITERS,
+    takes the midpoint instead.  A bracket is done when its midpoint equals
+    an end (the ends are adjacent floats) or f is exactly 0 at a trial
+    point; its midpoint is returned.
+
+    Blocks of _REFINE_BLOCK brackets bound the temporaries of each step (the
+    trial points, f values and masks) however many brackets there are, and
+    f is evaluated only on the brackets of a block still open.
     """
-    refined = []
+    roots = np.empty(len(lo))
     for i in range(0, len(lo), _REFINE_BLOCK):
         block = slice(i, i + _REFINE_BLOCK)
-        lo_b, hi_b, flo_b = lo[block], hi[block], flo[block]
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo_b + hi_b)
-            fm = f(mid)
-            go_left = np.sign(flo_b) * np.sign(fm) <= 0
-            hi_b = np.where(go_left, mid, hi_b)
-            lo_b = np.where(go_left, lo_b, mid)
-            flo_b = np.where(go_left, flo_b, fm)
-        refined.append(0.5 * (lo_b + hi_b))
-    return np.concatenate(refined) if refined else np.empty(0)
+        roots[block] = _illinois(f, lo[block], hi[block], flo[block], fhi[block])
+    return roots
+
+
+def _illinois(f, lo, hi, flo, fhi):
+    """Illinois steps on one block of brackets, see _refine_blocks."""
+    roots = np.empty(len(lo))
+    todo = np.arange(len(lo))
+    kept = np.zeros(len(lo), dtype=np.int8)   # end the last secant step kept: +1 hi, -1 lo
+    step = 0
+    with np.errstate(all="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            done = (mid == lo) | (mid == hi)
+            roots[todo[done]] = mid[done]
+            if done.all():
+                return roots
+            if done.any():
+                todo, lo, hi, flo, fhi, kept, mid = (
+                    a[~done] for a in (todo, lo, hi, flo, fhi, kept, mid))
+            if step < _ILLINOIS_ITERS:
+                x = lo - flo * (hi - lo) / (fhi - flo)
+                x = np.minimum(np.maximum(x, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+                secant = ~np.isnan(x)
+                x = np.where(secant, x, mid)
+            else:
+                secant = np.zeros(len(todo), dtype=bool)
+                x = mid
+            step += 1
+            fx = np.asarray(f(x), dtype=float)
+            zero = fx == 0.0
+            move_lo = np.sign(fx) == np.sign(flo)
+            fhi = np.where(secant & move_lo & (kept == 1), 0.5 * fhi, fhi)
+            flo = np.where(secant & ~move_lo & (kept == -1), 0.5 * flo, flo)
+            kept = np.where(secant, np.where(move_lo, 1, -1), 0).astype(np.int8)
+            # an exact zero closes the bracket onto x
+            lo = np.where(move_lo | zero, x, lo)
+            hi = np.where(move_lo & ~zero, hi, x)
+            flo = np.where(move_lo, fx, flo)
+            fhi = np.where(move_lo, fhi, fx)
+
+
+def _scan_grid(k_lo: float, k_hi: float, h: float):
+    """np.arange(k_lo + h / 2, k_hi + h, h) bit for bit, in chunks.
+
+    Chunks hold at most _SCAN_CHUNK points and each starts with the last
+    point of the one before, so a sign change across a boundary lies inside
+    a chunk.  Like np.arange, point i > 1 is start + i * delta with
+    delta = (start + h) - start, and point 1 is start + h.  A grid of fewer
+    than two points becomes the one bracket (start, k_hi + h).
+    """
+    start = k_lo + h / 2
+    n = max(0, math.ceil((k_hi + h - start) / h))
+    if n < 2:
+        yield np.array([start, k_hi + h])
+        return
+    delta = (start + h) - start
+    for i0 in range(0, n - 1, _SCAN_CHUNK - 1):
+        grid = start + np.arange(i0, min(n, i0 + _SCAN_CHUNK), dtype=float) * delta
+        if i0 == 0:
+            grid[1] = start + h
+        yield grid
 
 
 def _scan_interval(f, k_lo: float, k_hi: float, h: float) -> np.ndarray:
-    """All sign-change roots of f in (k_lo, k_hi], scan step h."""
-    grid = np.arange(k_lo + h / 2, k_hi + h, h)
-    if len(grid) < 2:
-        grid = np.array([k_lo + h / 2, k_hi + h])
-    vals = np.asarray(f(grid))
-    sign = np.sign(vals)
-    # nudge exact grid zeros so every root sits strictly inside a bracket
-    zero = sign == 0
-    if zero.any():
-        vals = np.where(zero, np.asarray(f(grid + h * 1e-9)), vals)
+    """All sign-change roots of f in (k_lo, k_hi], scan step h.
+
+    Memory is bounded by the chunk and refinement block sizes plus the
+    roots themselves, whatever the length of the interval.
+    """
+    roots = []
+    for grid in _scan_grid(k_lo, k_hi, h):
+        vals = np.asarray(f(grid), dtype=float)
+        # nudge exact grid zeros so every root sits strictly inside a bracket
+        zero = vals == 0.0
+        if zero.any():
+            vals[zero] = f(grid[zero] + h * 1e-9)
         sign = np.sign(vals)
-    idx = np.where(sign[:-1] * sign[1:] < 0)[0]
-    roots = _refine_blocks(f, grid[idx], grid[idx + 1], vals[idx])
+        idx = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        roots.append(_refine_blocks(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]))
+    roots = np.concatenate(roots)
     return roots[(roots > 1e-9) & (roots <= k_hi)]
 
 
@@ -170,6 +241,18 @@ def _staircase_deviation(roots: np.ndarray, slope: float, k_max: float):
     return float(devs[i]), float(where[i])
 
 
+def _merge_duplicates(roots: np.ndarray) -> np.ndarray:
+    """Drop a sorted root within _DUPLICATE_ULP ulp of its predecessor.
+
+    Two overlapping scans refine the same root through different brackets
+    and may land on neighbouring floats; an absolute tolerance would fall
+    below one ulp at large k.
+    """
+    keep = np.ones(len(roots), dtype=bool)
+    keep[1:] = np.diff(roots) > _DUPLICATE_ULP * np.spacing(roots[1:])
+    return roots[keep]
+
+
 def _find_roots_engine(f, slope: float, k_max: float, slope_fn=None) -> SpectrumResult:
     if k_max <= 0:
         raise ValueError(f"k_max must be positive, got {k_max!r}")
@@ -184,9 +267,7 @@ def _find_roots_engine(f, slope: float, k_max: float, slope_fn=None) -> Spectrum
         lo, hi = max(0.0, where - pad), min(k_max, where + pad)
         extra = _scan_interval(f, lo, hi, h)
         roots = np.unique(np.concatenate([roots, extra]))
-        keep = np.ones(len(roots), dtype=bool)
-        keep[1:] = np.diff(roots) > 1e-10     # same root found in two scans
-        roots = roots[keep]
+        roots = _merge_duplicates(roots)
         dev, where = _staircase_deviation(roots, slope, k_max)
     if dev > STAIRCASE_TOLERANCE:
         lo = max(0.0, where - np.pi / slope)

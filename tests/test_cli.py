@@ -4,9 +4,11 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from raysplit import cli
 from raysplit.cli import main
 
 STEP = ["--b", "0.7", "--lambda", "0.5"]
@@ -294,6 +296,23 @@ def test_identity_json_and_poisson(runner):
 def test_identity_requires_a_mode(runner):
     res = runner.invoke(main, ["identity"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
+    rng = np.random.default_rng(5)
+    columns = {
+        "n": range(1, 11), "k": rng.uniform(0.0, 1e6, 10), "code": [f"w{i}" for i in range(10)],
+        "m": np.arange(10), "x": [float(v) for v in rng.normal(size=10)], "ok": rng.normal(size=10) > 0,
+    }
+    expected = "".join(
+        ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in zip(*columns.values()))
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    out = tmp_path / "t.csv"
+    cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
+    text = out.read_text()
+    assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok\n" + expected + "# note=1\n"
 
 
 def test_float_formatting_is_fifteen_digits(runner):

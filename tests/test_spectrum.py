@@ -1,16 +1,24 @@
 """Secular equation, root finding and completeness diagnostics."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from raysplit import spectrum
 from raysplit.model import build_nstep, build_potential
 from raysplit.spectrum import (
     STAIRCASE_TOLERANCE,
     CompletenessError,
     _find_roots_engine,
+    _merge_duplicates,
+    _real_secular_chain,
+    _refine_blocks,
+    _scan_grid,
+    _scan_interval,
     find_roots,
     matching_determinant,
     nstep_find_roots,
@@ -20,6 +28,7 @@ from raysplit.spectrum import (
 )
 
 REF = build_potential(0.7, 0.5)
+CHAIN3 = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
 
 
 def test_secular_reference_values():
@@ -168,3 +177,158 @@ def test_engine_raises_when_roots_stay_missing():
 def test_energies_property():
     res = find_roots(REF, 20.0)
     assert np.allclose(res.energies, res.roots**2, rtol=0, atol=0)
+
+
+class Counted:
+    """f with a count of the points it was evaluated at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def __call__(self, k):
+        self.points += np.size(k)
+        return self.f(k)
+
+
+def _brackets(f, slope, k_max):
+    h = np.pi / (20.0 * slope)
+    grid = np.arange(h / 2, k_max + h, h)
+    vals = f(grid)
+    idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    return grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+
+
+@pytest.mark.parametrize("case", ["step", "chain"])
+def test_refinement_evaluations_per_bracket(case):
+    # 46 bisection steps per bracket before; Illinois needs far fewer
+    if case == "step":
+        f, slope, k_max = (lambda k: secular(REF, k)), REF.omega1, 1e4
+    else:
+        f, slope, k_max = _real_secular_chain(CHAIN3), CHAIN3.total_length, 5e3
+    lo, hi, flo, fhi = _brackets(f, slope, k_max)
+    counted = Counted(f)
+    roots = _refine_blocks(counted, lo, hi, flo, fhi)
+    assert len(roots) > 1000
+    assert np.all((lo <= roots) & (roots <= hi))
+    assert counted.points / len(roots) <= 12.0
+
+
+@pytest.mark.parametrize("k_lo, k_hi, h", [
+    (0.0, 1e6, math.pi / (20.0 * REF.omega1)),
+    (0.0, 5e4, math.pi / (20.0 * CHAIN3.total_length)),
+    (123.456, 9876.5, 0.0173),
+    (3.0, 3.05, 0.01),
+    (3.0, 3.0, 0.01),
+])
+def test_scan_grid_is_arange_bit_for_bit(k_lo, k_hi, h):
+    expected = np.arange(k_lo + h / 2, k_hi + h, h)
+    if len(expected) < 2:
+        expected = np.array([k_lo + h / 2, k_hi + h])
+    start = 0
+    for chunk in _scan_grid(k_lo, k_hi, h):
+        # each chunk starts on the last point of the one before
+        assert len(chunk) <= spectrum._SCAN_CHUNK
+        assert np.array_equal(chunk, expected[start:start + len(chunk)])
+        start += len(chunk) - 1
+    assert start == len(expected) - 1
+
+
+def test_small_chunks_give_the_same_roots(monkeypatch):
+    whole = _scan_interval(np.sin, 0.0, 100.0, 0.1)
+    monkeypatch.setattr(spectrum, "_SCAN_CHUNK", 7)
+    assert len(list(_scan_grid(0.0, 100.0, 0.1))) > 100
+    chunked = _scan_interval(np.sin, 0.0, 100.0, 0.1)
+    assert len(whole) == 31
+    assert np.array_equal(whole, chunked)
+
+
+@pytest.mark.parametrize("j", [4, 5, 6, 7, 8])
+def test_sign_change_across_a_chunk_boundary_is_found(monkeypatch, j):
+    # with chunks of 7 points, grid points 6 and 12 end one chunk and start the next
+    monkeypatch.setattr(spectrum, "_SCAN_CHUNK", 7)
+    h = 0.25
+    grid = np.arange(h / 2, 10.0 + h, h)
+    c = 0.5 * (grid[j] + grid[j + 1])
+    roots = _scan_interval(lambda k: k - c, 0.0, 10.0, h)
+    assert len(roots) == 1
+    assert abs(roots[0] - c) <= np.spacing(c)
+
+
+def test_find_roots_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        res = find_roots(REF, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.roots) == 290340
+    assert peak <= 48e6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.floats(1e-3, 1e6),    # k > 0; near 0, (k - c)^3 underflows to an exact zero
+    left=st.floats(1e-12, 1e3),
+    right=st.floats(1e-12, 1e3),
+    kind=st.sampled_from(["cube", "tanh"]),
+)
+def test_hard_brackets_end_at_the_root(c, left, right, kind):
+    # a triple root and a saturated step defeat plain regula falsi
+    lo, hi = c - left * max(1.0, abs(c)), c + right * max(1.0, abs(c))
+    assume(lo < c < hi)
+    f = (lambda k: (k - c) ** 3) if kind == "cube" else (lambda k: np.tanh(50.0 * (k - c)))
+    lo, hi = np.array([lo]), np.array([hi])
+    root = _refine_blocks(f, lo, hi, f(lo), f(hi))[0]
+    assert abs(root - c) <= 2 * np.spacing(abs(c))
+
+
+def test_duplicates_merge_in_ulp_not_absolute_units():
+    r = 2.0 ** 21 + 0.123456789
+    twin = np.nextafter(r, np.inf)
+    assert twin - r > 1e-10       # one ulp here exceeds the old absolute tolerance
+    assert np.array_equal(_merge_duplicates(np.array([1.0, r, twin])), [1.0, r])
+    apart = r + 1e-6
+    assert len(_merge_duplicates(np.array([r, apart]))) == 2
+
+
+def _ulp_errors(roots, exact_fn):
+    mpmath.mp.dps = 40
+    idx = np.linspace(0, len(roots) - 1, 40).astype(int)
+    errs = []
+    for k in roots[idx]:
+        exact = mpmath.findroot(exact_fn, mpmath.mpf(float(k)))
+        errs.append(float(abs(mpmath.mpf(float(k)) - exact)) / np.spacing(k))
+    return np.array(errs)
+
+
+def test_step_roots_against_mpmath():
+    # generic geometry, secular function built from b and lambda at 40 digits
+    b, lam = 0.63, 0.41
+    roots = find_roots(build_potential(b, lam), 1e5).roots
+    with mpmath.workdps(40):
+        mb = mpmath.mpf(b)
+        beta = mpmath.sqrt(1 - mpmath.mpf(lam))
+        l1, l2 = mb, beta * (1 - mb)
+        r = (1 - beta) / (1 + beta)
+        errs = _ulp_errors(roots, lambda k: mpmath.sin(k * (l1 + l2)) - r * mpmath.sin(k * (l1 - l2)))
+    assert np.max(errs) <= 4.0
+
+
+def test_chain_roots_against_mpmath():
+    # psi(1) of -psi'' = k^2 beta(x)^2 psi with psi(0) = 0, by transfer matrices
+    roots = nstep_find_roots(CHAIN3, 5e4).roots
+    with mpmath.workdps(40):
+        bps = [mpmath.mpf(x) for x in CHAIN3.breakpoints]
+        betas = [mpmath.sqrt(1 - mpmath.mpf(lam)) for lam in CHAIN3.lambdas]
+
+        def psi_end(k):
+            psi, dpsi = mpmath.mpf(0), mpmath.mpf(1)
+            for beta, a, c in zip(betas, bps, bps[1:]):
+                q, w = beta * k, c - a
+                psi, dpsi = (psi * mpmath.cos(q * w) + dpsi * mpmath.sin(q * w) / q,
+                             -psi * q * mpmath.sin(q * w) + dpsi * mpmath.cos(q * w))
+            return psi
+
+        errs = _ulp_errors(roots, psi_end)
+    assert np.max(errs) <= 4.0
