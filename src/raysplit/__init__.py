@@ -20,7 +20,6 @@ from .spectrum import (
     SpectrumResult,
     find_roots,
     matching_determinant,
-    nstep_find_roots,
     secular,
     weyl_count,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "SpectrumResult",
     "find_roots",
     "matching_determinant",
-    "nstep_find_roots",
     "secular",
     "weyl_count",
     "OrbitCode",

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__, analysis, combinatorics, graph, orbits, spectrum, trace
-from .model import NStepPotential, ScaledStepPotential, build_nstep, build_potential
+from .model import ScaledStepPotential, build_nstep, build_potential
 
 SCHEMA_VERSION = 1
 
@@ -204,14 +204,9 @@ def spectrum_cmd(ctx, **opts):
     """Compute all roots up to --kmax with a completeness report."""
     opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
-    if isinstance(pot, NStepPotential):
-        result = spectrum.nstep_find_roots(pot, opts["kmax"])
-        residual_fn = spectrum._real_secular_chain(pot)
-    else:
-        result = spectrum.find_roots(pot, opts["kmax"])
-        residual_fn = lambda k: spectrum.secular(pot, k)
+    result = spectrum.find_roots(pot, opts["kmax"])
     roots = result.roots
-    residuals = np.abs(np.asarray(residual_fn(roots))) if len(roots) else np.empty(0)
+    residuals = np.abs(spectrum.secular_function(pot)(roots))
     rep = result.completeness
     columns = {"n": range(1, len(roots) + 1), "k": roots, "E": roots * roots, "residual": residuals}
     completeness = {
@@ -438,8 +433,7 @@ def graph_check_cmd(ctx, **opts):
             for n in range(1, opts["nmax"] + 1):
                 word_dev = max(word_dev, abs(traces[2 * n - 1] - graph.orbit_trace_sum(pot, k, n)))
     k_top = (opts["n_roots"] + 1.5) * np.pi / pot.total_length
-    result = spectrum.find_roots(pot, k_top) if is_step else spectrum.nstep_find_roots(pot, k_top)
-    roots = result.roots[:opts["n_roots"]]
+    roots = spectrum.find_roots(pot, k_top).roots[:opts["n_roots"]]
     det_dev = float(np.max(np.abs(graph.det_one_minus_s(pot, roots)))) if len(roots) else 0.0
     checks = {
         "unitarity": {"max_deviation": unit_dev, "tolerance": 1e-12},

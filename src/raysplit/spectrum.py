@@ -4,24 +4,37 @@ The spectrum of a single scaled step is the positive zero set of
 
     secular(k) = sin(k omega1) - r sin(k omega2),
 
-an almost-periodic function with mean zero spacing pi/omega1.  Roots are
-isolated by a uniform sign-change scan oversampling that spacing, evaluated
-in chunks of bounded size, refined to adjacent floats by Illinois regula
-falsi plus one Newton step, and certified against the Weyl average
-staircase: any deficit triggers progressively finer rescans before failing
-loudly.  N-region chains use det(1 - S(k)) rotated onto the real axis so the
-same sign-change machinery applies.
+and that of an N-region chain the zero set of det(1 - S(k)).  Both are found
+from one monotone function instead of a scan.  Take the solution with
+psi(0) = 0 and its Pruefer angle theta(x; k) = atan2(q psi, psi'), where
+q = beta_i k is the local wavenumber.  Across region i, theta grows by
+q times the width, that is by k l_i.  At an interface psi and psi' are
+continuous, so phi = theta mod pi is remapped by
+phi -> atan2(beta' sin phi, beta cos phi), which is increasing and keeps the
+quadrant of phi; it moves theta by less than pi / 2.  Hence, with
+Omega = sum l_i:
+
+- theta(1; k) is strictly increasing in k, and the n-th level k_n is the one
+  solution of theta(1; k) = n pi (Sturm oscillation);
+- |theta(1; k) - Omega k| < (N - 1) pi / 2, so k_n lies in its index
+  interval [(n - (N - 1) / 2) pi / Omega, (n + (N - 1) / 2) pi / Omega];
+- the level count is N(k) = floor(theta(1; k) / pi) exactly, and the
+  staircase obeys |N(k) - Omega k / pi| < 1 + (N - 1) / 2.
+
+find_roots takes the count from theta(1; k_max), refines every level in its
+index interval by Illinois regula falsi, polishes it by one Newton step on
+secular_function(pot), and certifies the list against the staircase bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import graph
-from .model import NStepPotential, ScaledStepPotential
+from .model import NStepPotential, ScaledStepPotential, interface_coefficients
 
 __all__ = [
     "CompletenessError",
@@ -29,26 +42,26 @@ __all__ = [
     "SpectrumResult",
     "secular",
     "secular_slope",
+    "secular_function",
     "matching_determinant",
     "weyl_count",
     "find_roots",
-    "nstep_find_roots",
 ]
 
-STAIRCASE_TOLERANCE = 1.5
 _ILLINOIS_ITERS = 40
-_MAX_RESCANS = 4
 _DEGENERATE_SLOPE = 1e-8
 _REFINE_BLOCK = 4096
-_SCAN_CHUNK = 65536
-_DUPLICATE_ULP = 4
+_POLISH_ULP = 4
+_CERTIFICATE_ULP = 4
 
 
 class CompletenessError(RuntimeError):
-    """Raised when the root list stays short of the Weyl bound after rescans.
+    """Raised when the returned roots break the Sturm-Pruefer certificate.
 
-    Carries the offending k interval and the measured staircase deviation so
-    the failure is auditable rather than a silently truncated spectrum.
+    That is, when they are not strictly increasing or their staircase leaves
+    the bound of the CompletenessReport.  Carries the offending k interval
+    and the measured staircase deviation so the failure is auditable rather
+    than a silently wrong spectrum.
     """
 
     def __init__(self, message: str, interval: tuple[float, float], deviation: float):
@@ -61,11 +74,13 @@ class CompletenessError(RuntimeError):
 class CompletenessReport:
     """Diagnostics certifying the returned root list.
 
-    max_staircase_deviation is sup |N(k) - slope * k / pi| over the scanned
-    range, bounded by tolerance (an engineering margin covering the constant
-    -1/2 offset plus oscillation, not a theorem).  near_degenerate lists roots
-    whose secular slope is below 1e-8 in magnitude; rescans counts how many
-    times the scan step was halved.
+    max_staircase_deviation is sup |N(k) - Omega k / pi| over (0, k_max], and
+    tolerance its bound 1 + (N - 1) / 2 for N regions, a theorem:
+    N(k) = floor(theta(1; k) / pi) lies within 1 of theta(1; k) / pi, and
+    theta(1; k) within (N - 1) pi / 2 of Omega k (module docstring).
+    near_degenerate lists roots where secular_function(pot) has a slope
+    below 1e-8 in magnitude.  rescans is always 0: every level is found in
+    its own interval.
     """
 
     max_staircase_deviation: float
@@ -118,17 +133,18 @@ def weyl_count(pot: ScaledStepPotential | NStepPotential, k):
     return pot.total_length * np.asarray(k, dtype=float) / np.pi
 
 
-def _refine_blocks(f, lo, hi, flo, fhi):
+def _refine_blocks(f, lo, hi, flo, fhi, target=0.0):
     """Refine every bracket to adjacent floats by Illinois regula falsi.
 
-    Each step evaluates f at the secant point of the bracket, with the
-    Illinois modification (Dowell & Jarratt, BIT 11, 168 (1971)): an end
-    kept by two secant steps running has its f value halved, which gives
-    superlinear convergence from both sides.  A secant point that rounds
-    onto or past an end is moved one float inside, so the bracket shrinks at
-    every step and a root already found to rounding level costs one more
-    evaluation; a NaN secant point, and every step after _ILLINOIS_ITERS,
-    takes the midpoint instead.  A bracket is done when its midpoint equals
+    The function refined on bracket i is f(k) - target[i] (target may be a
+    scalar), and flo, fhi are its values at the ends.  Each step evaluates
+    it at the secant point of the bracket, with the Illinois modification
+    (Dowell & Jarratt, BIT 11, 168 (1971)): an end kept by two secant steps
+    running has its value halved, which gives superlinear convergence from
+    both sides.  A secant point that rounds onto or past an end is moved one
+    float inside, so the bracket shrinks at every step and a root already
+    found to rounding level costs one more evaluation; a NaN secant point,
+    and every step after _ILLINOIS_ITERS, takes the midpoint instead.  A bracket is done when its midpoint equals
     an end (the ends are adjacent floats) or f is exactly 0 at a trial
     point; its midpoint is returned.
 
@@ -137,13 +153,14 @@ def _refine_blocks(f, lo, hi, flo, fhi):
     f is evaluated only on the brackets of a block still open.
     """
     roots = np.empty(len(lo))
+    target = np.broadcast_to(target, np.shape(lo))
     for i in range(0, len(lo), _REFINE_BLOCK):
         block = slice(i, i + _REFINE_BLOCK)
-        roots[block] = _illinois(f, lo[block], hi[block], flo[block], fhi[block])
+        roots[block] = _illinois(f, lo[block], hi[block], flo[block], fhi[block], target[block])
     return roots
 
 
-def _illinois(f, lo, hi, flo, fhi):
+def _illinois(f, lo, hi, flo, fhi, target):
     """Illinois steps on one block of brackets, see _refine_blocks."""
     roots = np.empty(len(lo))
     todo = np.arange(len(lo))
@@ -157,18 +174,23 @@ def _illinois(f, lo, hi, flo, fhi):
             if done.all():
                 return roots
             if done.any():
-                todo, lo, hi, flo, fhi, kept, mid = (
-                    a[~done] for a in (todo, lo, hi, flo, fhi, kept, mid))
+                todo, lo, hi, flo, fhi, target, kept, mid = (
+                    a[~done] for a in (todo, lo, hi, flo, fhi, target, kept, mid))
             if step < _ILLINOIS_ITERS:
                 x = lo - flo * (hi - lo) / (fhi - flo)
-                x = np.minimum(np.maximum(x, np.nextafter(lo, hi)), np.nextafter(hi, lo))
                 secant = ~np.isnan(x)
                 x = np.where(secant, x, mid)
+                # nextafter only where needed: it costs as much as f on a block
+                low, high = x <= lo, x >= hi
+                if low.any():
+                    x[low] = np.nextafter(lo[low], hi[low])
+                if high.any():
+                    x[high] = np.nextafter(hi[high], lo[high])
             else:
                 secant = np.zeros(len(todo), dtype=bool)
                 x = mid
             step += 1
-            fx = np.asarray(f(x), dtype=float)
+            fx = np.asarray(f(x), dtype=float) - target
             zero = fx == 0.0
             move_lo = np.sign(fx) == np.sign(flo)
             fhi = np.where(secant & move_lo & (kept == 1), 0.5 * fhi, fhi)
@@ -181,117 +203,110 @@ def _illinois(f, lo, hi, flo, fhi):
             fhi = np.where(move_lo, fhi, fx)
 
 
-def _scan_grid(k_lo: float, k_hi: float, h: float):
-    """np.arange(k_lo + h / 2, k_hi + h, h) bit for bit, in chunks.
+def _prufer_angle(pot: ScaledStepPotential | NStepPotential, k):
+    """theta(1; k) of the solution with psi(0) = 0, see the module docstring.
 
-    Chunks hold at most _SCAN_CHUNK points and each starts with the last
-    point of the one before, so a sign change across a boundary lies inside
-    a chunk.  Like np.arange, point i > 1 is start + i * delta with
-    delta = (start + h) - start, and point 1 is start + h.  A grid of fewer
-    than two points becomes the one bracket (start, k_hi + h).
+    The interface remap of phi = theta mod pi is applied as the shift
+    arg(1 + r e^{-2 i theta}), with r the interface reflection coefficient
+    (beta - beta') / (beta + beta').  The shift is pi-periodic in theta, so
+    theta needs no reduction mod pi, and |shift| <= arcsin |r| < pi / 2.
     """
-    start = k_lo + h / 2
-    n = max(0, math.ceil((k_hi + h - start) / h))
-    if n < 2:
-        yield np.array([start, k_hi + h])
-        return
-    delta = (start + h) - start
-    for i0 in range(0, n - 1, _SCAN_CHUNK - 1):
-        grid = start + np.arange(i0, min(n, i0 + _SCAN_CHUNK), dtype=float) * delta
-        if i0 == 0:
-            grid[1] = start + h
-        yield grid
+    betas, lengths = pot.betas, pot.lengths
+    theta = k * lengths[0]
+    for beta_l, beta_r, length in zip(betas, betas[1:], lengths[1:]):
+        r, _ = interface_coefficients(beta_l, beta_r)
+        two = 2.0 * theta
+        theta = theta + np.arctan2(-r * np.sin(two), 1.0 + r * np.cos(two)) + k * length
+    return theta
 
 
-def _scan_interval(f, k_lo: float, k_hi: float, h: float) -> np.ndarray:
-    """All sign-change roots of f in (k_lo, k_hi], scan step h.
-
-    Memory is bounded by the chunk and refinement block sizes plus the
-    roots themselves, whatever the length of the interval.
-    """
-    roots = []
-    for grid in _scan_grid(k_lo, k_hi, h):
-        vals = np.asarray(f(grid), dtype=float)
-        # nudge exact grid zeros so every root sits strictly inside a bracket
-        zero = vals == 0.0
-        if zero.any():
-            vals[zero] = f(grid[zero] + h * 1e-9)
-        sign = np.sign(vals)
-        idx = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        roots.append(_refine_blocks(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]))
-    roots = np.concatenate(roots)
-    return roots[(roots > 1e-9) & (roots <= k_hi)]
-
-
-def _staircase_deviation(roots: np.ndarray, slope: float, k_max: float):
-    """sup_k |N(k) - slope k / pi| over (0, k_max] and the location of the sup.
+def _staircase_deviation(roots: np.ndarray, slope: float, k_max: float, bound: float):
+    """sup_k |N(k) - slope k / pi| over (0, k_max], and the index in
+    roots + [k_max] of the first point where it exceeds bound (of the sup,
+    if nowhere).
 
     N(k) jumps at the roots and the comparison line is monotone, so the
-    supremum is attained at a root position or at k_max.
+    supremum is attained just before or just after a root, or at k_max.
     """
     w = slope * roots / np.pi
     n = np.arange(1, len(roots) + 1)
-    devs = np.concatenate([
-        np.abs(n - w),                                   # just after each root
-        np.abs(n - 1 - w),                               # just before each root
-        [abs(len(roots) - slope * k_max / np.pi)],       # tail up to k_max
-    ])
-    where = np.concatenate([roots, roots, [k_max]])
-    i = int(np.argmax(devs))
-    return float(devs[i]), float(where[i])
+    devs = np.append(np.maximum(np.abs(n - 1 - w), np.abs(n - w)),
+                     abs(len(roots) - slope * k_max / np.pi))
+    over = np.flatnonzero(devs > bound)
+    return float(devs.max()), int(over[0] if over.size else np.argmax(devs))
 
 
-def _merge_duplicates(roots: np.ndarray) -> np.ndarray:
-    """Drop a sorted root within _DUPLICATE_ULP ulp of its predecessor.
+def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> SpectrumResult:
+    """All levels in (0, k_max] of a single step or an N-region chain.
 
-    Two overlapping scans refine the same root through different brackets
-    and may land on neighbouring floats; an absolute tolerance would fall
-    below one ulp at large k.
+    The count is floor(theta(1; k_max) / pi), and level n is the root of
+    theta(1; k) - n pi in its index interval (module docstring), refined to
+    adjacent floats by Illinois regula falsi and polished by one Newton step
+    on secular_function(pot).  Roots are accurate to a few ulp of k, the
+    float64 limit, since k * l_i is itself rounded; on the l1 = l2 comb they
+    lie within 4 ulp of n pi / (l1 + l2) for k_max up to 1e6.  Roots listed
+    as near-degenerate in the report sit where secular_function(pot) is flat.
+
+    k = 0 is never returned.  Raises ValueError unless k_max > 0, and
+    CompletenessError (with the offending interval) when the roots are not
+    strictly increasing or their staircase deviation exceeds the bound
+    1 + (N - 1) / 2.
     """
-    keep = np.ones(len(roots), dtype=bool)
-    keep[1:] = np.diff(roots) > _DUPLICATE_ULP * np.spacing(roots[1:])
-    return roots[keep]
-
-
-def _find_roots_engine(f, slope: float, k_max: float, slope_fn=None) -> SpectrumResult:
-    if k_max <= 0:
+    if not k_max > 0:
         raise ValueError(f"k_max must be positive, got {k_max!r}")
-    h = np.pi / (20.0 * slope)
-    roots = _scan_interval(f, 0.0, k_max, h)
-    rescans = 0
-    dev, where = _staircase_deviation(roots, slope, k_max)
-    while dev > STAIRCASE_TOLERANCE and rescans < _MAX_RESCANS:
-        rescans += 1
-        h *= 0.5
-        pad = 2.0 * np.pi / slope
-        lo, hi = max(0.0, where - pad), min(k_max, where + pad)
-        extra = _scan_interval(f, lo, hi, h)
-        roots = np.unique(np.concatenate([roots, extra]))
-        roots = _merge_duplicates(roots)
-        dev, where = _staircase_deviation(roots, slope, k_max)
-    if dev > STAIRCASE_TOLERANCE:
-        lo = max(0.0, where - np.pi / slope)
-        hi = min(k_max, where + np.pi / slope)
+    omega = pot.total_length
+    width = len(pot.lengths) - 1
+    half = 0.5 * width
+    theta = partial(_prufer_angle, pot)
+    f = secular_function(pot)
+    if isinstance(pot, ScaledStepPotential):
+        slope = partial(secular_slope, pot)
+    else:
+        slope = partial(_numeric_slope, f)
+    count = int(theta(float(k_max)) // np.pi)
+    roots, near = np.empty(count), []
+    for i in range(0, count, _REFINE_BLOCK):
+        n = np.arange(i + 1, min(count, i + _REFINE_BLOCK) + 1)
+        # the interval ends (n -/+ half) pi / Omega lie on one grid, shared
+        ends = np.maximum((np.arange(len(n) + width) + (n[0] - half)) * (np.pi / omega), 0.0)
+        g, target = theta(ends), n * np.pi
+        k = _refine_blocks(theta, ends[:len(n)], ends[width:],
+                           g[:len(n)] - target, g[width:] - target, target)
+        # theta(1; k) carries a few ulp(Omega k) of rounding and grows at least
+        # as fast as k l_N (the last region is never damped by an interface),
+        # so a level lies within about _POLISH_ULP ulp(Omega k) / l_N of its
+        # theta root.  A longer Newton step is the noise of a flat f: dropped.
+        slopes = slope(k)
+        step = f(k) / slopes
+        window = _POLISH_ULP * np.spacing(omega * k) / pot.lengths[-1]
+        roots[n - 1] = np.where(np.abs(step) <= window, k - step, k)
+        near.extend(roots[n - 1][np.abs(slopes) < _DEGENERATE_SLOPE])
+    roots = roots[roots <= k_max]
+    near = tuple(float(x) for x in near if x <= k_max)
+
+    bound = 1.0 + half
+    # the free well (N = 1) attains the bound as a supremum just below each root
+    slack = _CERTIFICATE_ULP * np.spacing(omega * k_max / np.pi)
+    dev, i = _staircase_deviation(roots, omega, k_max, bound + slack)
+    unordered = np.flatnonzero(np.diff(roots) <= 0.0)
+    if unordered.size or dev > bound + slack:
+        if unordered.size:
+            i = unordered[0]
+            what = "roots are not strictly increasing"
+        else:
+            what = f"staircase deviates by {dev:.3f} (> {bound:g})"
+        where = float(roots[i]) if i < len(roots) else float(k_max)
+        # the gap that ends at the violation is where a level went missing
         raise CompletenessError(
-            f"staircase deviates by {dev:.3f} (> {STAIRCASE_TOLERANCE}) near "
-            f"k = {where:.6g} after {rescans} rescans",
-            interval=(lo, hi),
+            f"{what} near k = {where:.6g}",
+            interval=(float(roots[i - 1]) if i else 0.0, where),
             deviation=dev,
         )
-    if slope_fn is not None and len(roots):
-        # one Newton polish from analytic slope, kept only when it stays put
-        step = np.asarray(f(roots)) / slope_fn(roots)
-        polished = roots - step
-        roots = np.where(np.abs(step) < h, polished, roots)
-        slopes = np.abs(slope_fn(roots))
-    else:
-        slopes = np.abs(_numeric_slope(f, roots)) if len(roots) else np.empty(0)
-    near = tuple(float(x) for x in roots[slopes < _DEGENERATE_SLOPE])
     report = CompletenessReport(
         max_staircase_deviation=dev,
-        tolerance=STAIRCASE_TOLERANCE,
+        tolerance=bound,
         near_degenerate=near,
-        rescans=rescans,
+        rescans=0,
     )
     return SpectrumResult(roots=roots, k_max=float(k_max), completeness=report)
 
@@ -300,27 +315,17 @@ def _numeric_slope(f, k: np.ndarray, delta: float = 1e-7) -> np.ndarray:
     return (np.asarray(f(k + delta)) - np.asarray(f(k - delta))) / (2 * delta)
 
 
-def find_roots(pot: ScaledStepPotential, k_max: float) -> SpectrumResult:
-    """All roots of the secular equation in (0, k_max].
+def secular_function(pot: ScaledStepPotential | NStepPotential):
+    """A real function of k whose zeros are exactly the levels of pot.
 
-    Roots are accurate to a few units in the last place (ulp) of k, the
-    float64 limit, since k * omega1 is itself rounded to 2^-53 relative.  On
-    the l1 = l2 comb every root lies within 4 ulp (np.spacing(k)) of
-    n pi / (l1 + l2): for lambda in {0.3, 0.5, 0.7, 0.9} and k_max up to 1e6
-    the largest error is 2.1 ulp, or 2.6e-11 absolute below k = 1e5.  Roots
-    listed as near-degenerate in the report sit where the secular function
-    is flat and may be less accurate.
-
-    k = 0 solves the secular equation trivially but is not an eigenvalue and
-    is always excluded.  Raises CompletenessError (with the offending
-    interval) if the Weyl staircase bound cannot be met after four rescans.
+    secular for a single step, det(1 - S(k)) rotated onto the real axis for
+    a chain.  find_roots polishes each root by one Newton step on it and
+    flags near-degenerate roots by its slope; the spectrum subcommand
+    reports |f| at each root as the residual.
     """
-    return _find_roots_engine(
-        lambda k: secular(pot, k),
-        pot.omega1,
-        k_max,
-        slope_fn=lambda k: secular_slope(pot, k),
-    )
+    if isinstance(pot, NStepPotential):
+        return _real_secular_chain(pot)
+    return lambda k: secular(pot, k)
 
 
 def _real_secular_chain(pot: NStepPotential):
@@ -333,7 +338,7 @@ def _real_secular_chain(pot: NStepPotential):
         xi(k) = Re[ e^{-i (2 Omega k + theta0 + pi d) / 2 } det(1 - S(k)) ]
 
     (d the matrix dimension, theta0 = arg det T) a real function with exactly
-    the zeros of det(1 - S); its sign changes are scannable like secular's.
+    the zeros of det(1 - S), whose slope flags near-degenerate roots.
     """
     dim = 2 * pot.n_regions
     theta0 = np.angle(np.linalg.det(graph.build_smatrix(pot, 0.0)))
@@ -347,18 +352,3 @@ def _real_secular_chain(pot: NStepPotential):
         return out if np.ndim(k) else float(out)
 
     return xi
-
-
-def nstep_find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
-    """Roots of det(1 - S(k)) = 0 for an N-region chain.
-
-    Same contract as find_roots, with Weyl slope sum(l_i) / pi.  For a
-    two-region chain this agrees with find_roots root by root.
-    """
-    if not isinstance(pot, NStepPotential):
-        raise TypeError("nstep_find_roots requires an NStepPotential")
-    return _find_roots_engine(
-        _real_secular_chain(pot),
-        pot.total_length,
-        k_max,
-    )

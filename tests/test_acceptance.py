@@ -16,7 +16,7 @@ from raysplit.combinatorics import binomial_sums, verify_sum_rule
 from raysplit.graph import det_one_minus_s, orbit_trace_sum, trace_power
 from raysplit.model import build_nstep, build_potential
 from raysplit.orbits import enumerate_primitive, orbit_record
-from raysplit.spectrum import find_roots, nstep_find_roots
+from raysplit.spectrum import find_roots
 from raysplit.trace import newtonian_prediction, rho_resummed, rho_trace, zeta
 
 REF = build_potential(0.7, 0.5)
@@ -102,7 +102,7 @@ def test_criterion_05_quantization_equivalence():
     first100 = roots[:100]
     det_ok = len(first100) == 100 and np.max(np.abs(det_one_minus_s(REF, first100))) < 1e-8
     chain = build_nstep([0.0, 0.7, 1.0], [0.0, 0.5])
-    chain_roots = nstep_find_roots(chain, 350.0).roots
+    chain_roots = find_roots(chain, 350.0).roots
     cross_ok = len(chain_roots) == len(roots) and np.max(np.abs(chain_roots - roots)) < 1e-9
     assert report(5, det_ok and cross_ok)
 

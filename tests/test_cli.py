@@ -69,6 +69,16 @@ def test_spectrum_chain_flags(runner):
     assert float(rows[0].split(",")[1]) == pytest.approx(4.32791598392805, abs=1e-9)
 
 
+def test_spectrum_five_region_chain_is_complete(runner):
+    # a valid chain whose staircase deviation (1.534) exceeds the step's 1.5
+    # but not its own bound 1 + (5 - 1) / 2
+    res = runner.invoke(main, ["spectrum", "--breakpoints", "0,0.3805,0.3905,0.7133,0.7979,1",
+                               "--lambdas", "0.6119,0.9401,0.9907,0.723,0.808", "--kmax", "300"])
+    assert res.exit_code == 0, res.output
+    assert len(data_rows(res.stdout)) == 38
+    assert "# staircase_tolerance=3" in res.stdout.splitlines()
+
+
 def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0

@@ -8,20 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from raysplit import spectrum
+from raysplit import graph, spectrum
 from raysplit.model import build_nstep, build_potential
 from raysplit.spectrum import (
-    STAIRCASE_TOLERANCE,
     CompletenessError,
-    _find_roots_engine,
-    _merge_duplicates,
-    _real_secular_chain,
     _refine_blocks,
-    _scan_grid,
-    _scan_interval,
     find_roots,
     matching_determinant,
-    nstep_find_roots,
     secular,
     secular_slope,
     weyl_count,
@@ -29,6 +22,7 @@ from raysplit.spectrum import (
 
 REF = build_potential(0.7, 0.5)
 CHAIN3 = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
+REPRO5 = build_nstep([0, 0.3805, 0.3905, 0.7133, 0.7979, 1], [0.6119, 0.9401, 0.9907, 0.723, 0.808])
 
 
 def test_secular_reference_values():
@@ -87,7 +81,8 @@ def test_roots_monotone_and_residuals_small():
     res = find_roots(REF, 200.0)
     assert np.all(np.diff(res.roots) > 0)
     assert np.max(np.abs(secular(REF, res.roots))) < 1e-10 * (1 + REF.omega1)
-    assert res.completeness.max_staircase_deviation <= STAIRCASE_TOLERANCE
+    assert res.completeness.tolerance == 1.5
+    assert res.completeness.max_staircase_deviation <= 1.5
     assert res.completeness.near_degenerate == ()
 
 
@@ -99,7 +94,7 @@ def test_root_invariants_random_geometry(b, lam):
     assert np.all(np.diff(res.roots) > 0)
     assert np.all(res.roots > 0)
     assert np.max(np.abs(secular(pot, res.roots))) < 1e-10 * (1 + pot.omega1)
-    assert res.completeness.max_staircase_deviation <= STAIRCASE_TOLERANCE
+    assert res.completeness.max_staircase_deviation <= 1.5
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.7])
@@ -132,14 +127,14 @@ def test_newton_polish_hits_machine_precision():
 
 def test_nstep_free_well_matches_analytic():
     chain = build_nstep([0.0, 1.0], [0.0])
-    res = nstep_find_roots(chain, 50.0)
+    res = find_roots(chain, 50.0)
     n = np.arange(1, len(res.roots) + 1)
     assert np.max(np.abs(res.roots - n * math.pi)) < 1e-9
 
 
 def test_nstep_two_regions_matches_single_step():
     chain = build_nstep([0.0, 0.7, 1.0], [0.0, 0.5])
-    a = nstep_find_roots(chain, 100.0).roots
+    a = find_roots(chain, 100.0).roots
     b = find_roots(REF, 100.0).roots
     assert len(a) == len(b)
     assert np.max(np.abs(a - b)) < 1e-9
@@ -148,15 +143,10 @@ def test_nstep_two_regions_matches_single_step():
 def test_nstep_three_regions_frozen_roots():
     # [DERIVED] dense-scan + bisection oracle on the chain secular function
     chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
-    res = nstep_find_roots(chain, 20.0)
+    res = find_roots(chain, 20.0)
     expected = [4.32791598392805, 8.69849686460216, 13.6702509706779, 17.2688835473855]
     assert len(res.roots) == 4
     assert np.max(np.abs(res.roots - expected)) < 1e-9
-
-
-def test_nstep_rejects_single_step_type():
-    with pytest.raises(TypeError):
-        nstep_find_roots(REF, 10.0)
 
 
 def test_find_roots_rejects_bad_arguments():
@@ -164,14 +154,21 @@ def test_find_roots_rejects_bad_arguments():
         find_roots(REF, -1.0)
 
 
-def test_engine_raises_when_roots_stay_missing():
-    # claim twice the true density of sin(k): rescans cannot conjure roots
-    with pytest.raises(CompletenessError) as exc:
-        _find_roots_engine(np.sin, 2.0, 20.0)
-    err = exc.value
-    assert err.deviation > STAIRCASE_TOLERANCE
-    lo, hi = err.interval
-    assert 0.0 <= lo < hi <= 20.0
+def test_engine_raises_when_roots_stay_missing(monkeypatch):
+    # a refinement that loses root 20 (the rest shift down, the last lands
+    # past k_max), or returns root 21 twice, breaks the certificate
+    k20 = find_roots(REF, 100.0).roots[20]
+    lose = lambda r: np.append(np.delete(r, 20), 1e9)
+    duplicate = lambda r: np.where(np.arange(len(r)) == 20, r[21], r)
+    for broken, message in ((lose, "staircase deviates"), (duplicate, "not strictly increasing")):
+        monkeypatch.setattr(spectrum, "_refine_blocks",
+                            lambda *a, broken=broken: broken(_refine_blocks(*a)))
+        with pytest.raises(CompletenessError, match=message) as exc:
+            find_roots(REF, 100.0)
+        lo, hi = exc.value.interval
+        assert lo < k20 < hi
+        if broken is lose:
+            assert exc.value.deviation > 1.5
 
 
 def test_energies_property():
@@ -180,79 +177,31 @@ def test_energies_property():
 
 
 class Counted:
-    """f with a count of the points it was evaluated at."""
+    """f(pot, k) with a count of the points it was evaluated at."""
 
     def __init__(self, f):
         self.f = f
         self.points = 0
 
-    def __call__(self, k):
+    def __call__(self, pot, k):
         self.points += np.size(k)
-        return self.f(k)
-
-
-def _brackets(f, slope, k_max):
-    h = np.pi / (20.0 * slope)
-    grid = np.arange(h / 2, k_max + h, h)
-    vals = f(grid)
-    idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    return grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+        return self.f(pot, k)
 
 
 @pytest.mark.parametrize("case", ["step", "chain"])
-def test_refinement_evaluations_per_bracket(case):
-    # 46 bisection steps per bracket before; Illinois needs far fewer
-    if case == "step":
-        f, slope, k_max = (lambda k: secular(REF, k)), REF.omega1, 1e4
-    else:
-        f, slope, k_max = _real_secular_chain(CHAIN3), CHAIN3.total_length, 5e3
-    lo, hi, flo, fhi = _brackets(f, slope, k_max)
-    counted = Counted(f)
-    roots = _refine_blocks(counted, lo, hi, flo, fhi)
+def test_refinement_evaluations_per_bracket(case, monkeypatch):
+    # every function evaluation of find_roots, per root (one bracket per root);
+    # the scan and refinement it replaced needed about 25
+    pot, k_max = (REF, 1e4) if case == "step" else (CHAIN3, 5e3)
+    counters = []
+    for module, name in ((spectrum, "_prufer_angle"), (spectrum, "secular"),
+                         (spectrum, "secular_slope"), (graph, "det_one_minus_s")):
+        counters.append(Counted(getattr(module, name)))
+        monkeypatch.setattr(module, name, counters[-1])
+    roots = find_roots(pot, k_max).roots
     assert len(roots) > 1000
-    assert np.all((lo <= roots) & (roots <= hi))
-    assert counted.points / len(roots) <= 12.0
-
-
-@pytest.mark.parametrize("k_lo, k_hi, h", [
-    (0.0, 1e6, math.pi / (20.0 * REF.omega1)),
-    (0.0, 5e4, math.pi / (20.0 * CHAIN3.total_length)),
-    (123.456, 9876.5, 0.0173),
-    (3.0, 3.05, 0.01),
-    (3.0, 3.0, 0.01),
-])
-def test_scan_grid_is_arange_bit_for_bit(k_lo, k_hi, h):
-    expected = np.arange(k_lo + h / 2, k_hi + h, h)
-    if len(expected) < 2:
-        expected = np.array([k_lo + h / 2, k_hi + h])
-    start = 0
-    for chunk in _scan_grid(k_lo, k_hi, h):
-        # each chunk starts on the last point of the one before
-        assert len(chunk) <= spectrum._SCAN_CHUNK
-        assert np.array_equal(chunk, expected[start:start + len(chunk)])
-        start += len(chunk) - 1
-    assert start == len(expected) - 1
-
-
-def test_small_chunks_give_the_same_roots(monkeypatch):
-    whole = _scan_interval(np.sin, 0.0, 100.0, 0.1)
-    monkeypatch.setattr(spectrum, "_SCAN_CHUNK", 7)
-    assert len(list(_scan_grid(0.0, 100.0, 0.1))) > 100
-    chunked = _scan_interval(np.sin, 0.0, 100.0, 0.1)
-    assert len(whole) == 31
-    assert np.array_equal(whole, chunked)
-
-
-@pytest.mark.parametrize("j", [4, 5, 6, 7, 8])
-def test_sign_change_across_a_chunk_boundary_is_found(monkeypatch, j):
-    # with chunks of 7 points, grid points 6 and 12 end one chunk and start the next
-    monkeypatch.setattr(spectrum, "_SCAN_CHUNK", 7)
-    h = 0.25
-    grid = np.arange(h / 2, 10.0 + h, h)
-    c = 0.5 * (grid[j] + grid[j + 1])
-    roots = _scan_interval(lambda k: k - c, 0.0, 10.0, h)
-    assert len(roots) == 1
-    assert abs(roots[0] - c) <= np.spacing(c)
+    assert counters[0].points > 0
+    assert sum(c.points for c in counters) / len(roots) <= 12.0
 
 
 def test_find_roots_memory_is_bounded():
@@ -264,6 +213,34 @@ def test_find_roots_memory_is_bounded():
         tracemalloc.stop()
     assert len(res.roots) == 290340
     assert peak <= 48e6
+
+
+def test_small_chunks_give_the_same_roots(monkeypatch):
+    # levels are refined in blocks of _REFINE_BLOCK; each bracket is refined
+    # on its own, so the block size cannot change a root
+    whole = find_roots(CHAIN3, 600.0)
+    monkeypatch.setattr(spectrum, "_REFINE_BLOCK", 7)
+    chunked = find_roots(CHAIN3, 600.0)
+    assert len(whole.roots) > 100
+    assert np.array_equal(whole.roots, chunked.roots)
+    assert chunked.completeness == whole.completeness
+
+
+@pytest.mark.parametrize("j", [4, 5, 6, 7, 8])
+def test_sign_change_across_a_chunk_boundary_is_found(monkeypatch, j):
+    # with blocks of 7 levels, level 7 ends the first block and level 8 starts
+    # the next; k_max just past level j + 1 ends the last block before, on or
+    # after that boundary, and the index brackets of the 3-region chain
+    # (width 2 pi / Omega) overlap the neighbouring block's
+    whole = find_roots(CHAIN3, 60.0).roots
+    k_max = 0.5 * (whole[j] + whole[j + 1])
+    monkeypatch.setattr(spectrum, "_REFINE_BLOCK", 7)
+    roots = find_roots(CHAIN3, k_max).roots
+    assert len(roots) == j + 1
+    assert np.array_equal(roots, whole[:j + 1])
+    n = np.arange(1, j + 2)
+    half = 0.5 * (CHAIN3.n_regions - 1)
+    assert np.all(np.abs(roots * CHAIN3.total_length / np.pi - n) <= half)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,15 +258,6 @@ def test_hard_brackets_end_at_the_root(c, left, right, kind):
     lo, hi = np.array([lo]), np.array([hi])
     root = _refine_blocks(f, lo, hi, f(lo), f(hi))[0]
     assert abs(root - c) <= 2 * np.spacing(abs(c))
-
-
-def test_duplicates_merge_in_ulp_not_absolute_units():
-    r = 2.0 ** 21 + 0.123456789
-    twin = np.nextafter(r, np.inf)
-    assert twin - r > 1e-10       # one ulp here exceeds the old absolute tolerance
-    assert np.array_equal(_merge_duplicates(np.array([1.0, r, twin])), [1.0, r])
-    apart = r + 1e-6
-    assert len(_merge_duplicates(np.array([r, apart]))) == 2
 
 
 def _ulp_errors(roots, exact_fn):
@@ -315,20 +283,68 @@ def test_step_roots_against_mpmath():
     assert np.max(errs) <= 4.0
 
 
+def _psi_end(chain):
+    """psi(1) of -psi'' = k^2 beta(x)^2 psi with psi(0) = 0, by transfer matrices."""
+    bps = [mpmath.mpf(x) for x in chain.breakpoints]
+    betas = [mpmath.sqrt(1 - mpmath.mpf(lam)) for lam in chain.lambdas]
+
+    def psi_end(k):
+        psi, dpsi = mpmath.mpf(0), mpmath.mpf(1)
+        for beta, a, c in zip(betas, bps, bps[1:]):
+            q, w = beta * k, c - a
+            psi, dpsi = (psi * mpmath.cos(q * w) + dpsi * mpmath.sin(q * w) / q,
+                         -psi * q * mpmath.sin(q * w) + dpsi * mpmath.cos(q * w))
+        return psi
+
+    return psi_end
+
+
 def test_chain_roots_against_mpmath():
-    # psi(1) of -psi'' = k^2 beta(x)^2 psi with psi(0) = 0, by transfer matrices
-    roots = nstep_find_roots(CHAIN3, 5e4).roots
+    roots = find_roots(CHAIN3, 5e4).roots
     with mpmath.workdps(40):
-        bps = [mpmath.mpf(x) for x in CHAIN3.breakpoints]
-        betas = [mpmath.sqrt(1 - mpmath.mpf(lam)) for lam in CHAIN3.lambdas]
-
-        def psi_end(k):
-            psi, dpsi = mpmath.mpf(0), mpmath.mpf(1)
-            for beta, a, c in zip(betas, bps, bps[1:]):
-                q, w = beta * k, c - a
-                psi, dpsi = (psi * mpmath.cos(q * w) + dpsi * mpmath.sin(q * w) / q,
-                             -psi * q * mpmath.sin(q * w) + dpsi * mpmath.cos(q * w))
-            return psi
-
-        errs = _ulp_errors(roots, psi_end)
+        errs = _ulp_errors(roots, _psi_end(CHAIN3))
     assert np.max(errs) <= 4.0
+
+
+@pytest.mark.parametrize("chain, k_max", [
+    (REPRO5, 300.0),
+    # lambda = 0.985 in the last region, where theta(1; k) grows slowest
+    (build_nstep([0.0, 0.4, 0.75, 1.0], [0.2, 0.5, 0.985]), 5e4),
+], ids=["repro5", "high-contrast"])
+def test_new_chain_geometries_against_mpmath(chain, k_max):
+    roots = find_roots(chain, k_max).roots
+    with mpmath.workdps(40):
+        errs = _ulp_errors(roots, _psi_end(chain))
+    assert np.max(errs) <= 4.0
+
+
+def _psi_end_sign_changes(chain, k_max):
+    """Levels in (0, k_max] as sign changes of psi(1; k) on a grid of 640
+    points per mean spacing, 32 times the density of the sign-change scan
+    the engine used to run; float transfer matrices, neither theta nor
+    det(1 - S)."""
+    h = np.pi / (640.0 * chain.total_length)
+    k = np.append(np.arange(h / 2, k_max, h), k_max)
+    psi, dpsi = np.zeros_like(k), np.ones_like(k)
+    for beta, a, c in zip(chain.betas, chain.breakpoints, chain.breakpoints[1:]):
+        q, w = beta * k, c - a
+        psi, dpsi = (psi * np.cos(q * w) + dpsi * np.sin(q * w) / q,
+                     -psi * q * np.sin(q * w) + dpsi * np.cos(q * w))
+    return int(np.count_nonzero(np.signbit(psi[1:]) != np.signbit(psi[:-1])))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_chain_count_intervals_and_bound(seed):
+    rng = np.random.default_rng(seed)
+    n_regions = int(rng.integers(1, 7))
+    breakpoints = [0.0, *np.sort(rng.uniform(0.0, 1.0, n_regions - 1)), 1.0]
+    chain = build_nstep(breakpoints, rng.uniform(0.0, 0.99, n_regions))
+    omega, half = chain.total_length, 0.5 * (n_regions - 1)
+    k_max = rng.uniform(40.0, 80.0) * np.pi / omega
+    res = find_roots(chain, k_max)
+    assert len(res.roots) == _psi_end_sign_changes(chain, k_max)
+    # level n lies in its index interval [(n - half) pi / omega, (n + half) pi / omega]
+    n = np.arange(1, len(res.roots) + 1)
+    assert np.all(np.abs(n - omega * res.roots / np.pi) <= half + 1e-9)
+    assert res.completeness.tolerance == 1.0 + half
+    assert res.completeness.max_staircase_deviation <= 1.0 + half + 1e-9
