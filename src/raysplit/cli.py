@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 a verification contract failed (details as JSON on
 stderr), 2 usage errors such as unknown flags, 3 invalid parameter ranges,
-4 file I/O failures.  All artifacts are deterministic: floats use 15
-significant digits, rows are emitted in a fixed order, CSV uses LF endings
-and a leading "# schema_version=..." comment, JSON carries schema_version.
+4 file I/O failures.  All artifacts are deterministic: rows are emitted in a
+fixed order, CSV uses LF endings, a leading "# schema_version=..." comment
+and floats in 15 significant digits; JSON carries schema_version, and its
+floats are the shortest repr that reads back to the same float.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 from functools import wraps
+from operator import itemgetter
 
 import click
 import numpy as np
@@ -26,7 +28,10 @@ EXIT_CONTRACT = 1
 EXIT_RANGE = 3
 EXIT_IO = 4
 
-_CSV_BLOCK = 4096    # rows formatted per column slice, bounding the cell strings
+_CSV_BLOCK = 4096    # rows formatted per block, bounding the cell strings
+_JSON_BLOCK = 4096   # list items encoded per json.dumps call, likewise
+_WRITE_BLOCK = 1 << 20   # characters encoded per write, bounding the bytes copy
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 class ContractFailure(RuntimeError):
@@ -93,14 +98,29 @@ def _write_text(path: str, text: str) -> None:
         click.echo(text, nl=False)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for i in range(0, len(text), _WRITE_BLOCK):
+                fh.write(text[i:i + _WRITE_BLOCK])
 
 
-def _csv_cells(values) -> list[str]:
-    """One column slice as CSV cells: floats in 15 digits, the rest by str."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return [_fmt(v) if isinstance(v, float) else str(v) for v in values]
+def _csv_format(column) -> str:
+    """The %-format of one CSV column: a column of floats in 15 digits, any other by str."""
+    if isinstance(column, np.ndarray):
+        return "%.15g" if column.dtype.kind == "f" else "%s"
+    return "%.15g" if all(isinstance(v, float) for v in column) else "%s"
+
+
+def _csv_rows(columns: list) -> list[str]:
+    """CSV row lines, formatted _CSV_BLOCK rows at a time by one %-template."""
+    width = len(columns)
+    row = ",".join(map(_csv_format, columns))
+    rows = []
+    for i in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+        block = [col[i:i + _CSV_BLOCK] for col in columns]
+        cells = [None] * (len(block[0]) * width)
+        for j, col in enumerate(block):
+            cells[j::width] = col.tolist() if isinstance(col, np.ndarray) else col
+        rows.extend(("\n".join([row] * len(block[0])) % tuple(cells)).split("\n"))
+    return rows
 
 
 def _csv_text(kind: str, header: list[str], rows: list[str], trailer: list[str] = ()) -> str:
@@ -109,29 +129,89 @@ def _csv_text(kind: str, header: list[str], rows: list[str], trailer: list[str] 
     lines.append(",".join(header))
     lines.extend(rows)
     lines.extend(f"# {note}" for note in trailer)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _all_scalars(values) -> bool:
+    return set(map(type, values)) <= _JSON_SCALARS
+
+
+def _json_list(values: list) -> list[str] | None:
+    """A top-level list as json.dumps(indent=2) writes it, in pieces, or None.
+
+    A list of scalars, or of dicts that share their string keys and hold
+    scalars, is encoded by the C encoder (json.dumps without indent),
+    _JSON_BLOCK items per call, and laid out by separators and a per-record
+    template.  Encoded scalars hold no raw newline, so the cells split on one.
+    The pieces are joined once, by _json_text.  None leaves the list to
+    json.dumps.
+    """
+    if not values:
+        return None
+    if _all_scalars(values):
+        def block(i: int) -> str:
+            return json.dumps(values[i:i + _JSON_BLOCK], separators=(",\n    ", ":"))[1:-1]
+    else:
+        if set(map(type, values)) != {dict}:
+            return None
+        keys = sorted(values[0])
+        if not keys or set(map(len, values)) != {len(keys)} or set(map(type, keys)) != {str}:
+            return None
+        try:
+            columns = [list(map(itemgetter(key), values)) for key in keys]
+        except KeyError:
+            return None
+        if not all(map(_all_scalars, columns)):
+            return None
+        record = "{\n      " + ",\n      ".join(
+            json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "\n    }"
+
+        def block(i: int) -> str:
+            n = min(_JSON_BLOCK, len(values) - i)
+            cells = [None] * (n * len(keys))
+            for j, col in enumerate(columns):
+                cells[j::len(keys)] = json.dumps(
+                    col[i:i + n], separators=("\n", ":"))[1:-1].split("\n")
+            return ",\n    ".join([record] * n) % tuple(cells)
+    pieces = ["[\n    "]
+    for i in range(0, len(values), _JSON_BLOCK):
+        pieces += (block(i), ",\n    ")
+    pieces[-1] = "\n  ]"
+    return pieces
 
 
 def _json_text(payload: dict) -> str:
+    """payload and schema_version as json.dumps(indent=2, sort_keys=True) writes them.
+
+    Long top-level lists go through _json_list; every other value is encoded
+    by json.dumps and indented one level.  The text is joined once from its
+    pieces, so no intermediate copy of a long list is made.
+    """
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pieces = ["{\n  "]
+    for key in sorted(payload):
+        value = payload[key]
+        text = _json_list(value) if type(value) is list else None
+        if text is None:
+            text = [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")]
+        pieces += (json.dumps(key), ": ", *text, ",\n  ")
+    pieces[-1] = "\n}\n"
+    return "".join(pieces)
 
 
 def _write_table(opts: dict, kind: str, columns: dict, records: str | None = None,
                  meta: dict | None = None, trailer: list[str] = ()) -> None:
     """Write equal-length columns, keyed by header name, as --format asks.
 
-    CSV has one line per row, floats in 15 digits, and the trailer as "# "
-    notes after the rows.  JSON holds the rows as objects under the key
-    records, or one array per column when records is None, plus the meta
-    fields.
+    CSV has one line per row, a column of floats in 15 significant digits,
+    any other column by str, and the trailer as "# " notes after the rows.
+    JSON holds the rows as objects under the key records, or one array per
+    column when records is None, plus the meta fields; its floats are the
+    shortest repr that reads back to the same float.
     """
     if opts["fmt"] == "csv":
-        rows = []
-        n = len(next(iter(columns.values()), ()))
-        for i in range(0, n, _CSV_BLOCK):
-            cells = [_csv_cells(col[i:i + _CSV_BLOCK]) for col in columns.values()]
-            rows.extend(map(",".join, zip(*cells)))
+        rows = _csv_rows(list(columns.values()))
         _write_text(opts["out"], _csv_text(kind, list(columns), rows, trailer))
         return
     columns = {name: col.tolist() if isinstance(col, np.ndarray) else list(col)
@@ -368,6 +448,8 @@ def fourier_cmd(ctx, **opts):
         if pot is None or opts["kmax"] is None:
             raise ValueError("--roots or (--b, --lambda, --kmax) is required")
         roots = spectrum.find_roots(pot, opts["kmax"]).roots
+        if not len(roots):
+            raise ValueError(f"no level lies below k_max = {opts['kmax']!r}")
     k_top = float(roots.max())
     ds = opts["ds"] if opts["ds"] is not None else analysis.default_s_spacing(k_top)
     s_grid = np.arange(opts["smin"], opts["smax"] + ds, ds)

@@ -71,10 +71,9 @@ class WordClassTable:
 def _check_m(m: int, allow_large: bool) -> None:
     cap = _HARD_MAX_M if allow_large else _DEFAULT_MAX_M
     if not 1 <= m <= cap:
-        raise ValueError(
-            f"M must lie in [1, {cap}] (pass allow_large=True to go beyond "
-            f"{_DEFAULT_MAX_M}), got {m!r}"
-        )
+        beyond = "" if allow_large else (
+            f"; M up to {_HARD_MAX_M} is open only to the Python API, with allow_large=True")
+        raise ValueError(f"M must lie in [1, {cap}], got {m!r}{beyond}")
 
 
 def _pair_weights(x: int, n: int) -> tuple[int, int, int]:

@@ -247,13 +247,13 @@ def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> Spect
     lie within 4 ulp of n pi / (l1 + l2) for k_max up to 1e6.  Roots listed
     as near-degenerate in the report sit where secular_function(pot) is flat.
 
-    k = 0 is never returned.  Raises ValueError unless k_max > 0, and
+    k = 0 is never returned.  Raises ValueError unless 0 < k_max < inf, and
     CompletenessError (with the offending interval) when the roots are not
     strictly increasing or their staircase deviation exceeds the bound
     1 + (N - 1) / 2.
     """
-    if not k_max > 0:
-        raise ValueError(f"k_max must be positive, got {k_max!r}")
+    if not (k_max > 0 and np.isfinite(k_max)):
+        raise ValueError(f"k_max must be finite and positive, got {k_max!r}")
     omega = pot.total_length
     width = len(pot.lengths) - 1
     half = 0.5 * width

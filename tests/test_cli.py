@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,26 +89,67 @@ def test_version_flag(runner):
     assert "0.1.0" in res.stdout
 
 
+def dumps_oracle(payload):
+    """The JSON artifact as the plain (pure-Python) json.dumps path writes it."""
+    return json.dumps({"schema_version": 1, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture()
+def json_payloads(monkeypatch):
+    """Check every payload the CLI encodes against dumps_oracle; list them."""
+    seen = []
+    encode = cli._json_text
+
+    def checked(payload):
+        text = encode(payload)
+        assert text == dumps_oracle(payload)
+        seen.append(payload)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    return seen
+
+
 @pytest.mark.parametrize("args, records", [
     (["spectrum", *STEP, "--kmax", "30"], "roots"),
     (["orbits", *STEP, "--max-length", "6"], "orbits"),
     (["trace", "--b", "0.7", "--lambda", "0.98", "--kmin", "2", "--kmax", "20",
       "--points", "50"], None),
     (["fourier", *STEP, "--kmax", "200"], None),
+    (["spectrum", "--breakpoints", "0,0.3,0.6,1", "--lambdas", "0,0.5,0.75", "--kmax", "30"],
+     "roots"),
+    (["graph-check", *STEP, "--samples", "5", "--nmax", "4", "--roots", "10"], "checks"),
+    (["identity", "--max-m", "4", "--poisson", "0.5"], "results"),
 ])
-def test_json_and_csv_hold_the_same_table(runner, args, records):
-    csv = runner.invoke(main, args)
-    js = runner.invoke(main, args + ["--format", "json"])
-    assert csv.exit_code == 0 and js.exit_code == 0
-    header = [l for l in csv.stdout.splitlines() if not l.startswith("#")][0].split(",")
-    doc = json.loads(js.stdout)
+def test_json_and_csv_hold_the_same_table(runner, json_payloads, tmp_path, args, records):
+    # every subcommand in both formats; reports must not depend on --format
+    outs, reports = {}, []
+    for fmt in ("csv", "json"):
+        extra = []
+        if args[0] in ("trace", "fourier"):
+            reports.append(tmp_path / f"report-{fmt}.json")
+            extra = ["--report", str(reports[-1])]
+        res = runner.invoke(main, args + ["--format", fmt] + extra)
+        assert res.exit_code == 0, res.output
+        outs[fmt] = res.stdout
+    csv, doc = outs["csv"], json.loads(outs["json"])
+    assert doc["kind"] in [payload["kind"] for payload in json_payloads]
+    assert len({path.read_text() for path in reports}) <= 1
+    if records == "checks":
+        assert csv == outs["json"]         # graph-check writes JSON either way
+        return
+    if records == "results":
+        sums = [l.split(": ", 1)[1] for l in csv.splitlines() if l.startswith("  beta sums")]
+        assert sums == [", ".join(r["beta_sums"]) for r in doc["results"]]
+        return
+    header = [l for l in csv.splitlines() if not l.startswith("#")][0].split(",")
     if records is None:
         values = list(zip(*(doc[name] for name in header)))
     else:
         values = [[rec[name] for name in header] for rec in doc[records]]
     fields = [[v if isinstance(v, str) else f"{v:.15g}" for v in row] for row in values]
     assert len(fields) > 0
-    assert fields == [row.split(",") for row in data_rows(csv.stdout)]
+    assert fields == [row.split(",") for row in data_rows(csv)]
 
 
 def test_unknown_flag_is_usage_error(runner):
@@ -325,9 +370,107 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok\n" + expected + "# note=1\n"
 
 
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_json_and_writes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
+    payload = {"kind": "blocks", "x": [i / 7 for i in range(10)], "names": ["é", "λ"] * 5,
+               "rows": [{"i": i, "x": i / 3, "s": f"%s{i}", "ok": i % 2 == 0} for i in range(10)]}
+    monkeypatch.setattr(cli, "_JSON_BLOCK", block)
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+    text = cli._json_text(payload)
+    assert text == dumps_oracle(payload)
+    cli._write_text(str(tmp_path / "t.json"), text)
+    assert (tmp_path / "t.json").read_bytes() == text.encode("utf-8")
+
+
 def test_float_formatting_is_fifteen_digits(runner):
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20"])
     for row in data_rows(res.stdout):
         for field in row.split(",")[1:]:
             mantissa = field.split("e")[0].replace("-", "").replace(".", "")
             assert len(mantissa.lstrip("0")) <= 15
+
+
+def test_csv_float_list_column_has_fifteen_digits(runner):
+    # a float column that arrives as a Python list, like orbits' S0, is not printed by repr
+    assert cli._csv_rows([["a", "b"], [0.1 + 0.2, 1 / 3], [1, 2]]) == [
+        "a,0.3,1", "b,0.333333333333333,2"]
+    res = runner.invoke(main, ["orbits", *STEP, "--max-length", "5"])
+    recs = cli._sized_records(cli.build_potential(0.7, 0.5), 5, None)
+    assert [row.split(",")[-1] for row in data_rows(res.stdout)] == [f"{r.s0:.15g}" for r in recs]
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "records", "rows": [
+        {"i": 1, "x": 0.1, "s": "a,b", "ok": True, "none": None},
+        {"i": -2, "x": 1e300, "s": "", "ok": False, "none": None},
+        {"i": 2 ** 70, "x": -0.0, "s": 'q"\\%s', "ok": True, "none": 5e-324},
+    ]},
+    {"kind": "non-finite", "x": [math.nan, math.inf, -math.inf, 1.5],
+     "rows": [{"a": math.nan, "b": -math.inf}, {"a": math.inf, "b": 0.0}], "top": math.nan},
+    {"kind": "sizes", "empty": [], "one": [2.5], "one_record": [{"k": 1}],
+     "empty_records": [{}, {}], "empty_dict": {}, "nothing": None},
+    {"kind": "identity", "results": [
+        {"M": 1, "beta_sums": ["1", "1"], "polynomial": ["1", "0"], "ok": True},
+        {"M": 2, "beta_sums": ["1", "2", "1"], "polynomial": ["1", "0", "0"], "ok": True}],
+     "poisson": {"lambda": 0.5, "ok": True}},
+    {"kind": "text", "names": ["é", "λ", "日本", "a\nb\tc", "%d%%", "\x00"],
+     "rows": [{"ü": "ß", "%k": "%s", "line\nbreak": " "}]},
+    {"kind": "irregular", "keys": [{"a": 1}, {"b": 2}], "nested": [{"a": [1, 2]}],
+     "mixed": [1, [2, 3], {"c": 4}], "ints": [{1: "x"}], "tuples": [(1, 2)]},
+])
+def test_json_text_matches_json_dumps(payload):
+    assert cli._json_text(payload) == dumps_oracle(payload)
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("trace-peaks", ["trace", "--b", "0.7", "--lambda", "0.98", "--kmin", "2", "--kmax", "30",
+                     "--points", "400"]),
+    ("fourier-peaks", ["fourier", *STEP, "--kmax", "300"]),
+])
+def test_report_payloads_match_json_dumps(runner, json_payloads, tmp_path, kind, payload):
+    res = runner.invoke(main, payload + ["--report", str(tmp_path / "r.json")])
+    assert res.exit_code == 0, res.output
+    report = [p for p in json_payloads if p["kind"] == kind]
+    assert report and (tmp_path / "r.json").read_text() == dumps_oracle(report[0])
+
+
+def test_json_floats_read_back_bit_for_bit(runner):
+    pot = cli.build_potential(0.7, 0.5)
+    res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "300", "--format", "json"])
+    ks = np.array([rec["k"] for rec in json.loads(res.stdout)["roots"]])
+    assert np.array_equal(ks, cli.spectrum.find_roots(pot, 300.0).roots)
+    res = runner.invoke(main, ["fourier", *STEP, "--kmax", "300", "--format", "json"])
+    doc = json.loads(res.stdout)
+    roots = cli.spectrum.find_roots(pot, 300.0).roots
+    s_grid = np.arange(0.2, 10.0 + cli.analysis.default_s_spacing(roots.max()),
+                       cli.analysis.default_s_spacing(roots.max()))
+    profile = cli.analysis.fourier_transform(roots, s_grid)
+    assert np.array_equal(doc["s"], profile.s_grid)
+    assert np.array_equal(doc["absF"], profile.magnitude)
+
+
+def test_fourier_without_levels_below_kmax(runner):
+    res = runner.invoke(main, ["fourier", *STEP, "--kmax", "1"])
+    assert res.exit_code == 3
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "invalid-parameter"
+    assert err["message"] == "no level lies below k_max = 1.0"
+
+
+def test_infinite_kmax_exits_three_without_warnings():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-m", "raysplit.cli", "spectrum", *STEP, "--kmax", "inf"],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 3
+    assert res.stdout == ""
+    message = json.loads(res.stderr)["error"]["message"]
+    assert message == "k_max must be finite and positive, got inf"
+
+
+def test_identity_cap_message_speaks_to_the_command_line(runner):
+    res = runner.invoke(main, ["identity", "--m", "20"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"]["message"] == (
+        "M must lie in [1, 13], got 20; "
+        "M up to 16 is open only to the Python API, with allow_large=True")

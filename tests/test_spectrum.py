@@ -152,6 +152,9 @@ def test_nstep_three_regions_frozen_roots():
 def test_find_roots_rejects_bad_arguments():
     with pytest.raises(ValueError, match="k_max"):
         find_roots(REF, -1.0)
+    for k_max in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="k_max must be finite and positive"):
+            find_roots(REF, k_max)
 
 
 def test_engine_raises_when_roots_stay_missing(monkeypatch):
