@@ -242,14 +242,18 @@ def _potential_from(opts: dict):
     return build_potential(opts["b"], opts["lam"])
 
 
-def _common(fn):
+def _out_and_config(fn):
     fn = click.option("--out", default="-", show_default=True,
                       help="Output path for the main artifact ('-' = stdout).")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                      default="csv", show_default=True)(fn)
     fn = click.option("--config", type=click.Path(), default=None,
                       help="JSON file supplying defaults for any option of this command.")(fn)
     return fn
+
+
+def _common(fn):
+    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                      default="csv", show_default=True)(fn)
+    return _out_and_config(fn)
 
 
 def _step_options(fn):
@@ -368,8 +372,8 @@ def trace_cmd(ctx, **opts):
     if opts["b"] is None or opts["lam"] is None:
         raise ValueError("--b and --lambda are required")
     pot = build_potential(opts["b"], opts["lam"])
-    if opts["kmin"] <= 0 or opts["kmax"] <= opts["kmin"]:
-        raise ValueError("need 0 < kmin < kmax")
+    if not 0 < opts["kmin"] < opts["kmax"] < math.inf:
+        raise ValueError("need 0 < kmin < kmax < inf")
     if opts["points"] < 2:
         raise ValueError(f"points must be >= 2, got {opts['points']!r}")
     recs = _sized_records(pot, opts["max_length"], None)
@@ -489,13 +493,15 @@ def fourier_cmd(ctx, **opts):
 @click.option("--nmax", type=int, default=12, show_default=True)
 @click.option("--roots", "n_roots", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@_common
+@_out_and_config
 @click.pass_context
 @_guard
 def graph_check_cmd(ctx, **opts):
-    """Verify unitarity, odd-trace vanishing, trace sums and quantization."""
+    """Verify unitarity, odd traces, trace sums and quantization; report in JSON."""
     opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
+    if not 0 < opts["kmax"] < math.inf:
+        raise ValueError(f"kmax must be finite and positive, got {opts['kmax']!r}")
     rng = np.random.default_rng(opts["seed"])
     ks = rng.uniform(0.0, opts["kmax"], opts["samples"])
     unit_dev = 0.0

@@ -40,8 +40,8 @@ __all__ = [
     "poisson_special_case_check",
 ]
 
-_DEFAULT_MAX_M = 13
-_HARD_MAX_M = 16
+_MAX_M = 64          # binomial_sums counts the classes, in time polynomial in M
+_MAX_TABLE_M = 13    # build_word_table lists them, ~2.6M classes at M = 13
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,9 @@ class WordClassTable:
         return len(self.classes)
 
 
-def _check_m(m: int, allow_large: bool) -> None:
-    cap = _HARD_MAX_M if allow_large else _DEFAULT_MAX_M
+def _check_m(m: int, cap: int) -> None:
     if not 1 <= m <= cap:
-        beyond = "" if allow_large else (
-            f"; M up to {_HARD_MAX_M} is open only to the Python API, with allow_large=True")
-        raise ValueError(f"M must lie in [1, {cap}], got {m!r}{beyond}")
+        raise ValueError(f"M must lie in [1, {cap}], got {m!r}")
 
 
 def _pair_weights(x: int, n: int) -> tuple[int, int, int]:
@@ -84,14 +81,14 @@ def _pair_weights(x: int, n: int) -> tuple[int, int, int]:
     return rr & 1, (n - tau2) >> 1, tau2 >> 1
 
 
-def build_word_table(m: int, allow_large: bool = False) -> WordClassTable:
+def build_word_table(m: int) -> WordClassTable:
     """Enumerate every cyclic class of length 2M with its exact weights.
 
     Memory grows with the necklace count (~2.6M classes at M = 13); the
     verifiers below count the classes by (beta, nu) instead of listing them,
     and this table is their test oracle.
     """
-    _check_m(m, allow_large)
+    _check_m(m, _MAX_TABLE_M)
     n = 2 * m
     classes = []
     for word, period in _orbits._necklaces_with_period(n):
@@ -171,13 +168,13 @@ def _signed_counts(m: int) -> dict[int, dict[int, int]]:
     return acc
 
 
-def binomial_sums(m: int, allow_large: bool = False) -> tuple[Fraction, ...]:
+def binomial_sums(m: int) -> tuple[Fraction, ...]:
     """For each beta in 0..M, the exact sum of (-1)^alpha T_w over classes.
 
     Every entry must equal C(M, beta); returning the computed values rather
     than a verdict keeps the oracle reusable.
     """
-    _check_m(m, allow_large)
+    _check_m(m, _MAX_M)
     acc = _signed_counts(m)
     sums = []
     for beta in range(m + 1):
@@ -206,9 +203,9 @@ def sum_rule_polynomial(beta_sums: tuple[Fraction, ...]) -> tuple[tuple[Fraction
     return tuple(coeffs), coeffs == expected
 
 
-def verify_sum_rule(m: int, allow_large: bool = False) -> tuple[tuple[Fraction, ...], bool]:
+def verify_sum_rule(m: int) -> tuple[tuple[Fraction, ...], bool]:
     """sum_rule_polynomial of the classes of length 2M."""
-    return sum_rule_polynomial(binomial_sums(m, allow_large))
+    return sum_rule_polynomial(binomial_sums(m))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ The spectrum of a single scaled step is the positive zero set of
 
     secular(k) = sin(k omega1) - r sin(k omega2),
 
-and that of an N-region chain the zero set of det(1 - S(k)).  Both are found
-from one monotone function instead of a scan.  Take the solution with
-psi(0) = 0 and its Pruefer angle theta(x; k) = atan2(q psi, psi'), where
-q = beta_i k is the local wavenumber.  Across region i, theta grows by
-q times the width, that is by k l_i.  At an interface psi and psi' are
-continuous, so phi = theta mod pi is remapped by
+and that of an N-region chain the zero set of psi(1; k), for the solution
+psi with psi(0) = 0.  Both are found from one monotone function instead of
+a scan.  Take that solution and its Pruefer angle
+theta(x; k) = atan2(q psi, psi'), where q = beta_i k is the local
+wavenumber.  Across region i, theta grows by q times the width, that is by
+k l_i.  At an interface psi and psi' are continuous, so phi = theta mod pi
+is remapped by
 phi -> atan2(beta' sin phi, beta cos phi), which is increasing and keeps the
 quadrant of phi; it moves theta by less than pi / 2.  Hence, with
 Omega = sum l_i:
@@ -24,6 +25,8 @@ Omega = sum l_i:
 find_roots takes the count from theta(1; k_max), refines every level in its
 index interval by Illinois regula falsi, polishes it by one Newton step on
 secular_function(pot), and certifies the list against the staircase bound.
+For a chain that function is the scaled psi(1; k); det(1 - S(k)) of the
+graph module is left to the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from functools import partial
 
 import numpy as np
 
-from . import graph
 from .model import NStepPotential, ScaledStepPotential, interface_coefficients
 
 __all__ = [
@@ -133,35 +135,25 @@ def weyl_count(pot: ScaledStepPotential | NStepPotential, k):
     return pot.total_length * np.asarray(k, dtype=float) / np.pi
 
 
-def _refine_blocks(f, lo, hi, flo, fhi, target=0.0):
+def _illinois(f, lo, hi, flo, fhi, target):
     """Refine every bracket to adjacent floats by Illinois regula falsi.
 
-    The function refined on bracket i is f(k) - target[i] (target may be a
-    scalar), and flo, fhi are its values at the ends.  Each step evaluates
-    it at the secant point of the bracket, with the Illinois modification
-    (Dowell & Jarratt, BIT 11, 168 (1971)): an end kept by two secant steps
-    running has its value halved, which gives superlinear convergence from
-    both sides.  A secant point that rounds onto or past an end is moved one
-    float inside, so the bracket shrinks at every step and a root already
-    found to rounding level costs one more evaluation; a NaN secant point,
-    and every step after _ILLINOIS_ITERS, takes the midpoint instead.  A bracket is done when its midpoint equals
-    an end (the ends are adjacent floats) or f is exactly 0 at a trial
-    point; its midpoint is returned.
+    The function refined on bracket i is f(k) - target[i], and flo, fhi are
+    its values at the ends.  Each step evaluates it at the secant point of
+    the bracket, with the Illinois modification (Dowell & Jarratt, BIT 11,
+    168 (1971)): an end kept by two secant steps running has its value
+    halved, which gives superlinear convergence from both sides.  A secant
+    point that rounds onto or past an end is moved one float inside, so the
+    bracket shrinks at every step and a root already found to rounding level
+    costs one more evaluation; a NaN secant point, and every step after
+    _ILLINOIS_ITERS, takes the midpoint instead.  A bracket is done when its
+    midpoint equals an end (the ends are adjacent floats) or f is exactly 0
+    at a trial point; its midpoint is returned.
 
-    Blocks of _REFINE_BLOCK brackets bound the temporaries of each step (the
-    trial points, f values and masks) however many brackets there are, and
-    f is evaluated only on the brackets of a block still open.
+    f is evaluated only on the brackets still open.  find_roots passes at
+    most _REFINE_BLOCK brackets, which bounds the temporaries of each step
+    (the trial points, f values and masks).
     """
-    roots = np.empty(len(lo))
-    target = np.broadcast_to(target, np.shape(lo))
-    for i in range(0, len(lo), _REFINE_BLOCK):
-        block = slice(i, i + _REFINE_BLOCK)
-        roots[block] = _illinois(f, lo[block], hi[block], flo[block], fhi[block], target[block])
-    return roots
-
-
-def _illinois(f, lo, hi, flo, fhi, target):
-    """Illinois steps on one block of brackets, see _refine_blocks."""
     roots = np.empty(len(lo))
     todo = np.arange(len(lo))
     kept = np.zeros(len(lo), dtype=np.int8)   # end the last secant step kept: +1 hi, -1 lo
@@ -258,11 +250,7 @@ def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> Spect
     width = len(pot.lengths) - 1
     half = 0.5 * width
     theta = partial(_prufer_angle, pot)
-    f = secular_function(pot)
-    if isinstance(pot, ScaledStepPotential):
-        slope = partial(secular_slope, pot)
-    else:
-        slope = partial(_numeric_slope, f)
+    f, slope = _secular_pair(pot)
     count = int(theta(float(k_max)) // np.pi)
     roots, near = np.empty(count), []
     for i in range(0, count, _REFINE_BLOCK):
@@ -270,8 +258,8 @@ def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> Spect
         # the interval ends (n -/+ half) pi / Omega lie on one grid, shared
         ends = np.maximum((np.arange(len(n) + width) + (n[0] - half)) * (np.pi / omega), 0.0)
         g, target = theta(ends), n * np.pi
-        k = _refine_blocks(theta, ends[:len(n)], ends[width:],
-                           g[:len(n)] - target, g[width:] - target, target)
+        k = _illinois(theta, ends[:len(n)], ends[width:],
+                      g[:len(n)] - target, g[width:] - target, target)
         # theta(1; k) carries a few ulp(Omega k) of rounding and grows at least
         # as fast as k l_N (the last region is never damped by an interface),
         # so a level lies within about _POLISH_ULP ulp(Omega k) / l_N of its
@@ -311,44 +299,47 @@ def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> Spect
     return SpectrumResult(roots=roots, k_max=float(k_max), completeness=report)
 
 
-def _numeric_slope(f, k: np.ndarray, delta: float = 1e-7) -> np.ndarray:
-    return (np.asarray(f(k + delta)) - np.asarray(f(k - delta))) / (2 * delta)
-
-
 def secular_function(pot: ScaledStepPotential | NStepPotential):
     """A real function of k whose zeros are exactly the levels of pot.
 
-    secular for a single step, det(1 - S(k)) rotated onto the real axis for
-    a chain.  find_roots polishes each root by one Newton step on it and
-    flags near-degenerate roots by its slope; the spectrum subcommand
-    reports |f| at each root as the residual.
+    secular for a single step; for a chain, psi(1; k) of the solution with
+    psi(0) = 0, scaled so that it equals det(1 - S(k)) turned onto the real
+    axis, up to a sign (_chain_psi).  find_roots polishes each root by one
+    Newton step on it and flags near-degenerate roots by its slope; the
+    spectrum subcommand reports |f| at each root as the residual.
     """
-    if isinstance(pot, NStepPotential):
-        return _real_secular_chain(pot)
-    return lambda k: secular(pot, k)
+    return _secular_pair(pot)[0]
 
 
-def _real_secular_chain(pot: NStepPotential):
-    """Rotate det(1 - S(k)) onto the real axis.
+def _secular_pair(pot: ScaledStepPotential | NStepPotential):
+    """secular_function(pot) and its derivative, as two functions of k."""
+    if isinstance(pot, ScaledStepPotential):
+        return partial(secular, pot), partial(secular_slope, pot)
+    return (lambda k: _chain_psi(pot, k)[0]), (lambda k: _chain_psi(pot, k)[1])
 
-    S(k) factors into a k-independent real vertex part T and bond phases, so
-    det S(k) = det(T) e^{2 i Omega k} with Omega the total weighted length.
-    Unitarity then makes
 
-        xi(k) = Re[ e^{-i (2 Omega k + theta0 + pi d) / 2 } det(1 - S(k)) ]
+def _chain_psi(pot: NStepPotential, k):
+    """c psi(1; k) and its exact k-derivative, by transfer matrices.
 
-    (d the matrix dimension, theta0 = arg det T) a real function with exactly
-    the zeros of det(1 - S), whose slope flags near-degenerate roots.
+    psi solves -psi'' = q^2 psi, q = beta_i k in region i, with psi(0) = 0
+    and psi'(0) = beta_1 k.  Across region i the pair w = (psi, psi' / q)
+    turns by the angle k l_i, and at an interface psi' / q is multiplied by
+    beta_i / beta_{i+1}.  The derivative rides along as
+    d/dk [R(k l) w] = R(k l) (dw + l J w), J (u, v) = (v, -u).  With
+    c = 2 prod (1 - r_i) over the interface reflection coefficients,
+    c psi(1; k) = (-1)^(N - 1) Re[e^{-i (2 Omega k + theta0 + pi d) / 2} det(1 - S(k))]
+    for N regions, d = 2N and theta0 = arg det S(0), so the near-degenerate
+    slope threshold keeps the scale it was set on.
     """
-    dim = 2 * pot.n_regions
-    theta0 = np.angle(np.linalg.det(graph.build_smatrix(pot, 0.0)))
-    omega = pot.total_length
-
-    def xi(k):
-        karr = np.asarray(k, dtype=float)
-        d = graph.det_one_minus_s(pot, karr)
-        phase = np.exp(-0.5j * (2.0 * omega * karr + theta0 + np.pi * dim))
-        out = (phase * d).real
-        return out if np.ndim(k) else float(out)
-
-    return xi
+    betas = pot.betas
+    scale, u, v, du, dv = 2.0, 0.0, 1.0, 0.0, 0.0
+    # region 1 is entered through a trivial interface: r = 0, ratio 1
+    for beta_l, beta_r, length in zip(betas[:1] + betas, betas, pot.lengths):
+        r, _ = interface_coefficients(beta_l, beta_r)
+        scale *= 1.0 - r
+        ratio = beta_l / beta_r
+        v, dv = ratio * v, ratio * dv
+        c, s = np.cos(k * length), np.sin(k * length)
+        du, dv = du + length * v, dv - length * u
+        u, v, du, dv = c * u + s * v, c * v - s * u, c * du + s * dv, c * dv - s * du
+    return scale * u, scale * du

@@ -118,7 +118,6 @@ def json_payloads(monkeypatch):
     (["fourier", *STEP, "--kmax", "200"], None),
     (["spectrum", "--breakpoints", "0,0.3,0.6,1", "--lambdas", "0,0.5,0.75", "--kmax", "30"],
      "roots"),
-    (["graph-check", *STEP, "--samples", "5", "--nmax", "4", "--roots", "10"], "checks"),
     (["identity", "--max-m", "4", "--poisson", "0.5"], "results"),
 ])
 def test_json_and_csv_hold_the_same_table(runner, json_payloads, tmp_path, args, records):
@@ -135,9 +134,6 @@ def test_json_and_csv_hold_the_same_table(runner, json_payloads, tmp_path, args,
     csv, doc = outs["csv"], json.loads(outs["json"])
     assert doc["kind"] in [payload["kind"] for payload in json_payloads]
     assert len({path.read_text() for path in reports}) <= 1
-    if records == "checks":
-        assert csv == outs["json"]         # graph-check writes JSON either way
-        return
     if records == "results":
         sums = [l.split(": ", 1)[1] for l in csv.splitlines() if l.startswith("  beta sums")]
         assert sums == [", ".join(r["beta_sums"]) for r in doc["results"]]
@@ -154,6 +150,9 @@ def test_json_and_csv_hold_the_same_table(runner, json_payloads, tmp_path, args,
 
 def test_unknown_flag_is_usage_error(runner):
     res = runner.invoke(main, ["spectrum", "--no-such-flag", "1"])
+    assert res.exit_code == 2
+    # the graph-check report is JSON only
+    res = runner.invoke(main, ["graph-check", *STEP, "--format", "json"])
     assert res.exit_code == 2
 
 
@@ -459,18 +458,21 @@ def test_fourier_without_levels_below_kmax(runner):
 
 def test_infinite_kmax_exits_three_without_warnings():
     src = str(Path(cli.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-m", "raysplit.cli", "spectrum", *STEP, "--kmax", "inf"],
-                         capture_output=True, text=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert res.returncode == 3
-    assert res.stdout == ""
-    message = json.loads(res.stderr)["error"]["message"]
-    assert message == "k_max must be finite and positive, got inf"
+    for command, expected in (("spectrum", "k_max must be finite and positive, got inf"),
+                              ("trace", "need 0 < kmin < kmax < inf"),
+                              ("graph-check", "kmax must be finite and positive, got inf")):
+        res = subprocess.run([sys.executable, "-m", "raysplit.cli", command, *STEP, "--kmax", "inf"],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 3, command
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["error"]["message"] == expected
 
 
 def test_identity_cap_message_speaks_to_the_command_line(runner):
-    res = runner.invoke(main, ["identity", "--m", "20"])
+    res = runner.invoke(main, ["identity", "--m", "64"])
+    assert res.exit_code == 0
+    assert "  beta sums: " + ", ".join(str(math.comb(64, i)) for i in range(65)) in res.stdout
+    res = runner.invoke(main, ["identity", "--m", "65"])
     assert res.exit_code == 3
-    assert json.loads(res.stderr)["error"]["message"] == (
-        "M must lie in [1, 13], got 20; "
-        "M up to 16 is open only to the Python API, with allow_large=True")
+    assert json.loads(res.stderr)["error"]["message"] == "M must lie in [1, 64], got 65"

@@ -145,10 +145,10 @@ def test_primitive_word_counts_give_primitive_necklaces():
 def test_m_range_validation():
     with pytest.raises(ValueError, match="M must lie in"):
         build_word_table(0)
-    with pytest.raises(ValueError, match="allow_large"):
+    with pytest.raises(ValueError, match=r"M must lie in \[1, 13\], got 14$"):
         build_word_table(14)
-    with pytest.raises(ValueError, match="M must lie in"):
-        binomial_sums(17, allow_large=True)
+    with pytest.raises(ValueError, match=r"M must lie in \[1, 64\], got 65$"):
+        binomial_sums(65)
 
 
 def test_poisson_case_half_strength():

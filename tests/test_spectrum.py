@@ -12,7 +12,7 @@ from raysplit import graph, spectrum
 from raysplit.model import build_nstep, build_potential
 from raysplit.spectrum import (
     CompletenessError,
-    _refine_blocks,
+    _illinois,
     find_roots,
     matching_determinant,
     secular,
@@ -164,8 +164,8 @@ def test_engine_raises_when_roots_stay_missing(monkeypatch):
     lose = lambda r: np.append(np.delete(r, 20), 1e9)
     duplicate = lambda r: np.where(np.arange(len(r)) == 20, r[21], r)
     for broken, message in ((lose, "staircase deviates"), (duplicate, "not strictly increasing")):
-        monkeypatch.setattr(spectrum, "_refine_blocks",
-                            lambda *a, broken=broken: broken(_refine_blocks(*a)))
+        monkeypatch.setattr(spectrum, "_illinois",
+                            lambda *a, broken=broken: broken(_illinois(*a)))
         with pytest.raises(CompletenessError, match=message) as exc:
             find_roots(REF, 100.0)
         lo, hi = exc.value.interval
@@ -197,10 +197,9 @@ def test_refinement_evaluations_per_bracket(case, monkeypatch):
     # the scan and refinement it replaced needed about 25
     pot, k_max = (REF, 1e4) if case == "step" else (CHAIN3, 5e3)
     counters = []
-    for module, name in ((spectrum, "_prufer_angle"), (spectrum, "secular"),
-                         (spectrum, "secular_slope"), (graph, "det_one_minus_s")):
-        counters.append(Counted(getattr(module, name)))
-        monkeypatch.setattr(module, name, counters[-1])
+    for name in ("_prufer_angle", "secular", "secular_slope", "_chain_psi"):
+        counters.append(Counted(getattr(spectrum, name)))
+        monkeypatch.setattr(spectrum, name, counters[-1])
     roots = find_roots(pot, k_max).roots
     assert len(roots) > 1000
     assert counters[0].points > 0
@@ -259,7 +258,7 @@ def test_hard_brackets_end_at_the_root(c, left, right, kind):
     assume(lo < c < hi)
     f = (lambda k: (k - c) ** 3) if kind == "cube" else (lambda k: np.tanh(50.0 * (k - c)))
     lo, hi = np.array([lo]), np.array([hi])
-    root = _refine_blocks(f, lo, hi, f(lo), f(hi))[0]
+    root = _illinois(f, lo, hi, f(lo), f(hi), np.zeros(1))[0]
     assert abs(root - c) <= 2 * np.spacing(abs(c))
 
 
@@ -302,6 +301,54 @@ def _psi_end(chain):
     return psi_end
 
 
+def _random_chain(seed):
+    rng = np.random.default_rng(seed)
+    n_regions = int(rng.integers(1, 7))
+    breakpoints = [0.0, *np.sort(rng.uniform(0.0, 1.0, n_regions - 1)), 1.0]
+    return build_nstep(breakpoints, rng.uniform(0.0, 0.99, n_regions)), rng
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chain_function_is_the_rotated_det(seed):
+    # det(1 - S) of the graph model stays the independent oracle for psi(1; k)
+    chain, rng = _random_chain(seed)
+    k = rng.uniform(0.0, 200.0, 200)
+    theta0 = np.angle(np.linalg.det(graph.build_smatrix(chain, 0.0)))
+    dim = 2 * chain.n_regions
+    rotate = np.exp(-0.5j * (2.0 * chain.total_length * k + theta0 + np.pi * dim))
+    xi = (rotate * graph.det_one_minus_s(chain, k)).real
+    f = spectrum.secular_function(chain)(k)
+    sign = (-1) ** (chain.n_regions - 1)
+    assert np.max(np.abs(f - sign * xi)) <= 1e-12 * np.max(np.abs(xi))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_slope_against_mpmath(seed):
+    # _chain_psi takes psi'(0) = beta_1 k, the oracle 1, and scales by 2 prod (1 - r_i)
+    chain, rng = _random_chain(seed)
+    k = rng.uniform(0.0, 200.0, 8)
+    slope = spectrum._chain_psi(chain, k)[1]
+    betas = chain.betas
+    scale = 2.0 * math.prod(1.0 - (a - b) / (a + b) for a, b in zip(betas, betas[1:]))
+    with mpmath.workdps(40):
+        psi_end = _psi_end(chain)
+        beta1 = mpmath.sqrt(1 - mpmath.mpf(chain.lambdas[0]))
+        exact = scale * np.array([float(mpmath.diff(lambda x: beta1 * x * psi_end(x), mpmath.mpf(x)))
+                                  for x in k])
+    assert np.max(np.abs(slope - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_chain_roots_need_no_scattering_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scattering matrix was used")
+
+    monkeypatch.setattr(graph, "det_one_minus_s", refuse)
+    monkeypatch.setattr(graph, "build_smatrix", refuse)
+    res = find_roots(CHAIN3, 500.0)
+    assert len(res.roots) > 100
+    spectrum.secular_function(CHAIN3)(res.roots)
+
+
 def test_chain_roots_against_mpmath():
     roots = find_roots(CHAIN3, 5e4).roots
     with mpmath.workdps(40):
@@ -338,11 +385,8 @@ def _psi_end_sign_changes(chain, k_max):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_chain_count_intervals_and_bound(seed):
-    rng = np.random.default_rng(seed)
-    n_regions = int(rng.integers(1, 7))
-    breakpoints = [0.0, *np.sort(rng.uniform(0.0, 1.0, n_regions - 1)), 1.0]
-    chain = build_nstep(breakpoints, rng.uniform(0.0, 0.99, n_regions))
-    omega, half = chain.total_length, 0.5 * (n_regions - 1)
+    chain, rng = _random_chain(seed)
+    omega, half = chain.total_length, 0.5 * (chain.n_regions - 1)
     k_max = rng.uniform(40.0, 80.0) * np.pi / omega
     res = find_roots(chain, k_max)
     assert len(res.roots) == _psi_end_sign_changes(chain, k_max)
