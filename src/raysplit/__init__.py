@@ -24,14 +24,17 @@ from .spectrum import (
     weyl_count,
 )
 from .orbits import (
+    OrbitClass,
     OrbitCode,
     OrbitRecord,
     action_spectrum,
     amplitude,
     canonical_rotation,
+    classes_of,
     enumerate_necklaces,
     enumerate_primitive,
     necklace_count,
+    orbit_classes,
     orbit_record,
     primitive_count,
 )
@@ -87,14 +90,17 @@ __all__ = [
     "matching_determinant",
     "secular",
     "weyl_count",
+    "OrbitClass",
     "OrbitCode",
     "OrbitRecord",
     "action_spectrum",
     "amplitude",
     "canonical_rotation",
+    "classes_of",
     "enumerate_necklaces",
     "enumerate_primitive",
     "necklace_count",
+    "orbit_classes",
     "orbit_record",
     "primitive_count",
     "build_smatrix",

@@ -312,6 +312,8 @@ def spectrum_cmd(ctx, **opts):
 def _sized_records(pot: ScaledStepPotential, max_length: int | None, count: int | None):
     """Primitive orbit records in (length, action, word) order, truncated."""
     if count is not None:
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count!r}")
         # the shortest length whose primitive necklaces number at least count
         max_length = 1
         while sum(map(orbits.primitive_count, range(1, max_length + 1))) < count:
@@ -376,12 +378,12 @@ def trace_cmd(ctx, **opts):
         raise ValueError("need 0 < kmin < kmax < inf")
     if opts["points"] < 2:
         raise ValueError(f"points must be >= 2, got {opts['points']!r}")
-    recs = _sized_records(pot, opts["max_length"], None)
+    classes = orbits.orbit_classes(pot, opts["max_length"])
     k_grid = np.linspace(opts["kmin"], opts["kmax"], opts["points"])
     if opts["resummed"]:
-        profile = trace.rho_resummed(pot, recs, k_grid, eta=opts["eta"], domain=opts["domain"])
+        profile = trace.rho_resummed(pot, classes, k_grid, eta=opts["eta"], domain=opts["domain"])
     else:
-        profile = trace.rho_trace(pot, recs, opts["nu_max"], k_grid,
+        profile = trace.rho_trace(pot, classes, opts["nu_max"], k_grid,
                                   eta=opts["eta"], domain=opts["domain"])
     vals = profile.values
     inner = (vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
@@ -444,6 +446,8 @@ def fourier_cmd(ctx, **opts):
     opts = _apply_config(ctx, opts)
     if opts["smin"] <= 0 or opts["smax"] <= opts["smin"]:
         raise ValueError("need 0 < smin < smax")
+    if opts["ds"] is not None and not 0 < opts["ds"] < math.inf:
+        raise ValueError(f"ds must be finite and positive, got {opts['ds']!r}")
     pot = build_potential(opts["b"], opts["lam"]) \
         if opts["b"] is not None and opts["lam"] is not None else None
     if opts["roots_path"]:
@@ -502,6 +506,10 @@ def graph_check_cmd(ctx, **opts):
     pot = _potential_from(opts)
     if not 0 < opts["kmax"] < math.inf:
         raise ValueError(f"kmax must be finite and positive, got {opts['kmax']!r}")
+    for flag, value in (("samples", opts["samples"]), ("nmax", opts["nmax"]),
+                        ("roots", opts["n_roots"])):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value!r}")
     rng = np.random.default_rng(opts["seed"])
     ks = rng.uniform(0.0, opts["kmax"], opts["samples"])
     unit_dev = 0.0

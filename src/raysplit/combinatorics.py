@@ -9,12 +9,13 @@ summed against x^beta (1-x)^gamma the classes give the constant polynomial 1;
 restricted to fixed beta they give the binomial coefficient C(M, beta).  Both
 are verified here in exact rational arithmetic, never floating point.
 
-The verifiers never list the classes.  A transfer-matrix pass over the bits
-counts the cyclic words of each length by their exact pair counts, Moebius
-inversion over the divisors keeps the primitive ones, and dividing by the
-length counts primitive necklaces; a class is a primitive necklace repeated
-nu times.  The cost is polynomial in M.  build_word_table still enumerates
-the necklaces one by one and is the oracle the counts are tested against.
+The verifiers never list the classes.  They read the cyclic-word kernel of
+raysplit.orbits, which counts the primitive necklaces of each length by their
+R count and transmission count (a transfer-matrix pass over the bits, then
+Moebius inversion over the divisors); a class is a primitive necklace
+repeated nu times, and its RR-pair parity follows from those two counts.  The
+cost is polynomial in M.  build_word_table still enumerates the necklaces one
+by one and is the oracle the counts are tested against.
 """
 
 from __future__ import annotations
@@ -104,67 +105,25 @@ def build_word_table(m: int) -> WordClassTable:
     return WordClassTable(m=m, classes=tuple(classes))
 
 
-def _cyclic_word_counts(n: int) -> dict[tuple[int, int], int]:
-    """W[(tau2, rr)]: binary words of length n by cyclic pair statistics.
-
-    tau2 counts the cyclic unequal pairs and rr the cyclic RR pairs, both
-    exact.  A transfer-matrix pass over the bits carries the states
-    (last bit, tau2, rr) for each first bit and closes the cycle at the end,
-    so the work is O(n^3) instead of the 2^n of listing the words.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for first in (0, 1):
-        states = {(first, 0, 0): 1}
-        for _ in range(n - 1):
-            step: dict[tuple[int, int, int], int] = {}
-            for (last, tau2, rr), words in states.items():
-                for bit in (0, 1):
-                    key = (bit, tau2 + (last ^ bit), rr + (last & bit))
-                    step[key] = step.get(key, 0) + words
-            states = step
-        for (last, tau2, rr), words in states.items():
-            key = (tau2 + (last ^ first), rr + (last & first))
-            counts[key] = counts.get(key, 0) + words
-    return counts
-
-
-def _primitive_word_counts(p: int) -> dict[tuple[int, int], int]:
-    """Primitive (aperiodic) words of length p by (tau2, rr).
-
-    A word u^q with u primitive of length p/q has q times the pair counts of
-    u, so W(p; t, r) = sum over q | p of P(p/q; t/q, r/q), and Moebius
-    inversion gives P(p; t, r) = sum over q | p of mu(q) W(p/q; t/q, r/q).
-    Every entry is a multiple of p: the p rotations of a primitive word are
-    distinct, so entry / p counts primitive necklaces.
-    """
-    primitive: dict[tuple[int, int], int] = {}
-    for q in _orbits._divisors(p):
-        mu = _orbits._moebius(q)
-        if mu == 0:
-            continue
-        for (tau2, rr), words in _cyclic_word_counts(p // q).items():
-            key = (q * tau2, q * rr)
-            primitive[key] = primitive.get(key, 0) + mu * words
-    return {key: words for key, words in primitive.items() if words}
-
-
 def _signed_counts(m: int) -> dict[int, dict[int, int]]:
     """acc[beta][nu] = sum over classes with that beta and nu of (-1)^alpha.
 
     Counts the classes without listing them: a class of length 2M and
     repetition nu is u^nu for a primitive necklace u of length p = 2M / nu,
-    so it has tau2 = nu * tau2(u), beta = (2M - tau2) / 2 and
-    alpha = nu * rr(u) mod 2.  A cell is present exactly when some class
-    falls in it, even if its signed sum is zero.
+    counted by (n_r, tau2) by the kernel of raysplit.orbits.  It has
+    tau2 = nu * tau2(u), beta = (2M - tau2) / 2 and alpha = nu * rr(u) mod 2,
+    where rr(u) = n_r(u) - tau2(u) / 2.  A cell is present exactly when some
+    class falls in it, even if its signed sum is zero.
     """
     n = 2 * m
+    words = _orbits._cyclic_word_counts(n)
     acc: dict[int, dict[int, int]] = {}
     for p in _orbits._divisors(n):
         nu = n // p
-        for (tau2, rr), words in _primitive_word_counts(p).items():
+        for (n_r, tau2), count in _orbits._primitive_necklace_counts(p, words).items():
             by_nu = acc.setdefault((n - nu * tau2) // 2, {})
-            sign = -1 if nu * rr % 2 else 1
-            by_nu[nu] = by_nu.get(nu, 0) + sign * (words // p)
+            sign = -1 if nu * _orbits._rr_pairs(n_r, tau2) % 2 else 1
+            by_nu[nu] = by_nu.get(nu, 0) + sign * count
     return acc
 
 
@@ -244,9 +203,8 @@ def poisson_special_case_check(
     expected = comb_spacing * np.arange(1, len(roots) + 1)
     root_dev = float(np.max(np.abs(roots - expected))) if len(roots) else np.inf
     action_dev = 0.0
-    for code in _orbits.enumerate_primitive(max_orbit_length):
-        rec = _orbits.orbit_record(code, pot)
-        multiple = rec.s0 / (2.0 * b)
+    for cls in _orbits.orbit_classes(pot, max_orbit_length):
+        multiple = cls.s0 / (2.0 * b)
         action_dev = max(action_dev, abs(multiple - round(multiple)))
     ok = len(roots) == n_roots and root_dev <= root_tol and action_dev <= action_tol
     return PoissonCaseReport(

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 from .model import ScaledStepPotential
 
 _MAX_LENGTH = 32
-# Largest orbit table enumerate_primitive builds: every length up to 20
+# Largest orbit table enumerate_primitive lists: every length up to 20
 # (111,013 orbits; with their records about 2 s and 50 MB on a 2-vCPU VM).
 # Length 21 would double that, and length 31 would hold 1.4e8 Python objects.
 _MAX_ROWS = 2 ** 17
@@ -24,10 +24,13 @@ _MAX_ROWS = 2 ** 17
 __all__ = [
     "OrbitCode",
     "OrbitRecord",
+    "OrbitClass",
     "canonical_rotation",
     "enumerate_necklaces",
     "enumerate_primitive",
     "orbit_record",
+    "orbit_classes",
+    "classes_of",
     "amplitude",
     "action_spectrum",
 ]
@@ -77,6 +80,24 @@ class OrbitRecord:
     def period(self, k: float) -> float:
         """Orbit period in the energy domain, dS/dE = s0 / (2k)."""
         return self.s0 / (2.0 * k)
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    """Primitive orbits of one length, R count n_r and transmission count tau2.
+
+    All of them share sigma, sign and reduced action s0 (fields as in
+    OrbitRecord), hence every orbit-sum term; multiplicity counts them.
+    """
+
+    length: int
+    n_l: int
+    n_r: int
+    sigma: int
+    tau2: int
+    sign: int
+    s0: float
+    multiplicity: int
 
 
 def canonical_rotation(word: str) -> str:
@@ -201,7 +222,97 @@ def orbit_record(code: OrbitCode, pot: ScaledStepPotential) -> OrbitRecord:
     )
 
 
-def amplitude(rec: OrbitRecord, pot: ScaledStepPotential) -> float:
+def _cyclic_word_counts(max_length: int) -> list[dict[tuple[int, int], int]]:
+    """counts[n][(n_r, tau2)]: binary words of length n by R count and cyclic
+    unequal pairs, for n = 1..max_length (counts[0] is empty).
+
+    A transfer-matrix pass over the bits carries the states
+    (last bit, n_r, tau2) of the open words that start with L, and closes the
+    cycle after n bits by counting last != L as one more unequal pair.  The
+    words that start with R are their complements (L <-> R), with n - n_r R's
+    and the same pairs.  One pass serves every length, O(max_length^3) in
+    all, instead of the 2^n of listing the words.
+    """
+    counts: list[dict[tuple[int, int], int]] = [{} for _ in range(max_length + 1)]
+    states = {(0, 0, 0): 1}
+    for n in range(1, max_length + 1):
+        closed = counts[n]
+        step: dict[tuple[int, int, int], int] = {}
+        for (last, n_r, tau2), words in states.items():
+            for key in ((n_r, tau2 + last), (n - n_r, tau2 + last)):
+                closed[key] = closed.get(key, 0) + words
+            for bit in (0, 1):
+                key = (bit, n_r + bit, tau2 + (last ^ bit))
+                step[key] = step.get(key, 0) + words
+        states = step
+    return counts
+
+
+def _primitive_necklace_counts(
+    p: int, words: list[dict[tuple[int, int], int]],
+) -> dict[tuple[int, int], int]:
+    """Primitive necklaces of length p by (n_r, tau2), from _cyclic_word_counts.
+
+    A word u^q with u primitive of length p/q has q times the counts of u, so
+    W(p; r, t) = sum over q | p of P(p/q; r/q, t/q), and Moebius inversion
+    gives P(p; r, t) = sum over q | p of mu(q) W(p/q; r/q, t/q).  The p
+    rotations of a primitive word are distinct, so P / p counts necklaces.
+    Keys come in sorted order.
+    """
+    primitive: dict[tuple[int, int], int] = {}
+    for q in _divisors(p):
+        mu = _moebius(q)
+        if mu == 0:
+            continue
+        for (n_r, tau2), count in words[p // q].items():
+            key = (q * n_r, q * tau2)
+            primitive[key] = primitive.get(key, 0) + mu * count
+    return {key: count // p for key, count in sorted(primitive.items()) if count}
+
+
+def _rr_pairs(n_r: int, tau2: int) -> int:
+    """Cyclic RR pairs of a word: each of its tau2 / 2 runs of R loses one."""
+    return n_r - tau2 // 2
+
+
+def orbit_classes(pot: ScaledStepPotential, max_length: int) -> tuple[OrbitClass, ...]:
+    """Every primitive orbit of length 1..max_length, counted by class.
+
+    Ordered by (length, n_r, tau2).  Nothing is enumerated, so no row cap
+    applies: max_length 32 takes well under a second.
+    """
+    _check_length(max_length, "max_length")
+    words = _cyclic_word_counts(max_length)
+    out = []
+    for n in range(1, max_length + 1):
+        for (n_r, tau2), count in _primitive_necklace_counts(n, words).items():
+            n_l = n - n_r
+            out.append(OrbitClass(
+                length=n, n_l=n_l, n_r=n_r, sigma=n - tau2, tau2=tau2,
+                sign=-1 if (n + _rr_pairs(n_r, tau2)) % 2 else 1,
+                s0=2.0 * (n_l * pot.l1 + n_r * pot.l2), multiplicity=count,
+            ))
+    return tuple(out)
+
+
+def classes_of(records: Iterable[OrbitRecord]) -> tuple[OrbitClass, ...]:
+    """Group explicit primitive orbit records into classes, as orbit_classes orders them."""
+    groups: dict[tuple[int, int, int], tuple[OrbitRecord, int]] = {}
+    for rec in records:
+        if rec.code.nu != 1:
+            raise ValueError(f"orbit {rec.code.word!r} is not primitive")
+        key = (rec.code.length, rec.n_r, rec.tau2)
+        groups[key] = (rec, groups[key][1] + 1 if key in groups else 1)
+    return tuple(
+        OrbitClass(
+            length=rec.code.length, n_l=rec.n_l, n_r=rec.n_r, sigma=rec.sigma,
+            tau2=rec.tau2, sign=rec.sign, s0=rec.s0, multiplicity=count,
+        )
+        for _, (rec, count) in sorted(groups.items())
+    )
+
+
+def amplitude(rec: OrbitRecord | OrbitClass, pot: ScaledStepPotential) -> float:
     """Stability amplitude sign * r^sigma * t^(2 tau) of one orbit traversal."""
     return rec.sign * pot.r ** rec.sigma * pot.t ** rec.tau2
 

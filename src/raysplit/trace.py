@@ -7,17 +7,25 @@ geometrically in nu, the repetition sum closes into a geometric form, and the
 same data assembles into a spectral determinant whose zeros track the exact
 levels.  Everything here is evaluated as a function of k while keeping the
 energy-domain measure rho(E) dE; multiply by dE/dk = 2k for plots in k.
+
+An orbit enters these sums only through its action and amplitude, which
+depend on its length, R count and transmission count alone, so rho_trace,
+rho_resummed and zeta take orbit classes (orbits.orbit_classes, or
+orbits.classes_of for an explicit record list) and weight each class term by
+its multiplicity.  cycle_expansion still takes records: it labels every
+pseudo-orbit by its words.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import ScaledStepPotential
-from .orbits import OrbitRecord, amplitude
+from .orbits import OrbitClass, OrbitRecord, amplitude
 
 __all__ = [
     "DensityProfile",
@@ -56,19 +64,14 @@ def _check_grid(k_grid: np.ndarray) -> np.ndarray:
     return k
 
 
-def _amplitudes(pot, orbits: Iterable[OrbitRecord]):
-    recs = list(orbits)
-    for rec in recs:
-        if rec.code.nu != 1:
-            raise ValueError(f"orbit {rec.code.word!r} is not primitive")
-    amps = np.array([amplitude(rec, pot) for rec in recs])
-    s0 = np.array([rec.s0 for rec in recs])
-    return recs, amps, s0
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
 def rho_trace(
     pot: ScaledStepPotential,
-    orbits: Iterable[OrbitRecord],
+    orbits: Sequence[OrbitClass],
     nu_max: int,
     k_grid: Sequence[float],
     eta: float = 0.0,
@@ -76,57 +79,61 @@ def rho_trace(
 ) -> DensityProfile:
     """Orbit-sum density: weyl + (1/pi) Re sum_p T_p sum_nu A^nu e^{i nu s0 k}.
 
-    T_p = s0 / (2k) is the energy-domain period.  eta > 0 evaluates the
-    oscillating phases at k + i eta, trading peak sharpness for smoothness.
-    domain "energy" returns rho(E) samples on the k grid; "k" multiplies by
-    dE/dk = 2k.
+    The sum over primitive orbits p runs over classes, each term weighted by
+    the class multiplicity.  T_p = s0 / (2k) is the energy-domain period.
+    eta >= 0 evaluates the oscillating phases at k + i eta; eta > 0 trades
+    peak sharpness for smoothness.  domain "energy" returns rho(E) samples on
+    the k grid; "k" multiplies by dE/dk = 2k.
     """
     if nu_max < 1:
         raise ValueError(f"nu_max must be >= 1, got {nu_max!r}")
     if domain not in ("energy", "k"):
         raise ValueError(f"domain must be 'energy' or 'k', got {domain!r}")
+    _check_eta(eta)
     k = _check_grid(k_grid)
-    recs, amps, s0 = _amplitudes(pot, orbits)
     rho = _weyl_density(pot, k).astype(complex)
     kc = k + 1j * eta
-    for amp, action in zip(amps, s0):
-        base = amp * np.exp(1j * action * kc)
+    for cls in orbits:
+        base = amplitude(cls, pot) * np.exp(1j * cls.s0 * kc)
         term = base.copy()
         total = np.zeros_like(kc)
         for _ in range(nu_max):
             total += term
             term = term * base
-        rho += (action / (2.0 * k)) * total.real / np.pi
+        rho += (cls.multiplicity * cls.s0 / (2.0 * k)) * total.real / np.pi
     values = rho.real
     if domain == "k":
         values = values * 2.0 * k
     return DensityProfile(
         k_grid=k, values=values,
-        truncation=f"{len(recs)} primitive orbits", nu_max=nu_max, eta=eta,
+        truncation=f"{sum(cls.multiplicity for cls in orbits)} primitive orbits",
+        nu_max=nu_max, eta=eta,
     )
 
 
 def rho_resummed(
     pot: ScaledStepPotential,
-    orbits: Iterable[OrbitRecord],
+    orbits: Sequence[OrbitClass],
     k_grid: Sequence[float],
     eta: float = 0.0,
     domain: str = "energy",
 ) -> DensityProfile:
     """Repetition sum closed into its geometric form z / (1 - z).
 
-    z = A e^{i s0 (k + i eta)} per orbit.  Grid points within 1e-6 of a pole
-    of the geometric series (|1 - z| < 1e-6, reachable only when |A| -> 1,
-    e.g. the transmitting orbit at r = 0) are rejected with an error.
+    z = A e^{i s0 (k + i eta)} per orbit class, weighted by its multiplicity.
+    Grid points within 1e-6 of a pole of the geometric series
+    (|1 - z| < 1e-6, reachable only when |A| -> 1, e.g. the transmitting
+    orbit at r = 0) are rejected with an error.
     """
     if domain not in ("energy", "k"):
         raise ValueError(f"domain must be 'energy' or 'k', got {domain!r}")
+    _check_eta(eta)
     k = _check_grid(k_grid)
-    recs, amps, s0 = _amplitudes(pot, orbits)
     rho = _weyl_density(pot, k)
     kc = k + 1j * eta
-    for amp, action in zip(amps, s0):
-        z = amp * np.exp(1j * action * kc)
+    for cls in orbits:
+        amp = amplitude(cls, pot)
+        z = amp * np.exp(1j * cls.s0 * kc)
         gap = np.abs(1.0 - z)
         if np.any(gap < _POLE_TOLERANCE):
             bad = k[gap < _POLE_TOLERANCE][0]
@@ -134,11 +141,12 @@ def rho_resummed(
                 f"grid point k={bad!r} lies within {_POLE_TOLERANCE} of a pole "
                 f"of the resummed series (|amplitude| = {abs(amp)!r})"
             )
-        rho = rho + (action / (2.0 * k)) * (z / (1.0 - z)).real / np.pi
+        rho = rho + (cls.multiplicity * cls.s0 / (2.0 * k)) * (z / (1.0 - z)).real / np.pi
     values = rho * 2.0 * k if domain == "k" else rho
     return DensityProfile(
         k_grid=k, values=values,
-        truncation=f"{len(recs)} primitive orbits, resummed", nu_max=None, eta=eta,
+        truncation=f"{sum(cls.multiplicity for cls in orbits)} primitive orbits, resummed",
+        nu_max=None, eta=eta,
     )
 
 
@@ -156,18 +164,18 @@ def newtonian_prediction(pot: ScaledStepPotential, m_max: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(1, m_max + 1) / s0_newton
 
 
-def zeta(pot: ScaledStepPotential, orbits: Iterable[OrbitRecord], k) -> complex | np.ndarray:
+def zeta(pot: ScaledStepPotential, orbits: Sequence[OrbitClass], k) -> complex | np.ndarray:
     """Spectral determinant product prod_p (1 - A_p e^{i s0_p k}).
 
+    Each orbit class contributes its factor to the power of its multiplicity.
     Over the full primitive orbit set this reproduces det(1 - S(k)); truncated
     sets give an entire function whose small-|Z| dips localize the spectrum.
     Accepts real or complex k (scalar or array).
     """
     karr = np.asarray(k, dtype=complex)
-    _, amps, s0 = _amplitudes(pot, orbits)
     out = np.ones_like(karr)
-    for amp, action in zip(amps, s0):
-        out = out * (1.0 - amp * np.exp(1j * action * karr))
+    for cls in orbits:
+        out = out * (1.0 - amplitude(cls, pot) * np.exp(1j * cls.s0 * karr)) ** cls.multiplicity
     return complex(out) if karr.ndim == 0 else out
 
 

@@ -15,7 +15,7 @@ from raysplit.analysis import default_s_spacing, default_tolerance, detect_peaks
 from raysplit.combinatorics import binomial_sums, verify_sum_rule
 from raysplit.graph import det_one_minus_s, orbit_trace_sum, trace_power
 from raysplit.model import build_nstep, build_potential
-from raysplit.orbits import enumerate_primitive, orbit_record
+from raysplit.orbits import orbit_classes
 from raysplit.spectrum import find_roots
 from raysplit.trace import newtonian_prediction, rho_resummed, rho_trace, zeta
 
@@ -152,7 +152,7 @@ def test_criterion_08_density_reconstruction():
     pot = build_potential(0.7, 0.98)
     tol = 0.25 * math.pi / pot.omega1
     roots = find_roots(pot, 100.0).roots[:20]
-    recs = [orbit_record(c, pot) for c in enumerate_primitive(7)]
+    recs = orbit_classes(pot, 7)
     step = math.pi / (400.0 * pot.omega1)
     k = np.arange(step, roots[-1] + 2 * tol, step)
     values = rho_trace(pot, recs, 30, k, eta=0.05).values
@@ -166,7 +166,7 @@ def test_criterion_08_density_reconstruction():
 
 def test_criterion_09_geometric_series_consistency():
     pot = build_potential(0.7, 0.9375)          # |A| <= t^2 = 0.64: no poles
-    recs = [orbit_record(c, pot) for c in enumerate_primitive(6)]
+    recs = orbit_classes(pot, 6)
     k = np.linspace(2.0, 40.0, 1000)
     deep = rho_trace(pot, recs, 200, k).values
     closed = rho_resummed(pot, recs, k).values
@@ -177,7 +177,7 @@ def test_criterion_09_geometric_series_consistency():
 def test_criterion_10_zeta_zeros_localize_spectrum():
     pot = build_potential(0.5, 0.9375)
     roots = find_roots(pot, 60.0).roots[:10]
-    recs = [orbit_record(c, pot) for c in enumerate_primitive(8)]
+    recs = orbit_classes(pot, 8)
     k = np.arange(0.5, roots[-1] + 1.0, 5e-4)
     absz = np.abs(zeta(pot, recs, k + 0.05j))
     idx = np.where((absz[1:-1] < absz[:-2]) & (absz[1:-1] <= absz[2:]))[0] + 1

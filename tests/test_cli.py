@@ -223,7 +223,8 @@ def test_orbits_table_by_count(runner):
 @pytest.mark.parametrize("args", [
     ["orbits", *STEP, "--count", "100000000"],
     ["orbits", *STEP, "--max-length", "30"],
-    ["trace", *STEP, "--max-length", "30"],
+    # trace counts orbit classes instead of listing orbits; fourier's peak report lists them
+    ["fourier", *STEP, "--kmax", "10", "--max-length", "30"],
 ])
 def test_oversized_orbit_table_fails_at_once(runner, args):
     start = time.perf_counter()
@@ -252,6 +253,41 @@ def test_trace_artifacts(runner, tmp_path):
     assert payload["density_maxima"]
     assert payload["newtonian_comb"]
     assert len(payload["maxima_to_comb_distance"]) == len(payload["density_maxima"])
+
+
+def test_trace_sums_orbits_past_the_table_cap(runner):
+    res = runner.invoke(main, ["trace", *STEP, "--max-length", "24", "--resummed",
+                               "--points", "50", "--format", "json"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["truncation"] == "1465020 primitive orbits, resummed"
+    res = runner.invoke(main, ["trace", *STEP, "--max-length", "33"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"]["message"] == "max_length must lie in [1, 32], got 33"
+    res = runner.invoke(main, ["orbits", *STEP, "--max-length", "21"])
+    assert res.exit_code == 3
+    assert "more than the 131072" in json.loads(res.stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fourier", *STEP, "--kmax", "100", "--ds", "0"], "ds must be finite and positive, got 0.0"),
+    (["fourier", *STEP, "--kmax", "100", "--ds", "-1"], "ds must be finite and positive, got -1.0"),
+    (["fourier", *STEP, "--kmax", "100", "--ds", "nan"], "ds must be finite and positive, got nan"),
+    (["fourier", *STEP, "--kmax", "100", "--ds", "inf"], "ds must be finite and positive, got inf"),
+    (["orbits", *STEP, "--count", "0"], "count must be >= 1, got 0"),
+    (["orbits", *STEP, "--count", "-1"], "count must be >= 1, got -1"),
+    (["trace", *STEP, "--eta", "-1"], "eta must be finite and >= 0, got -1.0"),
+    (["trace", *STEP, "--eta", "inf"], "eta must be finite and >= 0, got inf"),
+    (["trace", *STEP, "--eta", "nan", "--resummed"], "eta must be finite and >= 0, got nan"),
+    (["graph-check", *STEP, "--samples", "0"], "samples must be >= 1, got 0"),
+    (["graph-check", *STEP, "--nmax", "0"], "nmax must be >= 1, got 0"),
+    (["graph-check", *STEP, "--roots", "0"], "roots must be >= 1, got 0"),
+])
+def test_empty_or_meaningless_sizes_exit_three(runner, args, message):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    err = json.loads(res.stderr)["error"]
+    assert err == {"type": "invalid-parameter", "message": message}
 
 
 def test_trace_rejects_bad_grid(runner):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from raysplit.combinatorics import (
-    _primitive_word_counts,
     _signed_counts,
     binomial_sums,
     build_word_table,
@@ -16,6 +15,8 @@ from raysplit.combinatorics import (
 from raysplit.model import build_potential
 from raysplit.orbits import (
     OrbitCode,
+    _cyclic_word_counts,
+    _primitive_necklace_counts,
     canonical_rotation,
     necklace_count,
     orbit_record,
@@ -135,11 +136,14 @@ def test_class_counts_match_enumerated_classes():
 
 
 def test_primitive_word_counts_give_primitive_necklaces():
+    # the kernel _signed_counts reads: every word once, then primitive necklaces
+    words = _cyclic_word_counts(32)
     for p in range(1, 33):
-        counts = _primitive_word_counts(p)
-        assert all(words > 0 and words % p == 0 for words in counts.values())
-        assert all(tau2 % 2 == 0 and 0 <= rr <= p for tau2, rr in counts)
-        assert sum(counts.values()) // p == primitive_count(p)
+        assert sum(words[p].values()) == 2 ** p
+        counts = _primitive_necklace_counts(p, words)
+        assert all(necklaces > 0 for necklaces in counts.values())
+        assert all(tau2 % 2 == 0 and tau2 <= 2 * min(n_r, p - n_r) for n_r, tau2 in counts)
+        assert sum(counts.values()) == primitive_count(p)
 
 
 def test_m_range_validation():

@@ -8,12 +8,15 @@ from hypothesis import given, strategies as st
 
 from raysplit.model import build_potential
 from raysplit.orbits import (
+    OrbitClass,
     action_spectrum,
     amplitude,
     canonical_rotation,
+    classes_of,
     enumerate_necklaces,
     enumerate_primitive,
     necklace_count,
+    orbit_classes,
     orbit_record,
     primitive_count,
 )
@@ -201,3 +204,38 @@ def test_action_spectrum_rejects_repeated_codes():
 def test_action_spectrum_rejects_bad_nu():
     with pytest.raises(ValueError, match="nu_max"):
         action_spectrum([], nu_max=0, s_max=1.0)
+
+
+@pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.7, 0.98), (0.25, 0.3)])
+def test_orbit_classes_equal_grouped_records(b, lam):
+    # the counted classes against the listed orbits, multiplicities included
+    pot = build_potential(b, lam)
+    recs = [orbit_record(c, pot) for c in enumerate_primitive(16)]
+    for max_length in range(1, 17):
+        assert orbit_classes(pot, max_length) == classes_of(
+            rec for rec in recs if rec.code.length <= max_length)
+
+
+def test_class_multiplicities_count_every_primitive_orbit():
+    classes = orbit_classes(REF, 32)
+    assert len(classes) == 2843
+    for n in range(1, 33):
+        assert sum(c.multiplicity for c in classes if c.length == n) == primitive_count(n)
+    with pytest.raises(ValueError, match="max_length"):
+        orbit_classes(REF, 33)
+    with pytest.raises(ValueError, match="max_length"):
+        orbit_classes(REF, 0)
+
+
+def test_classes_of_small_set():
+    recs = [orbit_record(c, REF) for c in enumerate_primitive(4)]
+    by_key = {(c.length, c.n_r, c.tau2): c for c in classes_of(recs)}
+    # LLLR and LRRR differ in n_r; LLRR is alone with two transmissions at length 4
+    assert by_key[(4, 2, 2)] == OrbitClass(
+        length=4, n_l=2, n_r=2, sigma=2, tau2=2, sign=-1,
+        s0=lookup("LLRR").s0, multiplicity=1)
+    assert by_key[(3, 1, 2)].multiplicity == 1
+    assert sum(c.multiplicity for c in by_key.values()) == len(recs)
+    assert classes_of([]) == ()
+    with pytest.raises(ValueError, match="primitive"):
+        classes_of([lookup("LRLR")])

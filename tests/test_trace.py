@@ -8,7 +8,15 @@ import pytest
 from raysplit import trace
 from raysplit.model import build_potential
 from raysplit.graph import det_one_minus_s
-from raysplit.orbits import enumerate_necklaces, enumerate_primitive, orbit_record, amplitude
+from raysplit.orbits import (
+    amplitude,
+    classes_of,
+    enumerate_necklaces,
+    enumerate_primitive,
+    orbit_classes,
+    orbit_record,
+    primitive_count,
+)
 from raysplit.spectrum import find_roots
 from raysplit.trace import (
     PseudoOrbitTerm,
@@ -39,7 +47,7 @@ def test_single_orbit_hand_formula():
     k = np.linspace(2.0, 8.0, 40)
     eta = 0.1
     nu_max = 3
-    prof = rho_trace(REF, [rec], nu_max, k, eta=eta)
+    prof = rho_trace(REF, classes_of([rec]), nu_max, k, eta=eta)
     amp = amplitude(rec, REF)
     osc = sum(
         (amp**nu) * np.exp(1j * nu * rec.s0 * (k + 1j * eta))
@@ -52,7 +60,7 @@ def test_single_orbit_hand_formula():
 def test_transparent_step_density_peaks_on_comb():
     # at lam = 0 only the ballistic crossing survives, peaking at m pi / omega1
     pot = build_potential(0.4, 0.0)
-    recs = records(pot, 2)
+    recs = orbit_classes(pot, 2)
     comb = newtonian_prediction(pot, 4)
     mids = comb[:-1] + 0.5 * np.diff(comb)
     at_comb = rho_trace(pot, recs, 40, comb, eta=0.05).values
@@ -61,7 +69,7 @@ def test_transparent_step_density_peaks_on_comb():
 
 
 def test_domain_k_is_energy_density_times_jacobian():
-    recs = records(REF, 4)
+    recs = orbit_classes(REF, 4)
     k = np.linspace(1.5, 12.0, 80)
     a = rho_trace(REF, recs, 6, k, eta=0.05, domain="energy").values
     b = rho_trace(REF, recs, 6, k, eta=0.05, domain="k").values
@@ -71,7 +79,7 @@ def test_domain_k_is_energy_density_times_jacobian():
 def test_resummed_matches_deep_repetition_sum():
     # |A| <= t^2 = 0.64 here, so nu = 200 saturates the geometric series
     pot = build_potential(0.7, 0.9375)
-    recs = records(pot, 5)
+    recs = orbit_classes(pot, 5)
     k = np.linspace(2.0, 30.0, 500)
     a = rho_trace(pot, recs, 200, k, eta=0.0).values
     b = rho_resummed(pot, recs, k, eta=0.0).values
@@ -81,14 +89,65 @@ def test_resummed_matches_deep_repetition_sum():
 def test_resummed_rejects_pole():
     # r = 0 makes the crossing amplitude exactly 1: poles on the real axis
     pot = build_potential(0.5, 0.0)
-    recs = records(pot, 2)
+    recs = orbit_classes(pot, 2)
     k = np.array([math.pi / pot.omega1])      # z = 1 exactly
     with pytest.raises(ValueError, match="pole"):
         rho_resummed(pot, recs, k)
 
 
+def record_sums(pot, recs, nu_max, k, eta):
+    """Reference densities with one term per listed orbit: (truncated, resummed)."""
+    kc = k + 1j * eta
+    weyl = pot.omega1 / (2 * np.pi * k)
+    truncated = np.zeros_like(kc)
+    resummed = np.zeros_like(kc)
+    for rec in recs:
+        z = amplitude(rec, pot) * np.exp(1j * rec.s0 * kc)
+        term, total = z, np.zeros_like(kc)
+        for _ in range(nu_max):
+            total, term = total + term, term * z
+        truncated += (rec.s0 / (2.0 * k)) * total / np.pi
+        resummed += (rec.s0 / (2.0 * k)) * (z / (1.0 - z)) / np.pi
+    return weyl + truncated.real, weyl + resummed.real
+
+
+@pytest.mark.parametrize("b, lam, max_length", [(0.7, 0.98, 14), (0.3, 0.6, 12)])
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_class_sums_equal_orbit_sums(b, lam, max_length, eta):
+    pot = build_potential(b, lam)
+    k = np.linspace(2.0, 90.0, 400)
+    classes = orbit_classes(pot, max_length)
+    truncated, resummed = record_sums(pot, records(pot, max_length), 10, k, eta)
+    deep = rho_trace(pot, classes, 10, k, eta=eta)
+    closed = rho_resummed(pot, classes, k, eta=eta)
+    assert np.max(np.abs(deep.values - truncated)) <= 1e-12 * np.max(np.abs(truncated))
+    assert np.max(np.abs(closed.values - resummed)) <= 1e-12 * np.max(np.abs(resummed))
+    n = sum(map(primitive_count, range(1, max_length + 1)))
+    assert deep.truncation == f"{n} primitive orbits"
+    assert closed.truncation == f"{n} primitive orbits, resummed"
+
+
+def test_zeta_over_classes_equals_product_over_orbits():
+    pot = build_potential(0.7, 0.98)
+    ks = np.linspace(2.0, 30.0, 200) + 0.05j
+    for max_length in (4, 8, 12):
+        product = np.ones_like(ks)
+        for rec in records(pot, max_length):
+            product = product * (1.0 - amplitude(rec, pot) * np.exp(1j * rec.s0 * ks))
+        assert np.max(np.abs(zeta(pot, orbit_classes(pot, max_length), ks) - product)) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [-0.1, -math.inf, math.inf, math.nan])
+def test_eta_must_damp(eta):
+    classes = orbit_classes(REF, 3)
+    with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+        rho_trace(REF, classes, 3, np.array([1.0]), eta=eta)
+    with pytest.raises(ValueError, match="eta must be finite and >= 0"):
+        rho_resummed(REF, classes, np.array([1.0]), eta=eta)
+
+
 def test_grid_and_argument_validation():
-    recs = records(REF, 2)
+    recs = orbit_classes(REF, 2)
     with pytest.raises(ValueError, match="k_grid"):
         rho_trace(REF, recs, 3, np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="nu_max"):
@@ -97,7 +156,7 @@ def test_grid_and_argument_validation():
         rho_trace(REF, recs, 3, np.array([1.0]), domain="momentum")
     repeated = [orbit_record(c, REF) for c in enumerate_necklaces(4) if c.nu == 2]
     with pytest.raises(ValueError, match="primitive"):
-        rho_trace(REF, repeated, 3, np.array([1.0]))
+        rho_trace(REF, classes_of(repeated), 3, np.array([1.0]))
 
 
 def test_newtonian_prediction_values():
@@ -110,14 +169,14 @@ def test_newtonian_prediction_values():
 
 def test_zeta_trivial_cases():
     assert zeta(REF, [], 3.7) == 1.0 + 0.0j
-    out = zeta(REF, records(REF, 2), np.array([1.0, 2.0]))
+    out = zeta(REF, orbit_classes(REF, 2), np.array([1.0, 2.0]))
     assert out.shape == (2,)
 
 
 def test_zeta_transparent_step_zeros():
     # only 1 - e^{2 i omega1 k} survives: zeros exactly at the free levels
     pot = build_potential(0.5, 0.0)
-    recs = records(pot, 2)
+    recs = orbit_classes(pot, 2)
     for m in (1, 2, 5):
         assert abs(zeta(pot, recs, m * math.pi / pot.omega1)) < 1e-12
 
@@ -129,7 +188,7 @@ def test_zeta_converges_to_determinant_off_axis():
     det = det_one_minus_s(pot, ks)
     errs = []
     for max_len in (2, 4, 6, 8, 10, 12):
-        z = zeta(pot, records(pot, max_len), ks)
+        z = zeta(pot, orbit_classes(pot, max_len), ks)
         errs.append(float(np.max(np.abs(z - det))))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 5e-4
@@ -144,7 +203,7 @@ def test_phase_winds_once_per_level():
     # crossing a simple zero just above the axis costs ~pi of phase after
     # removing the smooth e^{i omega1 k} winding
     roots = find_roots(REF, 20.0).roots[:5]
-    recs = records(REF, 8)
+    recs = orbit_classes(REF, 8)
     half, eta = 0.25, 0.02
     expected = -2 * math.atan(half / eta)     # -0.950 pi for this window
     for kj in roots:
@@ -191,7 +250,7 @@ def test_cycle_expansion_evaluates_to_zeta():
     recs = records(REF, 4)
     groups = cycle_expansion(recs, "r", max_power=10**6, s_max=1e9)
     for k in (1.3, 4.0 + 0.2j):
-        full = zeta(REF, recs, k)
+        full = zeta(REF, classes_of(recs), k)
         assert evaluate_cycle_terms(groups, REF, k) == pytest.approx(full, abs=1e-12)
 
 
@@ -203,7 +262,7 @@ def test_cycle_expansion_transparent_step():
     assert max(groups) > 0
     k = 2.1
     assert evaluate_cycle_terms(groups, pot, k) == pytest.approx(
-        zeta(pot, recs, k), abs=1e-12
+        zeta(pot, classes_of(recs), k), abs=1e-12
     )
 
 
