@@ -42,8 +42,8 @@ from .graph import (
     build_smatrix,
     counting_function,
     det_one_minus_s,
-    orbit_trace_sum,
     trace_power,
+    word_trace_sums,
 )
 from .trace import (
     DensityProfile,
@@ -106,8 +106,8 @@ __all__ = [
     "build_smatrix",
     "counting_function",
     "det_one_minus_s",
-    "orbit_trace_sum",
     "trace_power",
+    "word_trace_sums",
     "DensityProfile",
     "PseudoOrbitTerm",
     "cycle_expansion",

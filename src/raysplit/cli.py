@@ -242,6 +242,13 @@ def _potential_from(opts: dict):
     return build_potential(opts["b"], opts["lam"])
 
 
+def _exclusive(opts: dict, name: str, flag: str, other: str, other_flag: str):
+    """The value of whichever of two options excluding each other was given, else None."""
+    if opts[name] is not None and opts[other] is not None:
+        raise ValueError(f"{flag} and {other_flag} exclude each other; give one")
+    return opts[name] if opts[name] is not None else opts[other]
+
+
 def _out_and_config(fn):
     fn = click.option("--out", default="-", show_default=True,
                       help="Output path for the main artifact ('-' = stdout).")(fn)
@@ -327,8 +334,8 @@ def _sized_records(pot: ScaledStepPotential, max_length: int | None, count: int 
 
 @main.command("orbits")
 @_step_options
-@click.option("--max-length", type=int, default=7, show_default=True,
-              help="Truncate by binary code length.")
+@click.option("--max-length", type=int, default=None,
+              help="Truncate by binary code length.  [default: 7]")
 @click.option("--count", type=int, default=None,
               help="Truncate to exactly this many shortest orbits instead.")
 @_common
@@ -337,6 +344,8 @@ def _sized_records(pot: ScaledStepPotential, max_length: int | None, count: int 
 def orbits_cmd(ctx, **opts):
     """Tabulate primitive periodic orbits with counts, signs and actions."""
     opts = _apply_config(ctx, opts)
+    if _exclusive(opts, "max_length", "--max-length", "count", "--count") is None:
+        opts["max_length"] = 7
     if opts["b"] is None or opts["lam"] is None:
         raise ValueError("--b and --lambda are required")
     pot = build_potential(opts["b"], opts["lam"])
@@ -444,12 +453,15 @@ def _read_roots_csv(path: str) -> np.ndarray:
 def fourier_cmd(ctx, **opts):
     """Transform the level sequence and match |F(s)| peaks to orbit actions."""
     opts = _apply_config(ctx, opts)
-    if opts["smin"] <= 0 or opts["smax"] <= opts["smin"]:
-        raise ValueError("need 0 < smin < smax")
+    if not 0 < opts["smin"] < opts["smax"] < math.inf:
+        raise ValueError(f"need 0 < --smin < --smax < inf, got --smin {opts['smin']!r} "
+                         f"and --smax {opts['smax']!r}")
     if opts["ds"] is not None and not 0 < opts["ds"] < math.inf:
         raise ValueError(f"ds must be finite and positive, got {opts['ds']!r}")
-    pot = build_potential(opts["b"], opts["lam"]) \
-        if opts["b"] is not None and opts["lam"] is not None else None
+    pot = classes = None
+    if opts["b"] is not None and opts["lam"] is not None:
+        pot = build_potential(opts["b"], opts["lam"])
+        classes = orbits.orbit_classes(pot, opts["max_length"])
     if opts["roots_path"]:
         roots = _read_roots_csv(opts["roots_path"])
     else:
@@ -465,12 +477,8 @@ def fourier_cmd(ctx, **opts):
     peaks = analysis.detect_peaks(profile, opts["threshold"])
     tol = analysis.default_tolerance(k_top)
     report = None
-    if pot is not None:
-        codes = orbits.enumerate_primitive(opts["max_length"])
-        recs = [orbits.orbit_record(c, pot) for c in codes]
-        min_s0 = min(r.s0 for r in recs)
-        spect = orbits.action_spectrum(recs, int(opts["smax"] / min_s0) + 1, opts["smax"] + tol)
-        report = analysis.match_peaks(peaks, [s for s, _ in spect], tol)
+    if classes is not None:
+        report = analysis.match_peaks(peaks, orbits.action_spectrum(classes, opts["smax"] + tol), tol)
     _write_table(opts, "fourier", {"s": profile.s_grid, "absF": profile.magnitude},
                  meta={"j_roots": profile.j_roots, "k_max": profile.k_max})
     if opts["report"]:
@@ -516,7 +524,9 @@ def graph_check_cmd(ctx, **opts):
     odd_dev = 0.0
     word_dev = 0.0
     is_step = isinstance(pot, ScaledStepPotential)
-    for k in ks:
+    if is_step:
+        word_sums = graph.word_trace_sums(pot, ks, opts["nmax"])
+    for i, k in enumerate(ks):
         S = graph.build_smatrix(pot, k)
         unit_dev = max(unit_dev, float(np.max(np.abs(S.conj().T @ S - np.eye(S.shape[0])))))
         power = np.eye(S.shape[0], dtype=complex)
@@ -526,8 +536,7 @@ def graph_check_cmd(ctx, **opts):
             traces.append(complex(np.trace(power)))
         odd_dev = max(odd_dev, max(abs(traces[m]) for m in range(0, len(traces), 2)))
         if is_step:
-            for n in range(1, opts["nmax"] + 1):
-                word_dev = max(word_dev, abs(traces[2 * n - 1] - graph.orbit_trace_sum(pot, k, n)))
+            word_dev = max(word_dev, float(np.max(np.abs(traces[1::2] - word_sums[:, i]))))
     k_top = (opts["n_roots"] + 1.5) * np.pi / pot.total_length
     roots = spectrum.find_roots(pot, k_top).roots[:opts["n_roots"]]
     det_dev = float(np.max(np.abs(graph.det_one_minus_s(pot, roots)))) if len(roots) else 0.0
@@ -559,8 +568,10 @@ def graph_check_cmd(ctx, **opts):
 def identity_cmd(ctx, **opts):
     """Verify the exact cyclic-word sum rules in rational arithmetic."""
     opts = _apply_config(ctx, opts)
-    if opts["m_single"] is None and opts["max_m"] is None:
+    if _exclusive(opts, "m_single", "--m", "max_m", "--max-m") is None:
         raise ValueError("one of --m or --max-m is required")
+    if opts["max_m"] is not None:
+        combinatorics._check_m(opts["max_m"], combinatorics._MAX_M)
     ms = [opts["m_single"]] if opts["m_single"] is not None else list(range(1, opts["max_m"] + 1))
     failures = []
     records = []

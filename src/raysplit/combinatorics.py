@@ -76,9 +76,7 @@ def _check_m(m: int, cap: int) -> None:
 
 def _pair_weights(x: int, n: int) -> tuple[int, int, int]:
     """(alpha, beta, gamma) of a length-n word encoded with R as bit 1."""
-    rot = (x >> 1) | ((x & 1) << (n - 1))
-    rr = (x & rot).bit_count()
-    tau2 = (x ^ rot).bit_count()
+    _, rr, tau2 = _orbits._pair_counts(x, n)
     return rr & 1, (n - tau2) >> 1, tau2 >> 1
 
 
@@ -93,10 +91,7 @@ def build_word_table(m: int) -> WordClassTable:
     n = 2 * m
     classes = []
     for word, period in _orbits._necklaces_with_period(n):
-        x = 0
-        for ch in word:
-            x = (x << 1) | (ch == "R")
-        alpha, beta, gamma = _pair_weights(x, n)
+        alpha, beta, gamma = _pair_weights(int(word.translate(_orbits._BITS), 2), n)
         nu = n // period
         classes.append(WordClass(
             word=word, nu=nu, t_w=Fraction(m, nu),

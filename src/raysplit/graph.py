@@ -6,24 +6,27 @@ at each interface.  Waves live on directed bonds; the unitary matrix S(k)
 propagates amplitudes across one vertex scattering plus one bond traversal.
 The spectrum is the zero set of det(1 - S(k)), and traces of powers of S
 expand into sums over closed bond sequences, which is what ties the matrix
-to the periodic-orbit sums.
+to the periodic-orbit sums.  For the single step those sequences are binary
+words, and word_trace_sums adds them up by class from the cyclic-word counts
+of raysplit.orbits, so the trace formula is checked at every even power up
+to 64 without listing a word.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import orbits
 from .model import NStepPotential, ScaledStepPotential, interface_coefficients
 
 __all__ = [
     "build_smatrix",
     "det_one_minus_s",
     "trace_power",
-    "orbit_trace_sum",
+    "word_trace_sums",
     "counting_function",
 ]
 
-_MAX_WORD_POWER = 24
 _DET_BLOCK = 4096          # wavenumbers per stack of S(k) in det_one_minus_s
 
 
@@ -85,43 +88,32 @@ def trace_power(pot, k: float, n: int) -> complex:
     return complex(np.trace(np.linalg.matrix_power(S, n)))
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x).astype(np.int64)
+def word_trace_sums(pot: ScaledStepPotential, k, n_max: int) -> np.ndarray:
+    """Tr S(k)^{2n} for n = 1..n_max from binary words instead of the matrix.
 
-
-def orbit_trace_sum(pot: ScaledStepPotential, k: float, n: int) -> complex:
-    """Tr S^{2n} assembled from binary words instead of the matrix.
-
-    Each length-n word over {L, R} is one closed bond sequence; scanning its
-    cyclic pairs gives reflection and transmission counts and the word's
-    weighted length L_n = n_L l1 + n_R l2.  The sum
-
-        2 * sum_words (-1)^chi r^sigma t^(2 tau) e^{2 i k L_n}
-
-    must reproduce trace_power(pot, k, 2n), which is the central oracle
-    equivalence between the graph and orbit pictures.
+    Each length-n word over {L, R} is one closed bond sequence, entered twice
+    (once per starting direction), and its term depends only on its R count
+    n_R and cyclic unequal pairs tau2: r^(n - tau2) t^tau2 e^{2 i k L_n} with
+    sign (-1)^(n + n_R - tau2/2) and weighted length L_n = (n - n_R) l1 + n_R l2.
+    The words are counted by those two numbers (orbits._cyclic_word_counts),
+    never listed, so the sum must reproduce trace_power(pot, k, 2n) at any n;
+    that equivalence is the central oracle between the graph and orbit
+    pictures.  Returns shape (n_max,) + shape(k); row n - 1 holds Tr S^{2n}.
     """
     if not isinstance(pot, ScaledStepPotential):
-        raise TypeError("orbit_trace_sum requires the two-bond step potential")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if n > _MAX_WORD_POWER:
-        raise ValueError(f"n must be <= {_MAX_WORD_POWER}, got {n!r} (2^n words)")
-    total = 0.0 + 0.0j
-    chunk = 1 << 20
-    top = np.uint64(1) << np.uint64(n - 1)
-    for start in range(0, 1 << n, chunk):
-        w = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
-        rot = (w >> np.uint64(1)) | ((w & np.uint64(1)) * top)
-        n_r = _popcount(w)                      # bit 1 encodes R
-        rr = _popcount(w & rot)
-        tau2 = _popcount(w ^ rot)
-        sigma = n - tau2
-        sign = np.where((n + rr) % 2, -1.0, 1.0)
-        amp = sign * pot.r ** sigma * pot.t ** tau2
-        ln = (n - n_r) * pot.l1 + n_r * pot.l2
-        total += np.sum(amp * np.exp(2j * k * ln))
-    return complex(2.0 * total)
+        raise TypeError("word_trace_sums requires the two-bond step potential")
+    orbits._check_length(n_max, "n_max")
+    k = np.asarray(k, dtype=float)
+    sums = np.empty((n_max,) + k.shape, dtype=complex)
+    for n, cells in enumerate(orbits._cyclic_word_counts(n_max)[1:], start=1):
+        coeff = np.zeros(n + 1)              # by n_R
+        for (n_r, tau2), count in cells.items():
+            sign = -1.0 if (n + orbits._rr_pairs(n_r, tau2)) % 2 else 1.0
+            coeff[n_r] += 2.0 * sign * count * pot.r ** (n - tau2) * pot.t ** tau2
+        n_r = np.arange(n + 1)
+        lengths = (n - n_r) * pot.l1 + n_r * pot.l2
+        sums[n - 1] = np.exp(2j * np.multiply.outer(k, lengths)) @ coeff
+    return sums
 
 
 def counting_function(pot, k: float, n_max: int) -> float:

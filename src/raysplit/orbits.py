@@ -10,7 +10,7 @@ reflection off the step, adjacent unequal symbols a transmission through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 from typing import Iterable, Iterator
 
 from .model import ScaledStepPotential
@@ -20,6 +20,7 @@ _MAX_LENGTH = 32
 # (111,013 orbits; with their records about 2 s and 50 MB on a 2-vCPU VM).
 # Length 21 would double that, and length 31 would hold 1.4e8 Python objects.
 _MAX_ROWS = 2 ** 17
+_BITS = str.maketrans("LR", "01")   # a word as the binary digits of an int, R as 1
 
 __all__ = [
     "OrbitCode",
@@ -205,20 +206,26 @@ def enumerate_primitive(max_length: int) -> list[OrbitCode]:
     return out
 
 
+def _pair_counts(x: int, n: int) -> tuple[int, int, int]:
+    """(n_r, rr, tau2) of a length-n word encoded with R as bit 1.
+
+    Its rotation by one bit lines every symbol up with its cyclic successor,
+    so the cyclic RR pairs are the common bits and the unequal pairs the
+    differing ones.
+    """
+    rot = (x >> 1) | ((x & 1) << (n - 1))
+    return x.bit_count(), (x & rot).bit_count(), (x ^ rot).bit_count()
+
+
 def orbit_record(code: OrbitCode, pot: ScaledStepPotential) -> OrbitRecord:
-    """Compute counts, sign and reduced action by one cyclic scan of the word."""
-    w = code.word
-    n = len(w)
-    n_r = w.count("R")
+    """Compute counts, sign and reduced action from the popcounts of the word."""
+    n = code.length
+    n_r, rr, tau2 = _pair_counts(int(code.word.translate(_BITS), 2), n)
     n_l = n - n_r
-    rr = sum(1 for i in range(n) if w[i] == "R" and w[(i + 1) % n] == "R")
-    tau2 = sum(1 for i in range(n) if w[i] != w[(i + 1) % n])
-    sigma = n - tau2
-    sign = -1 if (n + rr) % 2 else 1
-    s0 = 2.0 * (n_l * pot.l1 + n_r * pot.l2)
     return OrbitRecord(
-        code=code, n_l=n_l, n_r=n_r, sigma=sigma, tau2=tau2,
-        rr_pairs=rr, sign=sign, s0=s0,
+        code=code, n_l=n_l, n_r=n_r, sigma=n - tau2, tau2=tau2,
+        rr_pairs=rr, sign=-1 if (n + rr) % 2 else 1,
+        s0=2.0 * (n_l * pot.l1 + n_r * pot.l2),
     )
 
 
@@ -318,34 +325,18 @@ def amplitude(rec: OrbitRecord | OrbitClass, pot: ScaledStepPotential) -> float:
 
 
 def action_spectrum(
-    orbits: Iterable[OrbitRecord],
-    nu_max: int,
+    classes: Iterable[OrbitClass],
     s_max: float,
     merge_tol: float = 1e-9,
-) -> list[tuple[float, tuple[str, ...]]]:
+) -> list[float]:
     """All repeated reduced actions nu * s0 <= s_max, sorted and merged.
 
-    Returns (action, labels) pairs where labels are "word^nu" strings of every
-    contributing orbit; actions closer than merge_tol share one entry.
+    Actions closer than merge_tol to the first of a run share its entry.
     """
-    if nu_max < 1:
-        raise ValueError(f"nu_max must be >= 1, got {nu_max!r}")
-    entries: list[tuple[float, str]] = []
-    for rec in orbits:
-        if rec.code.nu != 1:
-            raise ValueError(f"orbit {rec.code.word!r} is not primitive")
-        if rec.s0 <= 0.0:
-            continue
-        nu = 1
-        while nu <= nu_max and nu * rec.s0 <= s_max:
-            entries.append((nu * rec.s0, f"{rec.code.word}^{nu}"))
-            nu += 1
-    entries.sort()
-    merged: list[tuple[float, tuple[str, ...]]] = []
-    for s, label in entries:
-        if merged and s - merged[-1][0] <= merge_tol:
-            prev_s, prev_labels = merged[-1]
-            merged[-1] = (prev_s, prev_labels + (label,))
-        else:
-            merged.append((s, (label,)))
+    actions = sorted({nu * cls.s0 for cls in classes
+                      for nu in range(1, int(s_max / cls.s0) + 2) if nu * cls.s0 <= s_max})
+    merged: list[float] = []
+    for s in actions:
+        if not merged or s - merged[-1] > merge_tol:
+            merged.append(s)
     return merged

@@ -223,8 +223,9 @@ def test_orbits_table_by_count(runner):
 @pytest.mark.parametrize("args", [
     ["orbits", *STEP, "--count", "100000000"],
     ["orbits", *STEP, "--max-length", "30"],
-    # trace counts orbit classes instead of listing orbits; fourier's peak report lists them
-    ["fourier", *STEP, "--kmax", "10", "--max-length", "30"],
+    # trace and fourier count orbit classes instead of listing orbits: only the
+    # kernel's length cap applies to them
+    ["fourier", *STEP, "--kmax", "10", "--max-length", "33"],
 ])
 def test_oversized_orbit_table_fails_at_once(runner, args):
     start = time.perf_counter()
@@ -233,7 +234,10 @@ def test_oversized_orbit_table_fails_at_once(runner, args):
     assert res.exit_code == 3
     err = json.loads(res.stderr)["error"]
     assert err["type"] == "invalid-parameter"
-    assert "more than the 131072" in err["message"]
+    if args[0] == "fourier":
+        assert err["message"] == "max_length must lie in [1, 32], got 33"
+    else:
+        assert "more than the 131072" in err["message"]
 
 
 def test_trace_artifacts(runner, tmp_path):
@@ -281,6 +285,8 @@ def test_trace_sums_orbits_past_the_table_cap(runner):
     (["graph-check", *STEP, "--samples", "0"], "samples must be >= 1, got 0"),
     (["graph-check", *STEP, "--nmax", "0"], "nmax must be >= 1, got 0"),
     (["graph-check", *STEP, "--roots", "0"], "roots must be >= 1, got 0"),
+    # an empty range of M would verify nothing
+    (["identity", "--max-m", "0"], "M must lie in [1, 64], got 0"),
 ])
 def test_empty_or_meaningless_sizes_exit_three(runner, args, message):
     res = runner.invoke(main, args)
@@ -343,6 +349,16 @@ def test_graph_check_passes(runner):
     assert all(entry["ok"] for entry in checks.values())
 
 
+def test_graph_check_caps_word_powers_before_any_matrix(runner, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("S(k) was built")
+
+    monkeypatch.setattr(cli.graph, "build_smatrix", no_matrix)
+    res = runner.invoke(main, ["graph-check", *STEP, "--nmax", "33"])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"]["message"] == "n_max must lie in [1, 32], got 33"
+
+
 def test_graph_check_chain_skips_word_sums(runner):
     res = runner.invoke(
         main,
@@ -386,6 +402,46 @@ def test_identity_json_and_poisson(runner):
 def test_identity_requires_a_mode(runner):
     res = runner.invoke(main, ["identity"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["identity", "--m", "5", "--max-m", "7"], None, "--m and --max-m exclude each other; give one"),
+    (["identity", "--m", "5"], {"max-m": 7}, "--m and --max-m exclude each other; give one"),
+    (["orbits", *STEP, "--count", "5", "--max-length", "2"], None,
+     "--max-length and --count exclude each other; give one"),
+    (["orbits", *STEP], {"count": 5, "max-length": 2},
+     "--max-length and --count exclude each other; give one"),
+])
+def test_flags_that_exclude_each_other_exit_three(runner, tmp_path, args, config, message):
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        args = [*args, "--config", str(cfg)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"] == {"type": "invalid-parameter", "message": message}
+
+
+def test_orbits_defaults_to_length_seven(runner):
+    res = runner.invoke(main, ["orbits", *STEP])
+    assert res.exit_code == 0
+    assert len(data_rows(res.stdout)) == 41
+
+
+@pytest.mark.parametrize("smin, smax", [
+    ("nan", "10"), ("0.2", "nan"), ("0.2", "inf"), ("0", "10"), ("5", "5"), ("5", "1"),
+])
+def test_fourier_rejects_a_bad_action_window_before_any_root(runner, monkeypatch, smin, smax):
+    def no_roots(*args):
+        raise AssertionError("roots were found")
+
+    monkeypatch.setattr(cli.spectrum, "find_roots", no_roots)
+    res = runner.invoke(main, ["fourier", *STEP, "--kmax", "100", "--smin", smin, "--smax", smax])
+    assert res.exit_code == 3
+    message = json.loads(res.stderr)["error"]["message"]
+    assert message == (f"need 0 < --smin < --smax < inf, got --smin {float(smin)!r} "
+                       f"and --smax {float(smax)!r}")
 
 
 @pytest.mark.parametrize("block", [1, 3, 4096])

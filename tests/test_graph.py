@@ -12,12 +12,30 @@ from raysplit.graph import (
     build_smatrix,
     counting_function,
     det_one_minus_s,
-    orbit_trace_sum,
     trace_power,
+    word_trace_sums,
 )
 from raysplit.spectrum import find_roots, secular
 
 REF = build_potential(0.7, 0.5)
+
+
+def enumerated_word_sum(pot, k, n):
+    """Tr S^{2n} by listing all 2^n binary words (bit 1 = R) and scanning their cyclic pairs.
+
+    Independent oracle for word_trace_sums, which counts the words by class instead:
+
+        2 * sum_words (-1)^(n + rr) r^sigma t^tau2 e^{2 i k (n_L l1 + n_R l2)}
+    """
+    w = np.arange(1 << n, dtype=np.uint64)
+    rot = (w >> np.uint64(1)) | ((w & np.uint64(1)) << np.uint64(n - 1))
+    n_r = np.bitwise_count(w).astype(np.int64)
+    rr = np.bitwise_count(w & rot).astype(np.int64)
+    tau2 = np.bitwise_count(w ^ rot).astype(np.int64)
+    sign = np.where((n + rr) % 2, -1.0, 1.0)
+    amp = sign * pot.r ** (n - tau2) * pot.t ** tau2
+    lengths = (n - n_r) * pot.l1 + n_r * pot.l2
+    return complex(2.0 * np.sum(amp * np.exp(2j * k * lengths)))
 
 
 def test_single_step_matrix_literal_form():
@@ -137,7 +155,7 @@ def test_transparent_step_traces():
         assert trace_power(pot, k, 4) == pytest.approx(
             4 * np.exp(2j * k), abs=1e-12
         )
-        assert orbit_trace_sum(pot, k, 1) == pytest.approx(
+        assert word_trace_sums(pot, k, 1)[0] == pytest.approx(
             complex(trace_power(pot, k, 2)), abs=1e-12
         )
 
@@ -149,25 +167,46 @@ def test_transparent_step_traces():
 )
 def test_word_sum_reproduces_matrix_traces(k, n):
     direct = trace_power(REF, k, 2 * n)
-    words = orbit_trace_sum(REF, k, n)
+    words = word_trace_sums(REF, k, n)[n - 1]
     assert abs(direct - words) < 1e-10
 
 
+@pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.7, 0.98), (0.3, 0.0)])
+def test_word_sums_equal_enumerated_words(b, lam):
+    pot = build_potential(b, lam)
+    ks = np.random.default_rng(5).uniform(0.0, 100.0, 6)
+    sums = word_trace_sums(pot, ks, 12)
+    for n in range(1, 13):
+        for i, k in enumerate(ks):
+            assert abs(sums[n - 1, i] - enumerated_word_sum(pot, k, n)) < 1e-12
+
+
 def test_word_sum_larger_powers():
-    rng = np.random.default_rng(11)
-    for n in (10, 12):
-        for k in rng.uniform(0.0, 100.0, 5):
-            assert abs(trace_power(REF, k, 2 * n) - orbit_trace_sum(REF, k, n)) < 1e-10
+    # every power up to the kernel's cap, at the most reflecting geometry
+    pot = build_potential(0.7, 0.98)
+    ks = np.random.default_rng(11).uniform(0.0, 100.0, 5)
+    sums = word_trace_sums(pot, ks, 32)
+    for i, k in enumerate(ks):
+        for n in range(1, 33):
+            assert abs(trace_power(pot, k, 2 * n) - sums[n - 1, i]) < 1e-10
+
+
+def test_word_sums_take_scalar_or_array_k():
+    ks = np.array([[0.5, 3.0], [7.5, 40.0]])
+    sums = word_trace_sums(REF, ks, 4)
+    assert sums.shape == (4, 2, 2)
+    assert word_trace_sums(REF, 7.5, 4).shape == (4,)
+    assert np.max(np.abs(word_trace_sums(REF, 7.5, 4) - sums[:, 1, 0])) < 1e-13
 
 
 def test_word_sum_rejects_bad_input():
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        orbit_trace_sum(REF, 1.0, 0)
-    with pytest.raises(ValueError, match="n must be <= 24"):
-        orbit_trace_sum(REF, 1.0, 25)
+    with pytest.raises(ValueError, match=r"n_max must lie in \[1, 32\], got 0"):
+        word_trace_sums(REF, 1.0, 0)
+    with pytest.raises(ValueError, match=r"n_max must lie in \[1, 32\], got 33"):
+        word_trace_sums(REF, 1.0, 33)
     chain = build_nstep([0.0, 0.5, 1.0], [0.0, 0.5])
     with pytest.raises(TypeError):
-        orbit_trace_sum(chain, 1.0, 2)
+        word_trace_sums(chain, 1.0, 2)
     with pytest.raises(ValueError):
         trace_power(REF, 1.0, 0)
 

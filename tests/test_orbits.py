@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from raysplit.model import build_potential
 from raysplit.orbits import (
     OrbitClass,
+    _pair_counts,
     action_spectrum,
     amplitude,
     canonical_rotation,
@@ -163,6 +164,16 @@ def test_amplitude_equals_per_pair_product(word):
     assert amplitude(rec, REF) == pytest.approx(prod, abs=1e-14)
 
 
+def test_pair_counts_equal_a_scan_of_the_word():
+    for n in range(1, 11):
+        for bits in product("LR", repeat=n):
+            w = "".join(bits)
+            x = int(w.replace("L", "0").replace("R", "1"), 2)
+            pairs = [w[i] + w[(i + 1) % n] for i in range(n)]
+            expected = (w.count("R"), pairs.count("RR"), pairs.count("LR") + pairs.count("RL"))
+            assert _pair_counts(x, n) == expected
+
+
 def test_repetition_power_law():
     base = lookup("LR")
     twice = lookup("LRLR")
@@ -175,35 +186,17 @@ def test_repetition_power_law():
 
 
 def test_action_spectrum_reference_potential():
-    recs = [orbit_record(c, REF) for c in enumerate_primitive(2)]
-    spect = action_spectrum(recs, nu_max=3, s_max=2.0)
-    actions = [s for s, _ in spect]
-    expected = [2 * REF.l2, 4 * REF.l2, 6 * REF.l2, 2 * REF.l1, 2 * REF.omega1]
-    assert actions == pytest.approx(sorted(expected), abs=1e-12)
-    labels = dict((round(s, 6), lab) for s, lab in spect)
-    assert labels[round(2 * REF.l1, 6)] == ("L^1",)
-    assert labels[round(4 * REF.l2, 6)] == ("R^2",)
+    # s_max alone bounds the repetitions: R up to R^4 (8 l2 = 1.70), L and LR once
+    spect = action_spectrum(orbit_classes(REF, 2), s_max=2.0)
+    expected = [2 * REF.l2, 4 * REF.l2, 6 * REF.l2, 8 * REF.l2, 2 * REF.l1, 2 * REF.omega1]
+    assert spect == pytest.approx(sorted(expected), abs=1e-12)
+    assert all(type(s) is float for s in spect)
 
 
 def test_action_spectrum_merges_degenerate_actions():
     # l1 = l2 = 1/2 at lam = 0 collapses the lattice onto integers
     pot = build_potential(0.5, 0.0)
-    recs = [orbit_record(c, pot) for c in enumerate_primitive(2)]
-    spect = action_spectrum(recs, nu_max=2, s_max=2.2)
-    assert [s for s, _ in spect] == pytest.approx([1.0, 2.0], abs=1e-12)
-    assert set(spect[0][1]) == {"L^1", "R^1"}
-    assert set(spect[1][1]) == {"L^2", "R^2", "LR^1"}
-
-
-def test_action_spectrum_rejects_repeated_codes():
-    recs = [orbit_record(c, REF) for c in enumerate_necklaces(2)]
-    with pytest.raises(ValueError, match="primitive"):
-        action_spectrum(recs, nu_max=2, s_max=10.0)
-
-
-def test_action_spectrum_rejects_bad_nu():
-    with pytest.raises(ValueError, match="nu_max"):
-        action_spectrum([], nu_max=0, s_max=1.0)
+    assert action_spectrum(orbit_classes(pot, 2), s_max=2.2) == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.7, 0.98), (0.25, 0.3)])
