@@ -83,13 +83,9 @@ def fourier_transform(roots: Sequence[float], s_grid: Sequence[float]) -> Fourie
     if k.size == 0:
         raise ValueError("roots must be non-empty")
     s = np.asarray(s_grid, dtype=float)
-    if s.size >= 3:
-        steps = np.diff(s)
-        uniform = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-    else:
-        uniform = False
-    if uniform:
-        mag = _magnitude_nufft(k, s, steps[0])
+    ds = s[1] - s[0] if s.size >= 3 else None
+    if ds is not None and np.allclose(np.diff(s), ds, rtol=1e-9, atol=0.0):
+        mag = _magnitude_nufft(k, s, ds)
     else:
         mag = _magnitude_direct(k, s)
     return FourierProfile(
@@ -106,6 +102,11 @@ def _magnitude_nufft(k: np.ndarray, s: np.ndarray, ds: float) -> np.ndarray:
     s_c + p ds.  The stored floats s_m sit a few ulp off it, and at J levels
     up to k_max that shifts F by up to J k_max ulp(s), so a second transform,
     weighted by k_j, gives dF/ds and moves each value onto s_m.
+
+    Both transforms run in place (numpy >= 2.0 takes out=), their n modes
+    are sliced out without an index array, and each grid is freed once its
+    modes are taken: the peak memory is the two spread grids plus one FFT's
+    scratch, not two more grid-sized outputs.
     """
     n = s.size
     c = n // 2
@@ -128,12 +129,19 @@ def _magnitude_nufft(k: np.ndarray, s: np.ndarray, ds: float) -> np.ndarray:
         w = weight[block, None] * np.exp(-(frac[block, None] - offsets) ** 2 / (4.0 * _TAU))
         np.add.at(grid, idx, w)
         np.add.at(slope, idx, w * k[block, None])
+    f = _fft_modes(grid, n, c)
+    del grid                              # each grid freed once its modes are taken
+    slope = _fft_modes(slope, n, c)
+    f -= 1j * _grid_offsets(s, c, ds) * slope
     p = np.arange(n) - c
-    f = np.fft.fft(grid)[p % size]
-    del grid                              # one grid at a time through the FFT
-    f -= 1j * _grid_offsets(s, c, ds) * np.fft.fft(slope)[p % size]
     tau = _TAU * (2.0 * np.pi / size) ** 2
     return np.abs(f) * (np.exp(p * p * tau) / (2.0 * np.sqrt(np.pi * _TAU)))
+
+
+def _fft_modes(grid: np.ndarray, n: int, c: int) -> np.ndarray:
+    """The modes p = -c .. n - c - 1 of the FFT of grid, which is transformed in place."""
+    np.fft.fft(grid, out=grid)
+    return np.concatenate((grid[grid.size - c:], grid[:n - c]))
 
 
 def _fft_length(n: int) -> int:

@@ -5,7 +5,9 @@ stderr), 2 usage errors such as unknown flags, 3 invalid parameter ranges,
 4 file I/O failures.  All artifacts are deterministic: rows are emitted in a
 fixed order, CSV uses LF endings, a leading "# schema_version=..." comment
 and floats in 15 significant digits; JSON carries schema_version, and its
-floats are the shortest repr that reads back to the same float.
+floats are the shortest repr that reads back to the same float.  Artifacts
+are written to their files block by block as they are formatted, so no
+whole text or per-row object list is held: a table's memory is its columns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import math
 import sys
 from functools import wraps
-from operator import itemgetter
 
 import click
 import numpy as np
@@ -28,9 +29,8 @@ EXIT_CONTRACT = 1
 EXIT_RANGE = 3
 EXIT_IO = 4
 
-_CSV_BLOCK = 4096    # rows formatted per block, bounding the cell strings
-_JSON_BLOCK = 4096   # list items encoded per json.dumps call, likewise
-_WRITE_BLOCK = 1 << 20   # characters encoded per write, bounding the bytes copy
+_BLOCK = 4096   # rows or list items formatted per block, each block one write
+_MAX_POINTS = 2 ** 22   # points of a trace grid or comb, or actions of a fourier grid
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -93,111 +93,101 @@ def _apply_config(ctx: click.Context, opts: dict) -> dict:
     return opts
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, pieces) -> None:
+    """Write an iterable of text pieces to path ('-' = stdout), each as it is made."""
     if path == "-":
-        click.echo(text, nl=False)
+        for piece in pieces:
+            click.echo(piece, nl=False)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for i in range(0, len(text), _WRITE_BLOCK):
-                fh.write(text[i:i + _WRITE_BLOCK])
+            fh.writelines(pieces)
 
 
-def _csv_format(column) -> str:
-    """The %-format of one CSV column: a column of floats in 15 digits, any other by str."""
-    if isinstance(column, np.ndarray):
-        return "%.15g" if column.dtype.kind == "f" else "%s"
-    return "%.15g" if all(isinstance(v, float) for v in column) else "%s"
+def _write_text(path: str, text: str) -> None:
+    _write(path, (text,))
 
 
-def _csv_rows(columns: list) -> list[str]:
-    """CSV row lines, formatted _CSV_BLOCK rows at a time by one %-template."""
-    width = len(columns)
-    row = ",".join(map(_csv_format, columns))
-    rows = []
-    for i in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
-        block = [col[i:i + _CSV_BLOCK] for col in columns]
-        cells = [None] * (len(block[0]) * width)
-        for j, col in enumerate(block):
-            cells[j::width] = col.tolist() if isinstance(col, np.ndarray) else col
-        rows.extend(("\n".join([row] * len(block[0])) % tuple(cells)).split("\n"))
-    return rows
+def _tolist(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
 
-def _csv_text(kind: str, header: list[str], rows: list[str], trailer: list[str] = ()) -> str:
-    """The CSV artifact from its header, row lines and trailer notes."""
-    lines = [f"# schema_version={SCHEMA_VERSION} kind={kind}"]
-    lines.append(",".join(header))
-    lines.extend(rows)
-    lines.extend(f"# {note}" for note in trailer)
-    lines.append("")
-    return "\n".join(lines)
+class _Rows:
+    """Rows of equal-length columns (numpy arrays or sequences), formatted as they are iterated.
 
-
-def _all_scalars(values) -> bool:
-    return set(map(type, values)) <= _JSON_SCALARS
-
-
-def _json_list(values: list) -> list[str] | None:
-    """A top-level list as json.dumps(indent=2) writes it, in pieces, or None.
-
-    A list of scalars, or of dicts that share their string keys and hold
-    scalars, is encoded by the C encoder (json.dumps without indent),
-    _JSON_BLOCK items per call, and laid out by separators and a per-record
-    template.  Encoded scalars hold no raw newline, so the cells split on one.
-    The pieces are joined once, by _json_text.  None leaves the list to
-    json.dumps.
+    Every _BLOCK rows become one piece of text, block(cells), cells a list per column.
     """
-    if not values:
-        return None
-    if _all_scalars(values):
-        def block(i: int) -> str:
-            return json.dumps(values[i:i + _JSON_BLOCK], separators=(",\n    ", ":"))[1:-1]
-    else:
-        if set(map(type, values)) != {dict}:
-            return None
-        keys = sorted(values[0])
-        if not keys or set(map(len, values)) != {len(keys)} or set(map(type, keys)) != {str}:
-            return None
-        try:
-            columns = [list(map(itemgetter(key), values)) for key in keys]
-        except KeyError:
-            return None
-        if not all(map(_all_scalars, columns)):
-            return None
-        record = "{\n      " + ",\n      ".join(
-            json.dumps(key).replace("%", "%%") + ": %s" for key in keys) + "\n    }"
 
-        def block(i: int) -> str:
-            n = min(_JSON_BLOCK, len(values) - i)
-            cells = [None] * (n * len(keys))
-            for j, col in enumerate(columns):
-                cells[j::len(keys)] = json.dumps(
-                    col[i:i + n], separators=("\n", ":"))[1:-1].split("\n")
-            return ",\n    ".join([record] * n) % tuple(cells)
-    pieces = ["[\n    "]
-    for i in range(0, len(values), _JSON_BLOCK):
-        pieces += (block(i), ",\n    ")
-    pieces[-1] = "\n  ]"
-    return pieces
+    def __init__(self, columns: list, block, sep: str = "") -> None:
+        self.columns, self.block, self.sep = columns, block, sep
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        for i in range(0, len(self), _BLOCK):
+            cells = [_tolist(col[i:i + _BLOCK]) for col in self.columns]
+            yield (self.sep if i else "") + self.block(cells)
 
 
-def _json_text(payload: dict) -> str:
-    """payload and schema_version as json.dumps(indent=2, sort_keys=True) writes them.
+def _template(row: str, sep: str = "", encode=list):
+    """The block that fills the %-template row, once per row, with each column's encoded cells."""
+    def block(columns: list) -> str:
+        cells = [None] * (len(columns[0]) * len(columns))
+        for j, col in enumerate(columns):
+            cells[j::len(columns)] = encode(col)
+        return sep.join([row] * len(columns[0])) % tuple(cells)
+    return block
 
-    Long top-level lists go through _json_list; every other value is encoded
-    by json.dumps and indented one level.  The text is joined once from its
-    pieces, so no intermediate copy of a long list is made.
+
+def _csv_rows(columns: list) -> _Rows:
+    """The CSV row lines of the columns: a column of floats in 15 digits, any other by str."""
+    floats = [col.dtype.kind == "f" if isinstance(col, np.ndarray)
+              else all(isinstance(v, float) for v in col) for col in columns]
+    return _Rows(columns, _template(",".join("%.15g" if f else "%s" for f in floats) + "\n"))
+
+
+def _csv_text(kind: str, header: list[str], rows: _Rows, trailer: list[str] = ()):
+    """The CSV artifact in pieces: comment and header lines, row blocks, trailer notes."""
+    yield f"# schema_version={SCHEMA_VERSION} kind={kind}\n" + ",".join(header) + "\n"
+    yield from rows
+    yield "".join(f"# {note}\n" for note in trailer)
+
+
+class _Records(dict):
+    """Equal-length columns, keyed by field name, that JSON lays out as a list of records."""
+
+
+def _json_items(items: list, sep: str) -> str:
+    """The C encoder's text of a list of scalars, unbracketed; no item holds a raw newline."""
+    return json.dumps(items, separators=(sep, ":"))[1:-1]
+
+
+def _json_text(payload: dict):
+    """payload and schema_version as json.dumps(indent=2, sort_keys=True) writes them, in pieces.
+
+    Top-level 1-D arrays, lists of scalars and _Records go through
+    _json_items a block at a time; any other value through json.dumps.
     """
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    pieces = ["{\n  "]
-    for key in sorted(payload):
-        value = payload[key]
-        text = _json_list(value) if type(value) is list else None
-        if text is None:
-            text = [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")]
-        pieces += (json.dumps(key), ": ", *text, ",\n  ")
-    pieces[-1] = "\n}\n"
-    return "".join(pieces)
+    sep = ",\n    "
+    for n, (key, value) in enumerate(sorted(payload.items())):
+        yield (",\n  " if n else "{\n  ") + json.dumps(key) + ": "
+        if isinstance(value, _Records):
+            keys = sorted(value)
+            record = "{\n      " + ",\n      ".join(
+                json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "\n    }"
+            block = _template(record, sep, lambda col: _json_items(col, "\n").split("\n"))
+            rows = _Rows([value[k] for k in keys], block, sep)
+        elif isinstance(value, np.ndarray) or (
+                type(value) is list and set(map(type, value)) <= _JSON_SCALARS):
+            rows = _Rows([value], lambda cells: _json_items(cells[0], sep), sep)
+        else:
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+            continue
+        yield "[\n    " if rows else "[]"
+        yield from rows
+        yield "\n  ]" if rows else ""
+    yield "\n}\n"
 
 
 def _write_table(opts: dict, kind: str, columns: dict, records: str | None = None,
@@ -211,14 +201,11 @@ def _write_table(opts: dict, kind: str, columns: dict, records: str | None = Non
     shortest repr that reads back to the same float.
     """
     if opts["fmt"] == "csv":
-        rows = _csv_rows(list(columns.values()))
-        _write_text(opts["out"], _csv_text(kind, list(columns), rows, trailer))
+        _write(opts["out"], _csv_text(kind, list(columns), _csv_rows([*columns.values()]), trailer))
         return
-    columns = {name: col.tolist() if isinstance(col, np.ndarray) else list(col)
-               for name, col in columns.items()}
     if records is not None:
-        columns = {records: [dict(zip(columns, row)) for row in zip(*columns.values())]}
-    _write_text(opts["out"], _json_text({"kind": kind, **columns, **(meta or {})}))
+        columns = {records: _Records(columns)}
+    _write(opts["out"], _json_text({"kind": kind, **columns, **(meta or {})}))
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -385,8 +372,11 @@ def trace_cmd(ctx, **opts):
     pot = build_potential(opts["b"], opts["lam"])
     if not 0 < opts["kmin"] < opts["kmax"] < math.inf:
         raise ValueError("need 0 < kmin < kmax < inf")
-    if opts["points"] < 2:
-        raise ValueError(f"points must be >= 2, got {opts['points']!r}")
+    if not 2 <= opts["points"] <= _MAX_POINTS:
+        raise ValueError(f"points must lie in [2, {_MAX_POINTS}], got {opts['points']!r}")
+    teeth = int(opts["kmax"] * pot.omega1 / np.pi) + 1   # the report's comb, from k = 0 up
+    if opts["report"] and teeth > _MAX_POINTS:
+        raise ValueError(f"the --report comb to --kmax has {teeth} teeth, over {_MAX_POINTS}")
     classes = orbits.orbit_classes(pot, opts["max_length"])
     k_grid = np.linspace(opts["kmin"], opts["kmax"], opts["points"])
     if opts["resummed"]:
@@ -395,17 +385,16 @@ def trace_cmd(ctx, **opts):
         profile = trace.rho_trace(pot, classes, opts["nu_max"], k_grid,
                                   eta=opts["eta"], domain=opts["domain"])
     vals = profile.values
-    inner = (vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
-    peaks = k_grid[1:-1][inner]
-    comb = trace.newtonian_prediction(pot, max(1, int(opts["kmax"] * pot.omega1 / np.pi) + 1))
-    comb = comb[(comb >= opts["kmin"]) & (comb <= opts["kmax"])]
     _write_table(opts, "trace", {"k": k_grid, "rho": vals}, meta={"truncation": profile.truncation})
     if opts["report"]:
+        peaks = k_grid[1:-1][(vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])]
+        comb = trace.newtonian_prediction(pot, teeth)
+        comb = comb[(comb >= opts["kmin"]) & (comb <= opts["kmax"])]
         nearest = [float(np.min(np.abs(comb - p))) if len(comb) else math.inf for p in peaks]
-        _write_text(opts["report"], _json_text({
+        _write(opts["report"], _json_text({
             "kind": "trace-peaks",
-            "density_maxima": peaks.tolist(),
-            "newtonian_comb": comb.tolist(),
+            "density_maxima": peaks,
+            "newtonian_comb": comb,
             "maxima_to_comb_distance": nearest,
         }))
 
@@ -429,6 +418,15 @@ def _read_roots_csv(path: str) -> np.ndarray:
     if not ks:
         raise ValueError(f"roots file {path!r} holds no roots")
     return np.asarray(ks)
+
+
+def _action_step(opts: dict, k_top: float) -> float:
+    """--ds, or pi / (4 k_top); ValueError when --smin to --smax then takes over _MAX_POINTS."""
+    ds = opts["ds"] if opts["ds"] is not None else analysis.default_s_spacing(k_top)
+    if (opts["smax"] - opts["smin"]) / ds >= _MAX_POINTS:
+        raise ValueError(f"--smin {opts['smin']!r} to --smax {opts['smax']!r} in steps of {ds!r} "
+                         f"(--ds, default pi / (4 k_max)) makes more than {_MAX_POINTS} actions")
+    return ds
 
 
 @main.command("fourier")
@@ -458,6 +456,8 @@ def fourier_cmd(ctx, **opts):
                          f"and --smax {opts['smax']!r}")
     if opts["ds"] is not None and not 0 < opts["ds"] < math.inf:
         raise ValueError(f"ds must be finite and positive, got {opts['ds']!r}")
+    if opts["ds"] is not None or not opts["roots_path"] and 0 < (opts["kmax"] or 0) < math.inf:
+        _action_step(opts, opts["kmax"])   # before any root: k_top <= --kmax
     pot = classes = None
     if opts["b"] is not None and opts["lam"] is not None:
         pot = build_potential(opts["b"], opts["lam"])
@@ -471,7 +471,7 @@ def fourier_cmd(ctx, **opts):
         if not len(roots):
             raise ValueError(f"no level lies below k_max = {opts['kmax']!r}")
     k_top = float(roots.max())
-    ds = opts["ds"] if opts["ds"] is not None else analysis.default_s_spacing(k_top)
+    ds = _action_step(opts, k_top)
     s_grid = np.arange(opts["smin"], opts["smax"] + ds, ds)
     profile = analysis.fourier_transform(roots, s_grid)
     peaks = analysis.detect_peaks(profile, opts["threshold"])
@@ -484,7 +484,7 @@ def fourier_cmd(ctx, **opts):
     if opts["report"]:
         if report is None:
             raise ValueError("--report needs --b and --lambda for the candidate actions")
-        _write_text(opts["report"], _json_text({
+        _write(opts["report"], _json_text({
             "kind": "fourier-peaks",
             "tolerance": report.tolerance,
             "matched_fraction": report.matched_fraction,
@@ -549,7 +549,7 @@ def graph_check_cmd(ctx, **opts):
         checks["trace_word_sums"] = {"max_deviation": word_dev, "tolerance": 1e-10}
     for entry in checks.values():
         entry["ok"] = bool(entry["max_deviation"] < entry["tolerance"])
-    _write_text(opts["out"], _json_text({"kind": "graph-check", "checks": checks}))
+    _write(opts["out"], _json_text({"kind": "graph-check", "checks": checks}))
     if not all(entry["ok"] for entry in checks.values()):
         raise ContractFailure(
             "graph oracle deviations exceed tolerances: "
@@ -604,7 +604,7 @@ def identity_cmd(ctx, **opts):
                 "max_action_deviation": poisson_report.max_action_deviation,
                 "ok": poisson_report.ok,
             }
-        _write_text(opts["out"], _json_text(payload))
+        _write(opts["out"], _json_text(payload))
     else:
         lines = []
         for m, sums, coeffs, ok in records:

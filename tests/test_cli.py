@@ -89,9 +89,23 @@ def test_version_flag(runner):
     assert "0.1.0" in res.stdout
 
 
+def plain(value):
+    """A payload value as json.dumps takes it: arrays as lists, record columns as dicts."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, cli._Records):
+        return [dict(zip(value, row)) for row in zip(*map(plain, value.values()))]
+    return list(value) if isinstance(value, range) else value
+
+
 def dumps_oracle(payload):
     """The JSON artifact as the plain (pure-Python) json.dumps path writes it."""
+    payload = {key: plain(value) for key, value in payload.items()}
     return json.dumps({"schema_version": 1, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+def json_text(payload):
+    return "".join(cli._json_text(payload))
 
 
 @pytest.fixture()
@@ -101,10 +115,10 @@ def json_payloads(monkeypatch):
     encode = cli._json_text
 
     def checked(payload):
-        text = encode(payload)
+        text = "".join(encode(payload))
         assert text == dumps_oracle(payload)
         seen.append(payload)
-        return text
+        return [text]
 
     monkeypatch.setattr(cli, "_json_text", checked)
     return seen
@@ -454,7 +468,7 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     expected = "".join(
         ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in zip(*columns.values()))
-    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    monkeypatch.setattr(cli, "_BLOCK", block)
     out = tmp_path / "t.csv"
     cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
     text = out.read_text()
@@ -465,12 +479,73 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
 def test_json_and_writes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     payload = {"kind": "blocks", "x": [i / 7 for i in range(10)], "names": ["é", "λ"] * 5,
                "rows": [{"i": i, "x": i / 3, "s": f"%s{i}", "ok": i % 2 == 0} for i in range(10)]}
-    monkeypatch.setattr(cli, "_JSON_BLOCK", block)
-    monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
-    text = cli._json_text(payload)
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    text = json_text(payload)
     assert text == dumps_oracle(payload)
     cli._write_text(str(tmp_path / "t.json"), text)
     assert (tmp_path / "t.json").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt, records", [("csv", None), ("json", None), ("json", "rows")])
+def test_writes_do_not_grow_with_the_table(monkeypatch, tmp_path, fmt, records):
+    # the artifact goes to its file one block of rows per write, never as a whole text
+    sizes = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: sizes.append(len(text)) or write(text)
+        return fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(cli, "_BLOCK", 16)
+    largest = []
+    for blocks in (3, 30):
+        n = 16 * blocks
+        columns = {"n": np.ones(n, dtype=int), "k": np.full(n, 1 / 3), "code": ["w1"] * n}
+        out = tmp_path / f"{blocks}.{fmt}"
+        sizes.clear()
+        cli._write_table({"fmt": fmt, "out": str(out)}, "t", columns, records=records,
+                         trailer=["note=1"])
+        assert sum(sizes) == len(out.read_text()) and len(sizes) > blocks
+        largest.append(max(sizes))
+    assert largest[1] == largest[0]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fourier", *STEP, "--kmax", "100", "--ds", "1e-9"],
+     "--smin 0.2 to --smax 10.0 in steps of 1e-09 (--ds, default pi / (4 k_max)) makes more "
+     "than 4194304 actions"),
+    # the default step pi / (4 k_top) is bounded by --kmax before any root is found
+    (["fourier", *STEP, "--kmax", "1e9"],
+     "--smin 0.2 to --smax 10.0 in steps of 7.853981633974483e-10 (--ds, default "
+     "pi / (4 k_max)) makes more than 4194304 actions"),
+    (["trace", *STEP, "--kmin", "1", "--kmax", "1e12", "--report", "r.json"],
+     "the --report comb to --kmax has 290340644041 teeth, over 4194304"),
+    (["trace", *STEP, "--points", str(2 ** 22 + 1)], "points must lie in [2, 4194304], got 4194305"),
+    (["trace", *STEP, "--points", "1"], "points must lie in [2, 4194304], got 1"),
+])
+def test_oversized_grids_exit_three_before_any_work(runner, monkeypatch, args, message):
+    def no_work(*args):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(cli.spectrum, "find_roots", no_work)
+    monkeypatch.setattr(cli.orbits, "orbit_classes", no_work)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == {"type": "invalid-parameter", "message": message}
+
+
+def test_oversized_grids_from_a_roots_file_or_without_a_report(runner, tmp_path):
+    # a roots file sets k_top only once it is read; the comb is built only for --report
+    roots = tmp_path / "roots.csv"
+    roots.write_text("k\n1.5\n1e9\n")
+    res = runner.invoke(main, ["fourier", "--roots", str(roots)])
+    assert res.exit_code == 3
+    assert "makes more than 4194304 actions" in json.loads(res.stderr)["error"]["message"]
+    res = runner.invoke(main, ["trace", *STEP, "--kmin", "1", "--kmax", "1e12"])
+    assert res.exit_code == 0
+    assert len(data_rows(res.stdout)) == 2000
 
 
 def test_float_formatting_is_fifteen_digits(runner):
@@ -483,8 +558,8 @@ def test_float_formatting_is_fifteen_digits(runner):
 
 def test_csv_float_list_column_has_fifteen_digits(runner):
     # a float column that arrives as a Python list, like orbits' S0, is not printed by repr
-    assert cli._csv_rows([["a", "b"], [0.1 + 0.2, 1 / 3], [1, 2]]) == [
-        "a,0.3,1", "b,0.333333333333333,2"]
+    assert "".join(cli._csv_rows([["a", "b"], [0.1 + 0.2, 1 / 3], [1, 2]])) == (
+        "a,0.3,1\nb,0.333333333333333,2\n")
     res = runner.invoke(main, ["orbits", *STEP, "--max-length", "5"])
     recs = cli._sized_records(cli.build_potential(0.7, 0.5), 5, None)
     assert [row.split(",")[-1] for row in data_rows(res.stdout)] == [f"{r.s0:.15g}" for r in recs]
@@ -508,9 +583,19 @@ def test_csv_float_list_column_has_fifteen_digits(runner):
      "rows": [{"ü": "ß", "%k": "%s", "line\nbreak": " "}]},
     {"kind": "irregular", "keys": [{"a": 1}, {"b": 2}], "nested": [{"a": [1, 2]}],
      "mixed": [1, [2, 3], {"c": 4}], "ints": [{1: "x"}], "tuples": [(1, 2)]},
+    # numpy columns and record columns, as _write_table hands them over
+    {"kind": "arrays", "empty": np.empty(0), "one": np.array([2.5]), "ints": np.arange(-1, 2),
+     "flags": np.array([True, False]),
+     "non-finite": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300])},
+    {"kind": "columns", "empty": cli._Records({"k": np.empty(0), "n": range(0)}),
+     "no_fields": cli._Records(),
+     "one": cli._Records({"k": np.array([1.5]), "n": range(1, 2), "s": ["a,b"]}),
+     "non-finite": cli._Records({"x": np.array([np.nan, np.inf, -np.inf]), "n": range(3)}),
+     "text": cli._Records({"ü": ["ß", "%s", "日本"], "%k": [1, 2, 3], "line\nbreak": np.arange(3.0),
+                           "é": [True, None, False]})},
 ])
 def test_json_text_matches_json_dumps(payload):
-    assert cli._json_text(payload) == dumps_oracle(payload)
+    assert json_text(payload) == dumps_oracle(payload)
 
 
 @pytest.mark.parametrize("kind, payload", [
