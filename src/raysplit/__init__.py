@@ -47,7 +47,6 @@ from .graph import (
 )
 from .trace import (
     DensityProfile,
-    PseudoOrbitTerm,
     cycle_expansion,
     evaluate_cycle_terms,
     newtonian_prediction,
@@ -109,7 +108,6 @@ __all__ = [
     "trace_power",
     "word_trace_sums",
     "DensityProfile",
-    "PseudoOrbitTerm",
     "cycle_expansion",
     "evaluate_cycle_terms",
     "newtonian_prediction",

@@ -80,16 +80,19 @@ def _apply_config(ctx: click.Context, opts: dict) -> dict:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
-    dests = {}
+    params = {}
     for param in ctx.command.params:
         for flag in param.opts:
-            dests[flag.lstrip("-").replace("-", "_")] = param.name
+            params[flag.lstrip("-").replace("-", "_")] = param
     for key, value in loaded.items():
-        name = dests.get(key.replace("-", "_"))
-        if name is None or name not in opts:
+        param = params.get(key.replace("-", "_"))
+        if param is None or param.name not in opts:
             raise ValueError(f"config key {key!r} is not an option of this command")
-        if ctx.get_parameter_source(name) == click.core.ParameterSource.DEFAULT:
-            opts[name] = value
+        if ctx.get_parameter_source(param.name) == click.core.ParameterSource.DEFAULT:
+            try:
+                opts[param.name] = param.type_cast_value(ctx, value)
+            except (click.BadParameter, TypeError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     return opts
 
 
@@ -417,7 +420,12 @@ def _read_roots_csv(path: str) -> np.ndarray:
             ks.append(float(parts[idx]))
     if not ks:
         raise ValueError(f"roots file {path!r} holds no roots")
-    return np.asarray(ks)
+    roots = np.asarray(ks)
+    bad = roots[~np.isfinite(roots)]
+    if bad.size or not roots.max() > 0.0:
+        raise ValueError(f"roots file {path!r} needs finite roots, the largest positive; "
+                         f"got {float(bad[0] if bad.size else roots.max())!r}")
+    return roots
 
 
 def _action_step(opts: dict, k_top: float) -> float:

@@ -10,10 +10,11 @@ energy-domain measure rho(E) dE; multiply by dE/dk = 2k for plots in k.
 
 An orbit enters these sums only through its action and amplitude, which
 depend on its length, R count and transmission count alone, so rho_trace,
-rho_resummed and zeta take orbit classes (orbits.orbit_classes, or
-orbits.classes_of for an explicit record list) and weight each class term by
-its multiplicity.  cycle_expansion still takes records: it labels every
-pseudo-orbit by its words.
+rho_resummed, zeta and cycle_expansion take orbit classes
+(orbits.orbit_classes, or orbits.classes_of for an explicit record list) and
+weight each class term by its multiplicity.  The cycle expansion of the
+step's determinant terminates: each directed bond enters a determinant term
+at most once, so its exact integer cells stop at degree 2.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from .model import ScaledStepPotential
-from .orbits import OrbitClass, OrbitRecord, amplitude
+from .orbits import OrbitClass, amplitude
 
 __all__ = [
     "DensityProfile",
-    "PseudoOrbitTerm",
     "rho_trace",
     "rho_resummed",
     "newtonian_prediction",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _POLE_TOLERANCE = 1e-6
-_TERM_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -179,98 +178,42 @@ def zeta(pot: ScaledStepPotential, orbits: Sequence[OrbitClass], k) -> complex |
     return complex(out) if karr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PseudoOrbitTerm:
-    """One product of distinct primitive orbits in the expanded determinant.
+def cycle_expansion(orbits: Sequence[OrbitClass]) -> dict[tuple[int, int, int], int]:
+    """Expand prod_p (1 - A_p x^n_l y^n_r) into exact integer cells.
 
-    coefficient collects the expansion sign (-1)^(number of factors) times
-    the orbit signs; r_power and t_power are the summed reflection and
-    transmission exponents; action is the summed reduced action.
+    x = e^{2ik l1}, y = e^{2ik l2}, and A_p = sign r^sigma t^tau2.  Each class
+    factor is raised to its multiplicity binomially, and the product is cut at
+    total length n_l + n_r <= the longest class given.  Cell (n_l, n_r, tau2)
+    holds the coefficient of r^(n_l + n_r - tau2) t^tau2 x^n_l y^n_r; zero cells
+    are dropped.  Over orbit_classes(pot, L) with L >= 2 every cell past
+    degree 2 cancels, leaving det(1 - S) = 1 + r x - r y - (r^2 + t^2) x y.
     """
-
-    labels: tuple[str, ...]
-    coefficient: int
-    r_power: int
-    t_power: int
-    action: float
-
-
-def cycle_expansion(
-    orbits: Sequence[OrbitRecord],
-    variable: str,
-    max_power: int,
-    s_max: float,
-) -> dict[int, list[PseudoOrbitTerm]]:
-    """Expand the determinant product into pseudo-orbit terms.
-
-    Terms are products over distinct primitive orbits; each is kept when its
-    total power of the chosen variable ('r' or 't') is <= max_power and its
-    total action is <= s_max, and the result is grouped by that power.  The
-    empty product contributes the constant 1 in group 0.  Grouping is by
-    formal integer powers, so terms carrying the variable survive the
-    expansion and simply evaluate to zero when that coefficient vanishes.
-    """
-    if variable not in ("r", "t"):
-        raise ValueError(f"variable must be 'r' or 't', got {variable!r}")
-    recs = list(orbits)
-    for rec in recs:
-        if rec.code.nu != 1:
-            raise ValueError(f"orbit {rec.code.word!r} is not primitive")
-    recs.sort(key=lambda rec: (rec.s0, rec.code.word))
-    groups: dict[int, list[PseudoOrbitTerm]] = {
-        0: [PseudoOrbitTerm(labels=(), coefficient=1, r_power=0, t_power=0, action=0.0)]
-    }
-    count = 1
-
-    def var_power(rec: OrbitRecord) -> int:
-        return rec.sigma if variable == "r" else rec.tau2
-
-    def extend(start: int, labels, coeff: int, rp: int, tp: int, action: float):
-        nonlocal count
-        for i in range(start, len(recs)):
-            rec = recs[i]
-            new_action = action + rec.s0
-            if new_action > s_max:
-                continue
-            new_rp = rp + rec.sigma
-            new_tp = tp + rec.tau2
-            power = new_rp if variable == "r" else new_tp
-            if power > max_power:
-                continue
-            count += 1
-            if count > _TERM_CAP:
-                raise RuntimeError(
-                    f"cycle expansion exceeded {_TERM_CAP} terms; tighten "
-                    f"max_power or s_max"
-                )
-            term = PseudoOrbitTerm(
-                labels=labels + (rec.code.word,),
-                coefficient=-coeff * rec.sign,
-                r_power=new_rp,
-                t_power=new_tp,
-                action=new_action,
-            )
-            groups.setdefault(power, []).append(term)
-            extend(i + 1, term.labels, -coeff * rec.sign, new_rp, new_tp, new_action)
-
-    extend(0, (), 1, 0, 0, 0.0)
-    return groups
+    max_length = max((cls.length for cls in orbits), default=0)
+    cells = {(0, 0, 0): 1}
+    for cls in orbits:
+        powers = [
+            (j * cls.length, j * cls.n_l, j * cls.n_r, j * cls.tau2,
+             math.comb(cls.multiplicity, j) * (-cls.sign) ** j)
+            for j in range(1, min(cls.multiplicity, max_length // cls.length) + 1)
+        ]
+        grown = dict(cells)
+        for (n_l, n_r, tau2), coeff in cells.items():
+            for length, d_l, d_r, d_tau2, weight in powers:
+                if n_l + n_r + length > max_length:
+                    break
+                key = (n_l + d_l, n_r + d_r, tau2 + d_tau2)
+                grown[key] = grown.get(key, 0) + coeff * weight
+        cells = {key: coeff for key, coeff in grown.items() if coeff}
+    return cells
 
 
 def evaluate_cycle_terms(
-    groups: dict[int, list[PseudoOrbitTerm]],
-    pot: ScaledStepPotential,
-    k,
+    cells: dict[tuple[int, int, int], int], pot: ScaledStepPotential, k
 ) -> complex | np.ndarray:
-    """Sum all retained pseudo-orbit terms at wavenumber k.
-
-    With nothing discarded this reproduces zeta over the same orbit set
-    exactly; with cuts it differs by the discarded tail.
-    """
+    """Sum coefficient r^sigma t^tau2 x^n_l y^n_r over the cells at wavenumber k."""
     karr = np.asarray(k, dtype=complex)
+    x, y = np.exp(2j * pot.l1 * karr), np.exp(2j * pot.l2 * karr)
     out = np.zeros_like(karr)
-    for terms in groups.values():
-        for term in terms:
-            weight = term.coefficient * pot.r ** term.r_power * pot.t ** term.t_power
-            out = out + weight * np.exp(1j * term.action * karr)
+    for (n_l, n_r, tau2), coeff in cells.items():
+        out = out + coeff * pot.r ** (n_l + n_r - tau2) * pot.t ** tau2 * x ** n_l * y ** n_r
     return complex(out) if karr.ndim == 0 else out

@@ -212,6 +212,35 @@ def test_config_rejects_unknown_keys(runner, tmp_path):
     assert "bogus" in json.loads(res.stderr)["error"]["message"]
 
 
+@pytest.mark.parametrize("args, config, flags", [
+    (["spectrum"], {"b": 0.7, "lambda": 0.5, "kmax": "20"}, [*STEP, "--kmax", "20"]),
+    (["orbits", *STEP], {"max-length": "4"}, ["--max-length", "4"]),
+    (["trace", *STEP, "--kmax", "5", "--points", "50"], {"resummed": "no"}, []),
+])
+def test_config_values_convert_like_flags(runner, tmp_path, args, config, flags):
+    # strings go through the option's type: "20" is a float, "no" is False
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    via_cfg = runner.invoke(main, [*args, "--config", str(cfg)])
+    direct = runner.invoke(main, [*args, *flags])
+    assert via_cfg.exit_code == 0, via_cfg.stderr
+    assert direct.exit_code == 0
+    assert via_cfg.stdout == direct.stdout
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("spectrum", "kmax", "fifty"), ("trace", "resummed", "maybe"), ("spectrum", "b", [0.7]),
+])
+def test_config_value_of_the_wrong_type_exits_three(runner, tmp_path, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    res = runner.invoke(main, [command, "--config", str(cfg)])
+    assert res.exit_code == 3
+    error = json.loads(res.stderr)["error"]
+    assert error["type"] == "invalid-parameter"
+    assert error["message"].startswith(f"config key {key!r}: ")
+
+
 def test_orbits_table_by_length(runner):
     res = runner.invoke(main, ["orbits", *STEP, "--max-length", "7"])
     assert res.exit_code == 0
@@ -534,6 +563,19 @@ def test_oversized_grids_exit_three_before_any_work(runner, monkeypatch, args, m
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"] == {"type": "invalid-parameter", "message": message}
+
+
+@pytest.mark.parametrize("root", ["0", "-1", "nan", "inf"])
+def test_fourier_rejects_a_roots_file_without_a_positive_finite_top(runner, tmp_path, root):
+    roots = tmp_path / "roots.csv"
+    # a positive root beside nan or inf does not make the file usable
+    roots.write_text(f"k\n{root}\n" if root in ("0", "-1") else f"k\n{root}\n1.0\n")
+    res = runner.invoke(main, ["fourier", "--roots", str(roots)])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    error = json.loads(res.stderr)["error"]
+    assert error["type"] == "invalid-parameter"
+    assert error["message"].startswith(f"roots file {str(roots)!r}")
 
 
 def test_oversized_grids_from_a_roots_file_or_without_a_report(runner, tmp_path):

@@ -1,11 +1,11 @@
 """Orbit-sum density, spectral determinant and cycle expansion."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from raysplit import trace
 from raysplit.model import build_potential
 from raysplit.graph import det_one_minus_s
 from raysplit.orbits import (
@@ -17,9 +17,8 @@ from raysplit.orbits import (
     orbit_record,
     primitive_count,
 )
-from raysplit.spectrum import find_roots
+from raysplit.spectrum import find_roots, secular
 from raysplit.trace import (
-    PseudoOrbitTerm,
     cycle_expansion,
     evaluate_cycle_terms,
     newtonian_prediction,
@@ -215,73 +214,52 @@ def test_phase_winds_once_per_level():
 
 
 def test_cycle_expansion_single_orbit():
-    rec = records(REF, 1)[0]          # L, sign -1, one reflection
-    groups = cycle_expansion([rec], "r", max_power=5, s_max=100.0)
-    assert set(groups) == {0, 1}
-    assert groups[0] == [
-        PseudoOrbitTerm(labels=(), coefficient=1, r_power=0, t_power=0, action=0.0)
-    ]
-    (term,) = groups[1]
-    assert term.labels == ("L",)
-    assert term.coefficient == 1      # -(sign) = -(-1)
-    assert (term.r_power, term.t_power) == (1, 0)
-    assert term.action == pytest.approx(2 * REF.l1, abs=1e-15)
-
-
-def test_cycle_expansion_two_symbol_orbits():
-    recs = records(REF, 2)            # L, R and the crossing LR
-    groups = cycle_expansion(recs, "r", max_power=10, s_max=100.0)
-    by_labels = {
-        frozenset(t.labels): t for terms in groups.values() for t in terms
-    }
-    assert len(by_labels) == 8        # all subsets of three orbits
-    assert by_labels[frozenset(("R",))].coefficient == -1
-    assert by_labels[frozenset(("LR",))].coefficient == -1
-    assert by_labels[frozenset(("LR",))].r_power == 0      # lands in group 0
-    assert by_labels[frozenset(("L", "R"))].coefficient == -1
-    assert by_labels[frozenset(("L", "R"))].r_power == 2
-    assert by_labels[frozenset(("L", "R", "LR"))].coefficient == 1
-    assert len(groups[0]) == 2        # unit term + pure-transmission LR
-    assert len(groups[1]) == 4
-    assert len(groups[2]) == 2
-
-
-def test_cycle_expansion_evaluates_to_zeta():
-    recs = records(REF, 4)
-    groups = cycle_expansion(recs, "r", max_power=10**6, s_max=1e9)
-    for k in (1.3, 4.0 + 0.2j):
-        full = zeta(REF, classes_of(recs), k)
-        assert evaluate_cycle_terms(groups, REF, k) == pytest.approx(full, abs=1e-12)
-
-
-def test_cycle_expansion_transparent_step():
-    # grouping is formal: r-carrying terms survive and evaluate to zero
-    pot = build_potential(0.5, 0.0)
-    recs = records(pot, 3)
-    groups = cycle_expansion(recs, "r", max_power=10**6, s_max=1e9)
-    assert max(groups) > 0
-    k = 2.1
-    assert evaluate_cycle_terms(groups, pot, k) == pytest.approx(
-        zeta(pot, classes_of(recs), k), abs=1e-12
+    rec = records(REF, 1)[0]          # L, sign -1, one reflection: 1 + r x
+    cells = cycle_expansion(classes_of([rec]))
+    assert cells == {(0, 0, 0): 1, (1, 0, 0): 1}
+    k = 2.3 + 0.1j
+    assert evaluate_cycle_terms(cells, REF, k) == pytest.approx(
+        1 - amplitude(rec, REF) * np.exp(1j * rec.s0 * k), abs=1e-15
     )
 
 
-def test_cycle_expansion_truncation_filters():
-    recs = records(REF, 3)
-    groups = cycle_expansion(recs, "r", max_power=1, s_max=1e9)
-    assert max(groups) <= 1
-    tight = cycle_expansion(recs, "r", max_power=10, s_max=2.0)
-    actions = [t.action for terms in tight.values() for t in terms]
-    assert max(actions) <= 2.0
+DET_CELLS = {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): -1, (1, 1, 0): -1, (1, 1, 2): -1}
 
 
-def test_cycle_expansion_argument_validation(monkeypatch):
-    recs = records(REF, 2)
-    with pytest.raises(ValueError, match="variable"):
-        cycle_expansion(recs, "x", 5, 10.0)
-    repeated = [orbit_record(c, REF) for c in enumerate_necklaces(4) if c.nu == 2]
-    with pytest.raises(ValueError, match="primitive"):
-        cycle_expansion(repeated, "r", 5, 10.0)
-    monkeypatch.setattr(trace, "_TERM_CAP", 4)
-    with pytest.raises(RuntimeError, match="terms"):
-        cycle_expansion(records(REF, 3), "r", 10**6, 1e9)
+@pytest.mark.parametrize("max_length", [2, 8, 16, 32])
+def test_cycle_expansion_terminates_at_degree_two(max_length):
+    # 1 + r x - r y - (r^2 + t^2) x y: every longer pseudo-orbit cancels
+    assert cycle_expansion(orbit_classes(REF, max_length)) == DET_CELLS
+
+
+@pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.7, 0.98), (0.5, 0.0)])
+def test_cycle_expansion_evaluates_to_det_one_minus_s(b, lam):
+    pot = build_potential(b, lam)
+    cells = cycle_expansion(orbit_classes(pot, 12))
+    assert cells == DET_CELLS
+    rng = np.random.default_rng(7)
+    ks = rng.uniform(0.5, 40.0, 20) + 1j * rng.uniform(-0.5, 0.5, 20)
+    det = det_one_minus_s(pot, ks)
+    assert np.max(np.abs(evaluate_cycle_terms(cells, pot, ks) - det) / np.abs(det)) < 1e-12
+    assert evaluate_cycle_terms(cells, pot, ks[0]) == pytest.approx(det[0], rel=1e-12)
+
+
+def test_cycle_expansion_is_the_secular_function_on_the_real_axis():
+    cells = cycle_expansion(orbit_classes(REF, 8))
+    k = np.linspace(0.5, 60.0, 400)
+    expected = -2j * np.exp(1j * k * REF.omega1) * secular(REF, k)
+    assert np.max(np.abs(evaluate_cycle_terms(cells, REF, k) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda cls: dataclasses.replace(cls, sign=-cls.sign),
+    lambda cls: dataclasses.replace(cls, multiplicity=cls.multiplicity + 1),
+], ids=["sign", "multiplicity"])
+def test_mutated_class_leaves_longer_cells(mutation):
+    classes = list(orbit_classes(REF, 10))
+    assert cycle_expansion(classes) == DET_CELLS
+    i = next(i for i, cls in enumerate(classes) if cls.length == 6)
+    classes[i] = mutation(classes[i])
+    cells = cycle_expansion(classes)
+    assert any(n_l + n_r > 2 for n_l, n_r, _ in cells)
+    assert {key: c for key, c in cells.items() if sum(key[:2]) <= 2} == DET_CELLS
