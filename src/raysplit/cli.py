@@ -8,12 +8,15 @@ and floats in 15 significant digits; JSON carries schema_version, and its
 floats are the shortest repr that reads back to the same float.  Artifacts
 are written to their files block by block as they are formatted, so no
 whole text or per-row object list is held: a table's memory is its columns.
+On Linux with 2 or more CPUs, a table of 4 blocks or more is formatted by two
+processes, a forked helper taking every other block, into the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from functools import wraps
 
@@ -30,6 +33,7 @@ EXIT_RANGE = 3
 EXIT_IO = 4
 
 _BLOCK = 4096   # rows or list items formatted per block, each block one write
+_HELPER_BLOCKS = 4   # blocks from which a table is formatted by two processes
 _MAX_POINTS = 2 ** 22   # points of a trace grid or comb, or actions of a fourier grid
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
@@ -114,10 +118,33 @@ def _tolist(column) -> list:
     return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or cannot tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _receive(pipe) -> str | None:
+    """The next length-prefixed piece on the helper's pipe, None once the pipe has ended."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data.decode()
+    return None
+
+
 class _Rows:
     """Rows of equal-length columns (numpy arrays or sequences), formatted as they are iterated.
 
     Every _BLOCK rows become one piece of text, block(cells), cells a list per column.
+    A table of _HELPER_BLOCKS blocks or more, on two or more CPUs, is split
+    with one forked helper that formats the odd-numbered blocks into a pipe
+    while this process formats the even ones; the pieces come out in order
+    and are the same text.  A block the helper did not deliver (it crashed or
+    was killed) is formatted here.
     """
 
     def __init__(self, columns: list, block, sep: str = "") -> None:
@@ -126,10 +153,51 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
 
+    def _piece(self, i: int) -> str:
+        cells = [_tolist(col[i:i + _BLOCK]) for col in self.columns]
+        return (self.sep if i else "") + self.block(cells)
+
     def __iter__(self):
-        for i in range(0, len(self), _BLOCK):
-            cells = [_tolist(col[i:i + _BLOCK]) for col in self.columns]
-            yield (self.sep if i else "") + self.block(cells)
+        starts = range(0, len(self), _BLOCK)
+        pid = None
+        if len(starts) >= _HELPER_BLOCKS and _cpus() >= 2:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:   # no process to spare: every block is formatted here
+                os.close(read_fd)
+                os.close(write_fd)
+        if pid is None:
+            yield from map(self._piece, starts)
+            return
+        if pid == 0:
+            self._help(starts[1::2], read_fd, write_fd)
+        os.close(write_fd)
+        try:
+            # the read end closes first, so a helper still writing exits on EPIPE
+            with os.fdopen(read_fd, "rb") as pipe:
+                for n, i in enumerate(starts):
+                    piece = _receive(pipe) if n % 2 else None
+                    yield self._piece(i) if piece is None else piece
+        finally:
+            os.waitpid(pid, 0)
+
+    def _help(self, starts, read_fd: int, write_fd: int) -> None:
+        """The helper: the pieces at starts into the pipe, length-prefixed, then os._exit.
+
+        It never returns into its caller and never flushes inherited stdio.
+        """
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                for i in starts:
+                    data = self._piece(i).encode()
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
 
 
 def _template(row: str, sep: str = "", encode=list):
@@ -405,19 +473,22 @@ def trace_cmd(ctx, **opts):
 def _read_roots_csv(path: str) -> np.ndarray:
     ks = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
+        idx = None
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if header is None:
-                header = parts
-                if "k" not in header:
+            if idx is None:
+                if "k" not in parts:
                     raise ValueError(f"roots file {path!r} has no 'k' column")
-                idx = header.index("k")
+                idx = parts.index("k")
                 continue
-            ks.append(float(parts[idx]))
+            try:
+                ks.append(float(parts[idx]))
+            except (IndexError, ValueError):
+                raise ValueError(f"roots file {path!r} line {n}: no number in column 'k' "
+                                 f"(field {idx + 1}) of {line!r}") from None
     if not ks:
         raise ValueError(f"roots file {path!r} holds no roots")
     roots = np.asarray(ks)

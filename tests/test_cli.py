@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -487,7 +488,24 @@ def test_fourier_rejects_a_bad_action_window_before_any_root(runner, monkeypatch
                        f"and --smax {float(smax)!r}")
 
 
-@pytest.mark.parametrize("block", [1, 3, 4096])
+def offer_cpus(monkeypatch, n):
+    """Let the CLI see n CPUs; returns the pids of the helpers it forks from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+# 10 rows in 10, 5, 4 or 1 blocks: a table of 4 blocks or more is split with a helper on 2 CPUs
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
 def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     rng = np.random.default_rng(5)
     columns = {
@@ -498,21 +516,94 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
         ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in zip(*columns.values()))
     monkeypatch.setattr(cli, "_BLOCK", block)
-    out = tmp_path / "t.csv"
-    cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
-    text = out.read_text()
-    assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok\n" + expected + "# note=1\n"
+    for cpus in (1, 2):
+        helpers = offer_cpus(monkeypatch, cpus)
+        out = tmp_path / "t.csv"
+        cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
+        text = out.read_text()
+        assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok\n" + expected + "# note=1\n"
+        assert len(helpers) == (cpus == 2 and block < 4)
 
 
-@pytest.mark.parametrize("block", [1, 3, 4096])
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
 def test_json_and_writes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     payload = {"kind": "blocks", "x": [i / 7 for i in range(10)], "names": ["é", "λ"] * 5,
-               "rows": [{"i": i, "x": i / 3, "s": f"%s{i}", "ok": i % 2 == 0} for i in range(10)]}
+               "rows": [{"i": i, "x": i / 3, "s": f"%s{i}", "ok": i % 2 == 0} for i in range(10)],
+               "records": cli._Records({"k": np.arange(10) / 3, "n": range(10),
+                                        "s": [f"%s{i}é" for i in range(10)]})}
     monkeypatch.setattr(cli, "_BLOCK", block)
-    text = json_text(payload)
-    assert text == dumps_oracle(payload)
-    cli._write_text(str(tmp_path / "t.json"), text)
-    assert (tmp_path / "t.json").read_bytes() == text.encode("utf-8")
+    for cpus in (1, 2):
+        # the array x, the list names and the records each fork a helper from 4 blocks on
+        helpers = offer_cpus(monkeypatch, cpus)
+        text = json_text(payload)
+        assert text == dumps_oracle(payload)
+        assert len(helpers) == (3 if cpus == 2 and block < 4 else 0)
+        cli._write_text(str(tmp_path / "t.json"), text)
+        assert (tmp_path / "t.json").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failing_helper_leaves_the_artifact_whole(runner, monkeypatch, fmt):
+    # the block function raises in the helper from its second block on; this process
+    # formats what the pipe did not deliver, and the command still exits 0
+    args = ["spectrum", *STEP, "--kmax", "300", "--format", fmt]
+    offer_cpus(monkeypatch, 1)
+    expected = runner.invoke(main, args).stdout
+    parent, template = os.getpid(), cli._template
+
+    def failing_template(*args, **kwargs):
+        block, calls = template(*args, **kwargs), []
+
+        def failing(columns):
+            calls.append(1)
+            if os.getpid() != parent and len(calls) > 1:
+                raise RuntimeError("the helper fails")
+            return block(columns)
+        return failing
+
+    monkeypatch.setattr(cli, "_template", failing_template)
+    monkeypatch.setattr(cli, "_BLOCK", 8)
+    helpers = offer_cpus(monkeypatch, 2)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == expected and len(helpers) == 1
+    with pytest.raises(ChildProcessError):   # already reaped
+        os.waitpid(helpers[0], os.WNOHANG)
+
+
+def test_a_closed_generator_leaves_no_helper_running(monkeypatch):
+    # 8 blocks of 80 kB: the helper blocks on the full pipe until the read end closes
+    def too_long(*args):
+        raise TimeoutError("the helper was still running 20 s after close()")
+
+    helpers = offer_cpus(monkeypatch, 2)
+    pieces = iter(cli._csv_rows([np.full(8 * cli._BLOCK, 1 / 3)]))
+    assert next(pieces).startswith("0.333333333333333\n")
+    assert len(helpers) == 1
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(20)
+    try:
+        pieces.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):   # already reaped
+        os.waitpid(helpers[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows, cpus, error", [
+    (9, 2, AssertionError("a helper was forked")),   # 3 blocks
+    (10, 1, AssertionError("a helper was forked")),
+    (10, 2, BlockingIOError(11, "Resource temporarily unavailable")),   # fork fails
+])
+def test_tables_without_a_helper_are_formatted_here(monkeypatch, rows, cpus, error):
+    def no_fork():
+        raise error
+
+    monkeypatch.setattr(cli, "_BLOCK", 3)
+    offer_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert "".join(cli._csv_rows([np.arange(rows)])) == "".join(f"{i}\n" for i in range(rows))
 
 
 @pytest.mark.parametrize("fmt, records", [("csv", None), ("json", None), ("json", "rows")])
@@ -563,6 +654,19 @@ def test_oversized_grids_exit_three_before_any_work(runner, monkeypatch, args, m
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"] == {"type": "invalid-parameter", "message": message}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n,k\n1\n", "line 2: no number in column 'k' (field 2) of '1'"),
+    ("# c\nk\n2.5\n\nabc\n", "line 5: no number in column 'k' (field 1) of 'abc'"),
+])
+def test_fourier_names_the_malformed_line_of_a_roots_file(runner, tmp_path, text, message):
+    roots = tmp_path / "roots.csv"
+    roots.write_text(text)
+    res = runner.invoke(main, ["fourier", "--roots", str(roots)])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == {
+        "type": "invalid-parameter", "message": f"roots file {str(roots)!r} {message}"}
 
 
 @pytest.mark.parametrize("root", ["0", "-1", "nan", "inf"])
