@@ -43,7 +43,7 @@ from .graph import (
     counting_function,
     det_one_minus_s,
     trace_power,
-    word_trace_sums,
+    trace_powers,
 )
 from .trace import (
     DensityProfile,
@@ -52,6 +52,7 @@ from .trace import (
     newtonian_prediction,
     rho_resummed,
     rho_trace,
+    trace_formula,
     zeta,
 )
 from .analysis import (
@@ -106,13 +107,14 @@ __all__ = [
     "counting_function",
     "det_one_minus_s",
     "trace_power",
-    "word_trace_sums",
+    "trace_powers",
     "DensityProfile",
     "cycle_expansion",
     "evaluate_cycle_terms",
     "newtonian_prediction",
     "rho_resummed",
     "rho_trace",
+    "trace_formula",
     "zeta",
     "FourierProfile",
     "PeakMatchReport",

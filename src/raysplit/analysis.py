@@ -211,15 +211,11 @@ def default_tolerance(k_max: float) -> float:
     return 4.0 * np.pi / k_max
 
 
-def detect_peaks(
-    profile: FourierProfile,
-    threshold_fraction: float,
-    separation: float | None = None,
-) -> np.ndarray:
+def detect_peaks(profile: FourierProfile, threshold_fraction: float) -> np.ndarray:
     """Positions of |F| peaks above threshold_fraction * j_roots.
 
     A sample counts as a peak when it beats its neighbours and every sample
-    within +-separation (default: the matching tolerance 4 pi / k_max).  The
+    within the matching tolerance 4 pi / k_max on either side.  The
     window matters: an isolated strong peak carries a sinc-like skirt whose
     first side lobes exceed small thresholds, but every side lobe is
     dominated by a taller sample one resolution width closer to the summit,
@@ -232,15 +228,13 @@ def detect_peaks(
             f"threshold_fraction must lie in (0, 1), got {threshold_fraction!r}"
         )
     mag, s = profile.magnitude, profile.s_grid
-    if separation is None:
-        separation = default_tolerance(profile.k_max)
     floor = threshold_fraction * profile.j_roots
     inner = (mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] >= floor)
     candidates = np.where(inner)[0] + 1
     if candidates.size == 0:
         return np.empty(0)
     ds = np.diff(s).min()
-    win = max(1, int(np.ceil(separation / ds)))
+    win = max(1, int(np.ceil(default_tolerance(profile.k_max) / ds)))
     peaks = []
     for i in candidates:
         lo, hi = max(0, i - win), min(mag.size, i + win + 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import sys
 from functools import wraps
 
@@ -34,7 +35,8 @@ EXIT_IO = 4
 
 _BLOCK = 4096   # rows or list items formatted per block, each block one write
 _HELPER_BLOCKS = 4   # blocks from which a table is formatted by two processes
-_MAX_POINTS = 2 ** 22   # points of a trace grid or comb, or actions of a fourier grid
+_MAX_POINTS = 2 ** 22   # points of a trace grid or comb, actions of a fourier grid, or levels
+_MAX_SAMPLES = 2 ** 16   # graph-check wavenumbers: 65 traces of each take about 68 MB
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -300,6 +302,14 @@ def _potential_from(opts: dict):
     return build_potential(opts["b"], opts["lam"])
 
 
+def _check_levels(pot, k_max: float) -> None:
+    """ValueError when the levels below a finite k_max may number more than _MAX_POINTS."""
+    levels = pot.total_length * k_max / math.pi + (len(pot.lengths) + 1) / 2   # Weyl bound
+    if math.isfinite(k_max) and levels > _MAX_POINTS:
+        raise ValueError(f"--kmax {k_max!r} admits up to {int(levels)} levels, "
+                         f"more than {_MAX_POINTS}")
+
+
 def _exclusive(opts: dict, name: str, flag: str, other: str, other_flag: str):
     """The value of whichever of two options excluding each other was given, else None."""
     if opts[name] is not None and opts[other] is not None:
@@ -353,6 +363,7 @@ def spectrum_cmd(ctx, **opts):
     """Compute all roots up to --kmax with a completeness report."""
     opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
+    _check_levels(pot, opts["kmax"])
     result = spectrum.find_roots(pot, opts["kmax"])
     roots = result.roots
     residuals = np.abs(spectrum.secular_function(pot)(roots))
@@ -546,6 +557,7 @@ def fourier_cmd(ctx, **opts):
     else:
         if pot is None or opts["kmax"] is None:
             raise ValueError("--roots or (--b, --lambda, --kmax) is required")
+        _check_levels(pot, opts["kmax"])
         roots = spectrum.find_roots(pot, opts["kmax"]).roots
         if not len(roots):
             raise ValueError(f"no level lies below k_max = {opts['kmax']!r}")
@@ -588,34 +600,28 @@ def fourier_cmd(ctx, **opts):
 @click.pass_context
 @_guard
 def graph_check_cmd(ctx, **opts):
-    """Verify unitarity, odd traces, trace sums and quantization; report in JSON."""
+    """Verify unitarity, odd traces, the trace formula and quantization; report in JSON."""
     opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
     if not 0 < opts["kmax"] < math.inf:
         raise ValueError(f"kmax must be finite and positive, got {opts['kmax']!r}")
-    for flag, value in (("samples", opts["samples"]), ("nmax", opts["nmax"]),
-                        ("roots", opts["n_roots"])):
+    for flag, value, top in (("samples", opts["samples"], _MAX_SAMPLES),
+                             ("nmax", opts["nmax"], math.inf),
+                             ("roots", opts["n_roots"], _MAX_POINTS)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value!r}")
-    rng = np.random.default_rng(opts["seed"])
-    ks = rng.uniform(0.0, opts["kmax"], opts["samples"])
+        if value > top:
+            raise ValueError(f"{flag} must lie in [1, {top}], got {value!r}")
+    orbits._check_length(opts["nmax"], "n_max")   # the step's orbit classes; for every potential
+    rng = random.Random(opts["seed"])
+    ks = np.array([rng.uniform(0.0, opts["kmax"]) for _ in range(opts["samples"])])
     unit_dev = 0.0
-    odd_dev = 0.0
-    word_dev = 0.0
-    is_step = isinstance(pot, ScaledStepPotential)
-    if is_step:
-        word_sums = graph.word_trace_sums(pot, ks, opts["nmax"])
-    for i, k in enumerate(ks):
-        S = graph.build_smatrix(pot, k)
-        unit_dev = max(unit_dev, float(np.max(np.abs(S.conj().T @ S - np.eye(S.shape[0])))))
-        power = np.eye(S.shape[0], dtype=complex)
-        traces = []
-        for _ in range(2 * opts["nmax"] + 1):
-            power = power @ S
-            traces.append(complex(np.trace(power)))
-        odd_dev = max(odd_dev, max(abs(traces[m]) for m in range(0, len(traces), 2)))
-        if is_step:
-            word_dev = max(word_dev, float(np.max(np.abs(traces[1::2] - word_sums[:, i]))))
+    for block in graph._blocks(pot, ks.size):
+        S = graph.build_smatrix(pot, ks[block])
+        gram = S.conj().swapaxes(-2, -1) @ S - np.eye(S.shape[-1])
+        unit_dev = max(unit_dev, float(np.max(np.abs(gram))))
+    traces = graph.trace_powers(pot, ks, 2 * opts["nmax"] + 1)
+    odd_dev = float(np.max(np.abs(traces[0::2])))
     k_top = (opts["n_roots"] + 1.5) * np.pi / pot.total_length
     roots = spectrum.find_roots(pot, k_top).roots[:opts["n_roots"]]
     det_dev = float(np.max(np.abs(graph.det_one_minus_s(pot, roots)))) if len(roots) else 0.0
@@ -624,7 +630,9 @@ def graph_check_cmd(ctx, **opts):
         "odd_traces": {"max_deviation": odd_dev, "tolerance": 1e-12},
         "det_at_roots": {"max_deviation": det_dev, "tolerance": 1e-8, "roots": len(roots)},
     }
-    if is_step:
+    if isinstance(pot, ScaledStepPotential):
+        formula = trace.trace_formula(pot, orbits.orbit_classes(pot, opts["nmax"]), ks)
+        word_dev = float(np.max(np.abs(traces[1::2] - formula)))
         checks["trace_word_sums"] = {"max_deviation": word_dev, "tolerance": 1e-10}
     for entry in checks.values():
         entry["ok"] = bool(entry["max_deviation"] < entry["tolerance"])

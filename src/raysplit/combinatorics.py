@@ -43,6 +43,7 @@ __all__ = [
 
 _MAX_M = 64          # binomial_sums counts the classes, in time polynomial in M
 _MAX_TABLE_M = 13    # build_word_table lists them, ~2.6M classes at M = 13
+_POISSON_ROOTS = 20  # comb roots that poisson_special_case_check compares
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,7 @@ class PoissonCaseReport:
     ok: bool
 
 
-def poisson_special_case_check(
-    lam: float,
-    n_roots: int = 20,
-    max_orbit_length: int = 6,
-    root_tol: float = 1e-10,
-    action_tol: float = 1e-12,
-) -> PoissonCaseReport:
+def poisson_special_case_check(lam: float) -> PoissonCaseReport:
     """Verify the equal-weight geometry end to end for a given lam in (0, 1)."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
@@ -193,15 +188,15 @@ def poisson_special_case_check(
     b = beta / (1.0 + beta)
     pot = build_potential(b, lam)
     comb_spacing = np.pi / (2.0 * b)
-    result = _spectrum.find_roots(pot, (n_roots + 0.5) * comb_spacing)
-    roots = result.roots[:n_roots]
+    result = _spectrum.find_roots(pot, (_POISSON_ROOTS + 0.5) * comb_spacing)
+    roots = result.roots[:_POISSON_ROOTS]
     expected = comb_spacing * np.arange(1, len(roots) + 1)
     root_dev = float(np.max(np.abs(roots - expected))) if len(roots) else np.inf
     action_dev = 0.0
-    for cls in _orbits.orbit_classes(pot, max_orbit_length):
+    for cls in _orbits.orbit_classes(pot, 6):
         multiple = cls.s0 / (2.0 * b)
         action_dev = max(action_dev, abs(multiple - round(multiple)))
-    ok = len(roots) == n_roots and root_dev <= root_tol and action_dev <= action_tol
+    ok = len(roots) == _POISSON_ROOTS and root_dev <= 1e-10 and action_dev <= 1e-12
     return PoissonCaseReport(
         lam=lam, b=b, potential=pot,
         roots_checked=len(roots),

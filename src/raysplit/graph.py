@@ -4,34 +4,36 @@ The potential is mapped onto a linear graph: one bond per constant region
 (weighted length l_i), dead-end vertices at the walls and a scattering vertex
 at each interface.  Waves live on directed bonds; the unitary matrix S(k)
 propagates amplitudes across one vertex scattering plus one bond traversal.
-The spectrum is the zero set of det(1 - S(k)), and traces of powers of S
-expand into sums over closed bond sequences, which is what ties the matrix
-to the periodic-orbit sums.  For the single step those sequences are binary
-words, and word_trace_sums adds them up by class from the cyclic-word counts
-of raysplit.orbits, so the trace formula is checked at every even power up
-to 64 without listing a word.
+The spectrum is the zero set of det(1 - S(k)), and the traces Tr S(k)^n
+expand into sums over closed bond sequences, the periodic orbits; this module
+is the matrix side of that identity, and trace.trace_formula the orbit side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import orbits
 from .model import NStepPotential, ScaledStepPotential, interface_coefficients
 
 __all__ = [
     "build_smatrix",
     "det_one_minus_s",
+    "trace_powers",
     "trace_power",
-    "word_trace_sums",
     "counting_function",
 ]
 
-_DET_BLOCK = 4096          # wavenumbers per stack of S(k) in det_one_minus_s
+_DET_BLOCK = 4096   # wavenumbers per stack of the step's 4x4 S(k); a chain's holds as many entries
 
 
-def _smatrix_stack(pot: ScaledStepPotential | NStepPotential, k: np.ndarray) -> np.ndarray:
-    """S(k) for an array of wavenumbers, shape (len(k), 2N, 2N).
+def _blocks(pot, size: int):
+    """Slices of range(size) whose stacks of S(k) hold at most 16 _DET_BLOCK entries each."""
+    step = max(1, 16 * _DET_BLOCK // (2 * len(pot.lengths)) ** 2)
+    return (slice(i, i + step) for i in range(0, size, step))
+
+
+def build_smatrix(pot: ScaledStepPotential | NStepPotential, k) -> np.ndarray:
+    """Graph scattering matrix S(k), shape shape(k) + (2N, 2N); unitary for real k.
 
     Directed-bond basis (1>, ..., N>, 1<, ..., N<) where i> moves right.
     Each entry carries the vertex coefficient into the new bond times that
@@ -54,66 +56,48 @@ def _smatrix_stack(pot: ScaledStepPotential | NStepPotential, k: np.ndarray) -> 
     return S
 
 
-def build_smatrix(pot: ScaledStepPotential | NStepPotential, k: float) -> np.ndarray:
-    """Graph scattering matrix S(k), unitary for real k."""
-    return _smatrix_stack(pot, np.asarray(float(k)))
-
-
 def det_one_minus_s(pot, k) -> complex | np.ndarray:
     """det(1 - S(k)); vanishes exactly on the spectrum.
 
     Accepts scalar or array k, real or complex (small imaginary parts are
     useful for probing zeros off the real axis).  Arrays are evaluated in
-    blocks of _DET_BLOCK points, so the matrix stacks stay bounded in size.
+    blocks (_blocks), so the matrix stacks stay bounded in size.
     """
     karr = np.asarray(k, dtype=complex)
     flat = karr.reshape(-1)
     d = np.empty(flat.size, dtype=complex)
     eye = np.eye(2 * len(pot.lengths))
-    for i in range(0, flat.size, _DET_BLOCK):
-        block = slice(i, i + _DET_BLOCK)
-        d[block] = np.linalg.det(eye - _smatrix_stack(pot, flat[block]))
+    for block in _blocks(pot, flat.size):
+        d[block] = np.linalg.det(eye - build_smatrix(pot, flat[block]))
     return complex(d[0]) if karr.ndim == 0 else d.reshape(karr.shape)
 
 
-def trace_power(pot, k: float, n: int) -> complex:
-    """Tr S(k)^n from the matrix power.
+def trace_powers(pot, k, n_max: int) -> np.ndarray:
+    """Tr S(k)^n for n = 1..n_max, shape (n_max,) + shape(k); row n - 1 holds Tr S^n.
 
-    Odd powers vanish identically because the chain graph is bipartite (every
-    closed walk alternates between the two wall-to-step bond directions).
+    The powers are multiplied up in the blocks of det_one_minus_s.  Odd
+    powers vanish identically because the chain graph is bipartite: every
+    closed walk alternates between right- and left-moving bonds.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    karr = np.asarray(k)
+    flat = karr.reshape(-1)
+    traces = np.empty((n_max, flat.size), dtype=complex)
+    for block in _blocks(pot, flat.size):
+        S = power = build_smatrix(pot, flat[block])
+        for n in range(n_max):
+            if n:
+                power = power @ S
+            traces[n, block] = np.trace(power, axis1=-2, axis2=-1)
+    return traces.reshape((n_max,) + karr.shape)
+
+
+def trace_power(pot, k: float, n: int) -> complex:
+    """Tr S(k)^n, the last row of trace_powers."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    S = build_smatrix(pot, k)
-    return complex(np.trace(np.linalg.matrix_power(S, n)))
-
-
-def word_trace_sums(pot: ScaledStepPotential, k, n_max: int) -> np.ndarray:
-    """Tr S(k)^{2n} for n = 1..n_max from binary words instead of the matrix.
-
-    Each length-n word over {L, R} is one closed bond sequence, entered twice
-    (once per starting direction), and its term depends only on its R count
-    n_R and cyclic unequal pairs tau2: r^(n - tau2) t^tau2 e^{2 i k L_n} with
-    sign (-1)^(n + n_R - tau2/2) and weighted length L_n = (n - n_R) l1 + n_R l2.
-    The words are counted by those two numbers (orbits._cyclic_word_counts),
-    never listed, so the sum must reproduce trace_power(pot, k, 2n) at any n;
-    that equivalence is the central oracle between the graph and orbit
-    pictures.  Returns shape (n_max,) + shape(k); row n - 1 holds Tr S^{2n}.
-    """
-    if not isinstance(pot, ScaledStepPotential):
-        raise TypeError("word_trace_sums requires the two-bond step potential")
-    orbits._check_length(n_max, "n_max")
-    k = np.asarray(k, dtype=float)
-    sums = np.empty((n_max,) + k.shape, dtype=complex)
-    for n, cells in enumerate(orbits._cyclic_word_counts(n_max)[1:], start=1):
-        coeff = np.zeros(n + 1)              # by n_R
-        for (n_r, tau2), count in cells.items():
-            sign = -1.0 if (n + orbits._rr_pairs(n_r, tau2)) % 2 else 1.0
-            coeff[n_r] += 2.0 * sign * count * pot.r ** (n - tau2) * pot.t ** tau2
-        n_r = np.arange(n + 1)
-        lengths = (n - n_r) * pot.l1 + n_r * pot.l2
-        sums[n - 1] = np.exp(2j * np.multiply.outer(k, lengths)) @ coeff
-    return sums
+    return complex(trace_powers(pot, k, n)[-1])
 
 
 def counting_function(pot, k: float, n_max: int) -> float:
@@ -124,12 +108,6 @@ def counting_function(pot, k: float, n_max: int) -> float:
     Approaches the exact number of levels below k as n_max grows, with the
     usual half-step at the levels themselves.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    S = build_smatrix(pot, k)
-    acc = 0.0
-    power = np.eye(S.shape[0], dtype=complex)
-    for n in range(1, n_max + 1):
-        power = power @ S
-        acc += np.trace(power).imag / n
+    traces = trace_powers(pot, k, n_max)
+    acc = float(np.sum(traces.imag / np.arange(1, n_max + 1)))
     return pot.total_length * k / np.pi - 0.5 + acc / np.pi

@@ -324,19 +324,15 @@ def amplitude(rec: OrbitRecord | OrbitClass, pot: ScaledStepPotential) -> float:
     return rec.sign * pot.r ** rec.sigma * pot.t ** rec.tau2
 
 
-def action_spectrum(
-    classes: Iterable[OrbitClass],
-    s_max: float,
-    merge_tol: float = 1e-9,
-) -> list[float]:
+def action_spectrum(classes: Iterable[OrbitClass], s_max: float) -> list[float]:
     """All repeated reduced actions nu * s0 <= s_max, sorted and merged.
 
-    Actions closer than merge_tol to the first of a run share its entry.
+    Actions closer than 1e-9 to the first of a run share its entry.
     """
     actions = sorted({nu * cls.s0 for cls in classes
                       for nu in range(1, int(s_max / cls.s0) + 2) if nu * cls.s0 <= s_max})
     merged: list[float] = []
     for s in actions:
-        if not merged or s - merged[-1] > merge_tol:
+        if not merged or s - merged[-1] > 1e-9:
             merged.append(s)
     return merged

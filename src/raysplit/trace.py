@@ -8,9 +8,12 @@ same data assembles into a spectral determinant whose zeros track the exact
 levels.  Everything here is evaluated as a function of k while keeping the
 energy-domain measure rho(E) dE; multiply by dE/dk = 2k for plots in k.
 
-An orbit enters these sums only through its action and amplitude, which
-depend on its length, R count and transmission count alone, so rho_trace,
-rho_resummed, zeta and cycle_expansion take orbit classes
+This module is the orbit picture.  Its exact statement is trace_formula: the
+traces Tr S(k)^{2n} of the graph's scattering matrix (graph.trace_powers, the
+matrix picture) are sums over primitive orbits and their repetitions.  An
+orbit enters these sums only through its action and amplitude, which depend
+on its length, R count and transmission count alone, so trace_formula,
+rho_trace, rho_resummed, zeta and cycle_expansion take orbit classes
 (orbits.orbit_classes, or orbits.classes_of for an explicit record list) and
 weight each class term by its multiplicity.  The cycle expansion of the
 step's determinant terminates: each directed bond enters a determinant term
@@ -30,6 +33,7 @@ from .orbits import OrbitClass, amplitude
 
 __all__ = [
     "DensityProfile",
+    "trace_formula",
     "rho_trace",
     "rho_resummed",
     "newtonian_prediction",
@@ -66,6 +70,27 @@ def _check_grid(k_grid: np.ndarray) -> np.ndarray:
 def _check_eta(eta: float) -> None:
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+
+
+def trace_formula(pot: ScaledStepPotential, orbits: Sequence[OrbitClass], k) -> np.ndarray:
+    """Tr S(k)^{2n} for n = 1..L from orbit classes, L the longest class given.
+
+    Tr S^{2n} = sum over classes p with n_p | n of 2 n_p m_p (A_p e^{i s0_p k})^{n / n_p}:
+    each of the n_p rotations of a primitive word, entered in both directions,
+    starts one closed bond sequence.  Over orbit_classes(pot, L) this is
+    exact for every n <= L.  Returns shape (L,) + shape(k); row n - 1 holds
+    Tr S^{2n}.
+    """
+    karr = np.asarray(k)
+    longest = max((cls.length for cls in orbits), default=0)
+    sums = np.zeros((longest,) + karr.shape, dtype=complex)
+    for cls in orbits:
+        z = amplitude(cls, pot) * np.exp(1j * cls.s0 * karr)
+        term = 2 * cls.length * cls.multiplicity * z
+        for n in range(cls.length, longest + 1, cls.length):
+            sums[n - 1] += term
+            term = term * z
+    return sums
 
 
 def rho_trace(

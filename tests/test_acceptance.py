@@ -13,11 +13,11 @@ import pytest
 
 from raysplit.analysis import default_s_spacing, default_tolerance, detect_peaks, fourier_transform, match_peaks
 from raysplit.combinatorics import binomial_sums, verify_sum_rule
-from raysplit.graph import det_one_minus_s, trace_power, word_trace_sums
+from raysplit.graph import det_one_minus_s, trace_power
 from raysplit.model import build_nstep, build_potential
 from raysplit.orbits import orbit_classes
 from raysplit.spectrum import find_roots
-from raysplit.trace import newtonian_prediction, rho_resummed, rho_trace, zeta
+from raysplit.trace import newtonian_prediction, rho_resummed, rho_trace, trace_formula, zeta
 
 REF = build_potential(0.7, 0.5)
 
@@ -85,7 +85,7 @@ def test_criterion_04_trace_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     ks = rng.uniform(0.0, 100.0, 100)
-    words = word_trace_sums(REF, ks, 12)
+    words = trace_formula(REF, orbit_classes(REF, 12), ks)
     even_dev = 0.0
     odd_dev = 0.0
     for i, k in enumerate(ks):

@@ -17,6 +17,7 @@ from raysplit import cli
 from raysplit.cli import main
 
 STEP = ["--b", "0.7", "--lambda", "0.5"]
+CHAIN3 = ["--breakpoints", "0,0.3,0.6,1", "--lambdas", "0,0.5,0.75"]
 
 
 @pytest.fixture()
@@ -331,8 +332,23 @@ def test_trace_sums_orbits_past_the_table_cap(runner):
     (["graph-check", *STEP, "--roots", "0"], "roots must be >= 1, got 0"),
     # an empty range of M would verify nothing
     (["identity", "--max-m", "0"], "M must lie in [1, 64], got 0"),
+    # every count that sizes an array is bounded before the array is made
+    (["spectrum", *STEP, "--kmax", "1e14"],
+     "--kmax 100000000000000.0 admits up to 29034064404045 levels, more than 4194304"),
+    (["spectrum", *CHAIN3, "--kmax", "2e7"],
+     "--kmax 20000000.0 admits up to 4533575 levels, more than 4194304"),
+    (["fourier", *STEP, "--kmax", "1e14", "--ds", "1"],
+     "--kmax 100000000000000.0 admits up to 29034064404045 levels, more than 4194304"),
+    (["graph-check", *STEP, "--roots", "100000000"], "roots must lie in [1, 4194304], got 100000000"),
+    (["graph-check", *STEP, "--samples", "65537"], "samples must lie in [1, 65536], got 65537"),
+    (["graph-check", *CHAIN3, "--nmax", "200"], "n_max must lie in [1, 32], got 200"),
 ])
-def test_empty_or_meaningless_sizes_exit_three(runner, args, message):
+def test_empty_or_meaningless_sizes_exit_three(runner, monkeypatch, args, message):
+    def no_array(*args):
+        raise AssertionError("a count sized an array before it was checked")
+
+    monkeypatch.setattr(cli.spectrum, "find_roots", no_array)
+    monkeypatch.setattr(cli.graph, "build_smatrix", no_array)
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
@@ -411,6 +427,31 @@ def test_graph_check_chain_skips_word_sums(runner):
     )
     assert res.exit_code == 0
     assert "trace_word_sums" not in json.loads(res.stdout)["checks"]
+
+
+def test_graph_check_never_loads_numpy_random(tmp_path):
+    # the sample wavenumbers come from the standard library's random.Random(seed)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\nfrom raysplit.cli import main\n"
+            "main(sys.argv[1:], standalone_mode=False)\n"
+            "print('numpy.random' in sys.modules)")
+    for geometry in (STEP, CHAIN3):
+        res = subprocess.run([sys.executable, "-c", code, "graph-check", *geometry,
+                              "--out", str(tmp_path / "check.json")],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
+        checks = json.loads((tmp_path / "check.json").read_text())["checks"]
+        assert all(entry["ok"] for entry in checks.values())
+
+
+def test_level_bound_is_the_weyl_estimate():
+    pot = cli.build_potential(0.7, 0.5)
+    k_edge = (cli._MAX_POINTS - 1.5) * math.pi / pot.omega1
+    cli._check_levels(pot, k_edge * (1 - 1e-12))
+    with pytest.raises(ValueError, match="more than 4194304"):
+        cli._check_levels(pot, k_edge * (1 + 1e-12))
 
 
 def test_identity_text_report(runner):

@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 from raysplit.model import build_nstep, build_potential
 from raysplit.graph import (
     _DET_BLOCK,
+    _blocks,
     build_smatrix,
     counting_function,
     det_one_minus_s,
     trace_power,
-    word_trace_sums,
+    trace_powers,
 )
+from raysplit.orbits import orbit_classes
 from raysplit.spectrum import find_roots, secular
+from raysplit.trace import trace_formula
 
 REF = build_potential(0.7, 0.5)
 
@@ -23,7 +26,7 @@ REF = build_potential(0.7, 0.5)
 def enumerated_word_sum(pot, k, n):
     """Tr S^{2n} by listing all 2^n binary words (bit 1 = R) and scanning their cyclic pairs.
 
-    Independent oracle for word_trace_sums, which counts the words by class instead:
+    Independent oracle for trace_formula, which sums over orbit classes instead:
 
         2 * sum_words (-1)^(n + rr) r^sigma t^tau2 e^{2 i k (n_L l1 + n_R l2)}
     """
@@ -36,6 +39,11 @@ def enumerated_word_sum(pot, k, n):
     amp = sign * pot.r ** (n - tau2) * pot.t ** tau2
     lengths = (n - n_r) * pot.l1 + n_r * pot.l2
     return complex(2.0 * np.sum(amp * np.exp(2j * k * lengths)))
+
+
+def formula_sums(pot, k, n_max):
+    """Tr S^2 .. Tr S^{2 n_max} from the trace formula over every class up to length n_max."""
+    return trace_formula(pot, orbit_classes(pot, n_max), k)
 
 
 def test_single_step_matrix_literal_form():
@@ -155,7 +163,7 @@ def test_transparent_step_traces():
         assert trace_power(pot, k, 4) == pytest.approx(
             4 * np.exp(2j * k), abs=1e-12
         )
-        assert word_trace_sums(pot, k, 1)[0] == pytest.approx(
+        assert formula_sums(pot, k, 1)[0] == pytest.approx(
             complex(trace_power(pot, k, 2)), abs=1e-12
         )
 
@@ -167,7 +175,7 @@ def test_transparent_step_traces():
 )
 def test_word_sum_reproduces_matrix_traces(k, n):
     direct = trace_power(REF, k, 2 * n)
-    words = word_trace_sums(REF, k, n)[n - 1]
+    words = formula_sums(REF, k, n)[n - 1]
     assert abs(direct - words) < 1e-10
 
 
@@ -175,7 +183,7 @@ def test_word_sum_reproduces_matrix_traces(k, n):
 def test_word_sums_equal_enumerated_words(b, lam):
     pot = build_potential(b, lam)
     ks = np.random.default_rng(5).uniform(0.0, 100.0, 6)
-    sums = word_trace_sums(pot, ks, 12)
+    sums = formula_sums(pot, ks, 12)
     for n in range(1, 13):
         for i, k in enumerate(ks):
             assert abs(sums[n - 1, i] - enumerated_word_sum(pot, k, n)) < 1e-12
@@ -185,7 +193,7 @@ def test_word_sum_larger_powers():
     # every power up to the kernel's cap, at the most reflecting geometry
     pot = build_potential(0.7, 0.98)
     ks = np.random.default_rng(11).uniform(0.0, 100.0, 5)
-    sums = word_trace_sums(pot, ks, 32)
+    sums = formula_sums(pot, ks, 32)
     for i, k in enumerate(ks):
         for n in range(1, 33):
             assert abs(trace_power(pot, k, 2 * n) - sums[n - 1, i]) < 1e-10
@@ -193,22 +201,60 @@ def test_word_sum_larger_powers():
 
 def test_word_sums_take_scalar_or_array_k():
     ks = np.array([[0.5, 3.0], [7.5, 40.0]])
-    sums = word_trace_sums(REF, ks, 4)
+    sums = formula_sums(REF, ks, 4)
     assert sums.shape == (4, 2, 2)
-    assert word_trace_sums(REF, 7.5, 4).shape == (4,)
-    assert np.max(np.abs(word_trace_sums(REF, 7.5, 4) - sums[:, 1, 0])) < 1e-13
+    assert formula_sums(REF, 7.5, 4).shape == (4,)
+    assert np.max(np.abs(formula_sums(REF, 7.5, 4) - sums[:, 1, 0])) < 1e-13
+    assert trace_formula(REF, (), ks).shape == (0, 2, 2)
 
 
 def test_word_sum_rejects_bad_input():
-    with pytest.raises(ValueError, match=r"n_max must lie in \[1, 32\], got 0"):
-        word_trace_sums(REF, 1.0, 0)
-    with pytest.raises(ValueError, match=r"n_max must lie in \[1, 32\], got 33"):
-        word_trace_sums(REF, 1.0, 33)
-    chain = build_nstep([0.0, 0.5, 1.0], [0.0, 0.5])
-    with pytest.raises(TypeError):
-        word_trace_sums(chain, 1.0, 2)
+    # the classes are capped where the cyclic-word counts stop
+    with pytest.raises(ValueError, match=r"max_length must lie in \[1, 32\], got 0"):
+        formula_sums(REF, 1.0, 0)
+    with pytest.raises(ValueError, match=r"max_length must lie in \[1, 32\], got 33"):
+        formula_sums(REF, 1.0, 33)
+    with pytest.raises(ValueError, match=r"n_max must be >= 1, got 0"):
+        trace_powers(REF, 1.0, 0)
     with pytest.raises(ValueError):
         trace_power(REF, 1.0, 0)
+
+
+@pytest.mark.parametrize("breakpoints, lambdas", [
+    ([0.0, 1.0], [0.3]),
+    ([0.0, 0.7, 1.0], [0.0, 0.5]),
+    ([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75]),
+    ([0.0, 0.2, 0.45, 0.7, 1.0], [0.1, 0.9, 0.0, 0.6]),
+    ([0.0, 0.1, 0.3, 0.5, 0.8, 1.0], [0.0, 0.5, 0.2, 0.95, 0.4]),
+    ([0.0, 0.15, 0.3, 0.5, 0.6, 0.85, 1.0], [0.7, 0.0, 0.5, 0.3, 0.99, 0.1]),
+])
+def test_trace_powers_equal_matrix_powers(breakpoints, lambdas):
+    chain = build_nstep(breakpoints, lambdas)
+    ks = np.random.default_rng(len(lambdas)).uniform(0.0, 100.0, 4)
+    for pot in (chain, REF):
+        traces = trace_powers(pot, ks, 64)
+        assert traces.shape == (64, 4)
+        for i, k in enumerate(ks):
+            S = build_smatrix(pot, k)
+            direct = [np.trace(np.linalg.matrix_power(S, n)) for n in range(1, 65)]
+            assert np.max(np.abs(traces[:, i] - direct)) < 1e-11
+            scalar = trace_powers(pot, k, 64)
+            assert scalar.shape == (64,)
+            assert np.max(np.abs(scalar - traces[:, i])) < 1e-13
+
+
+def test_trace_powers_blocks_and_shapes():
+    # arrays spanning several blocks give the scalar results, in the shape of k
+    ks = np.random.default_rng(3).uniform(0.0, 50.0, _DET_BLOCK + 5)
+    traces = trace_powers(REF, ks, 3)
+    for i in (0, _DET_BLOCK - 1, _DET_BLOCK, _DET_BLOCK + 4):
+        assert np.max(np.abs(traces[:, i] - trace_powers(REF, ks[i], 3))) < 1e-15
+    assert trace_powers(REF, ks[:6].reshape(2, 3), 5).shape == (5, 2, 3)
+    # a 20-region chain's 40x40 matrices come 40 to a block, as many entries as the step's
+    chain = build_nstep(np.linspace(0.0, 1.0, 21), [0.05 * (i % 7) for i in range(20)])
+    assert [(b.start, b.stop) for b in _blocks(chain, 85)] == [(0, 40), (40, 80), (80, 120)]
+    traces = trace_powers(chain, ks[:85], 2)
+    assert np.all(traces == np.array([trace_powers(chain, k, 2) for k in ks[:85]]).T)
 
 
 def test_counting_function_free_well():
