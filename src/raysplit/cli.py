@@ -544,6 +544,8 @@ def fourier_cmd(ctx, **opts):
     if not 0 < opts["smin"] < opts["smax"] < math.inf:
         raise ValueError(f"need 0 < --smin < --smax < inf, got --smin {opts['smin']!r} "
                          f"and --smax {opts['smax']!r}")
+    if not 0 < opts["threshold"] < 1:
+        raise ValueError(f"--threshold must lie in (0, 1), got {opts['threshold']!r}")
     if opts["ds"] is not None and not 0 < opts["ds"] < math.inf:
         raise ValueError(f"ds must be finite and positive, got {opts['ds']!r}")
     if opts["ds"] is not None or not opts["roots_path"] and 0 < (opts["kmax"] or 0) < math.inf:
@@ -660,52 +662,40 @@ def identity_cmd(ctx, **opts):
     if opts["max_m"] is not None:
         combinatorics._check_m(opts["max_m"], combinatorics._MAX_M)
     ms = [opts["m_single"]] if opts["m_single"] is not None else list(range(1, opts["max_m"] + 1))
-    failures = []
-    records = []
+    results = []
     for m in ms:
         sums = combinatorics.binomial_sums(m)
         coeffs, poly_ok = combinatorics.sum_rule_polynomial(sums)
-        row_ok = all(s == math.comb(m, i) for i, s in enumerate(sums))
-        ok = poly_ok and row_ok
-        if not ok:
-            failures.append(m)
-        records.append((m, sums, coeffs, ok))
-    poisson_report = None
+        results.append({"M": m, "beta_sums": [str(s) for s in sums],
+                        "polynomial": [str(c) for c in coeffs],
+                        "ok": poly_ok and all(s == math.comb(m, i) for i, s in enumerate(sums))})
+    failures = [r["M"] for r in results if not r["ok"]]
+    payload = {"kind": "identity", "results": results}
     if opts["poisson_lam"] is not None:
-        poisson_report = combinatorics.poisson_special_case_check(opts["poisson_lam"])
-        if not poisson_report.ok:
+        rep = combinatorics.poisson_special_case_check(opts["poisson_lam"])
+        payload["poisson"] = {
+            "lambda": rep.lam, "b": rep.b, "max_root_deviation": rep.max_root_deviation,
+            "max_action_deviation": rep.max_action_deviation, "ok": rep.ok,
+        }
+        if not rep.ok:
             failures.append("poisson")
     if opts["fmt"] == "json":
-        payload = {
-            "kind": "identity",
-            "results": [
-                {"M": m, "beta_sums": [str(s) for s in sums],
-                 "polynomial": [str(c) for c in coeffs], "ok": ok}
-                for m, sums, coeffs, ok in records
-            ],
-        }
-        if poisson_report is not None:
-            payload["poisson"] = {
-                "lambda": poisson_report.lam, "b": poisson_report.b,
-                "max_root_deviation": poisson_report.max_root_deviation,
-                "max_action_deviation": poisson_report.max_action_deviation,
-                "ok": poisson_report.ok,
-            }
         _write(opts["out"], _json_text(payload))
     else:
         lines = []
-        for m, sums, coeffs, ok in records:
-            lines.append(f"M={m}")
-            lines.append("  beta sums: " + ", ".join(str(s) for s in sums))
-            lines.append("  binomial : " + ", ".join(str(math.comb(m, i)) for i in range(m + 1)))
-            lines.append("  P(x) coefficients: " + ", ".join(str(c) for c in coeffs))
-            lines.append(f"  {'PASS' if ok else 'FAIL'}")
-        if poisson_report is not None:
+        for r in results:
+            m = r["M"]
+            lines += [f"M={m}", "  beta sums: " + ", ".join(r["beta_sums"]),
+                      "  binomial : " + ", ".join(str(math.comb(m, i)) for i in range(m + 1)),
+                      "  P(x) coefficients: " + ", ".join(r["polynomial"]),
+                      f"  {'PASS' if r['ok'] else 'FAIL'}"]
+        if "poisson" in payload:
+            poisson = payload["poisson"]
             lines.append(
-                f"poisson lambda={_fmt(poisson_report.lam)} b={_fmt(poisson_report.b)} "
-                f"root_dev={_fmt(poisson_report.max_root_deviation)} "
-                f"action_dev={_fmt(poisson_report.max_action_deviation)} "
-                f"{'PASS' if poisson_report.ok else 'FAIL'}"
+                f"poisson lambda={_fmt(poisson['lambda'])} b={_fmt(poisson['b'])} "
+                f"root_dev={_fmt(poisson['max_root_deviation'])} "
+                f"action_dev={_fmt(poisson['max_action_deviation'])} "
+                f"{'PASS' if poisson['ok'] else 'FAIL'}"
             )
         _write_text(opts["out"], "\n".join(lines) + "\n")
     if failures:

@@ -9,13 +9,13 @@ summed against x^beta (1-x)^gamma the classes give the constant polynomial 1;
 restricted to fixed beta they give the binomial coefficient C(M, beta).  Both
 are verified here in exact rational arithmetic, never floating point.
 
-The verifiers never list the classes.  They read the cyclic-word kernel of
-raysplit.orbits, which counts the primitive necklaces of each length by their
-R count and transmission count (a transfer-matrix pass over the bits, then
-Moebius inversion over the divisors); a class is a primitive necklace
-repeated nu times, and its RR-pair parity follows from those two counts.  The
-cost is polynomial in M.  build_word_table still enumerates the necklaces one
-by one and is the oracle the counts are tested against.
+The verifiers never list the classes.  raysplit.orbits counts the primitive
+necklaces of each length by their R count and transmission count (a closed
+form for the cyclic words by runs, then Moebius inversion over the divisors);
+a class is a primitive necklace repeated nu times, and its RR-pair parity
+follows from those two counts.  The cost is polynomial in M.
+build_word_table still enumerates the necklaces one by one and is the oracle
+the counts are tested against.
 """
 
 from __future__ import annotations
@@ -106,17 +106,16 @@ def _signed_counts(m: int) -> dict[int, dict[int, int]]:
 
     Counts the classes without listing them: a class of length 2M and
     repetition nu is u^nu for a primitive necklace u of length p = 2M / nu,
-    counted by (n_r, tau2) by the kernel of raysplit.orbits.  It has
+    counted by (n_r, tau2) in closed form by raysplit.orbits.  It has
     tau2 = nu * tau2(u), beta = (2M - tau2) / 2 and alpha = nu * rr(u) mod 2,
     where rr(u) = n_r(u) - tau2(u) / 2.  A cell is present exactly when some
     class falls in it, even if its signed sum is zero.
     """
     n = 2 * m
-    words = _orbits._cyclic_word_counts(n)
     acc: dict[int, dict[int, int]] = {}
     for p in _orbits._divisors(n):
         nu = n // p
-        for (n_r, tau2), count in _orbits._primitive_necklace_counts(p, words).items():
+        for (n_r, tau2), count in _orbits._primitive_necklace_counts(p).items():
             by_nu = acc.setdefault((n - nu * tau2) // 2, {})
             sign = -1 if nu * _orbits._rr_pairs(n_r, tau2) % 2 else 1
             by_nu[nu] = by_nu.get(nu, 0) + sign * count

@@ -10,7 +10,7 @@ reflection off the step, adjacent unequal symbols a transmission through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Iterator
 
 from .model import ScaledStepPotential
@@ -229,52 +229,36 @@ def orbit_record(code: OrbitCode, pot: ScaledStepPotential) -> OrbitRecord:
     )
 
 
-def _cyclic_word_counts(max_length: int) -> list[dict[tuple[int, int], int]]:
-    """counts[n][(n_r, tau2)]: binary words of length n by R count and cyclic
-    unequal pairs, for n = 1..max_length (counts[0] is empty).
+def _word_count(n: int, n_r: int, tau2: int) -> int:
+    """Closed binary words of length n with n_r R's and tau2 cyclic unequal pairs.
 
-    A transfer-matrix pass over the bits carries the states
-    (last bit, n_r, tau2) of the open words that start with L, and closes the
-    cycle after n bits by counting last != L as one more unequal pair.  The
-    words that start with R are their complements (L <-> R), with n - n_r R's
-    and the same pairs.  One pass serves every length, O(max_length^3) in
-    all, instead of the 2^n of listing the words.
+    Such a word is j = tau2 / 2 runs of L and j runs of R in turn: cut the
+    n - n_r L's and the n_r R's into j runs each, pick one of n starts, and
+    every word comes j times, W = (n / j) C(n - n_r - 1, j - 1) C(n_r - 1, j - 1)
+    (run counting, Mood 1940).  With j = 0 only the two constant words remain.
     """
-    counts: list[dict[tuple[int, int], int]] = [{} for _ in range(max_length + 1)]
-    states = {(0, 0, 0): 1}
-    for n in range(1, max_length + 1):
-        closed = counts[n]
-        step: dict[tuple[int, int, int], int] = {}
-        for (last, n_r, tau2), words in states.items():
-            for key in ((n_r, tau2 + last), (n - n_r, tau2 + last)):
-                closed[key] = closed.get(key, 0) + words
-            for bit in (0, 1):
-                key = (bit, n_r + bit, tau2 + (last ^ bit))
-                step[key] = step.get(key, 0) + words
-        states = step
-    return counts
+    j = tau2 // 2
+    if j == 0:
+        return 1 if n_r in (0, n) else 0
+    return n * comb(n - n_r - 1, j - 1) * comb(n_r - 1, j - 1) // j
 
 
-def _primitive_necklace_counts(
-    p: int, words: list[dict[tuple[int, int], int]],
-) -> dict[tuple[int, int], int]:
-    """Primitive necklaces of length p by (n_r, tau2), from _cyclic_word_counts.
+def _primitive_necklace_counts(p: int) -> dict[tuple[int, int], int]:
+    """Primitive necklaces of length p by (n_r, tau2), keys in sorted order.
 
     A word u^q with u primitive of length p/q has q times the counts of u, so
     W(p; r, t) = sum over q | p of P(p/q; r/q, t/q), and Moebius inversion
-    gives P(p; r, t) = sum over q | p of mu(q) W(p/q; r/q, t/q).  The p
-    rotations of a primitive word are distinct, so P / p counts necklaces.
-    Keys come in sorted order.
+    gives P(p; r, t) = sum over q | gcd(p, r, t/2) of mu(q) W(p/q; r/q, t/q).
+    The p rotations of a primitive word are distinct, so P / p counts necklaces.
     """
     primitive: dict[tuple[int, int], int] = {}
-    for q in _divisors(p):
-        mu = _moebius(q)
-        if mu == 0:
-            continue
-        for (n_r, tau2), count in words[p // q].items():
-            key = (q * n_r, q * tau2)
-            primitive[key] = primitive.get(key, 0) + mu * count
-    return {key: count // p for key, count in sorted(primitive.items()) if count}
+    for n_r in range(p + 1):
+        for j in range(min(n_r, p - n_r) + 1):
+            count = sum(_moebius(q) * _word_count(p // q, n_r // q, 2 * j // q)
+                        for q in _divisors(gcd(p, n_r, j)))
+            if count:
+                primitive[n_r, 2 * j] = count // p
+    return primitive
 
 
 def _rr_pairs(n_r: int, tau2: int) -> int:
@@ -289,10 +273,9 @@ def orbit_classes(pot: ScaledStepPotential, max_length: int) -> tuple[OrbitClass
     applies: max_length 32 takes well under a second.
     """
     _check_length(max_length, "max_length")
-    words = _cyclic_word_counts(max_length)
     out = []
     for n in range(1, max_length + 1):
-        for (n_r, tau2), count in _primitive_necklace_counts(n, words).items():
+        for (n_r, tau2), count in _primitive_necklace_counts(n).items():
             n_l = n - n_r
             out.append(OrbitClass(
                 length=n, n_l=n_l, n_r=n_r, sigma=n - tau2, tau2=tau2,

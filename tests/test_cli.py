@@ -342,6 +342,11 @@ def test_trace_sums_orbits_past_the_table_cap(runner):
     (["graph-check", *STEP, "--roots", "100000000"], "roots must lie in [1, 4194304], got 100000000"),
     (["graph-check", *STEP, "--samples", "65537"], "samples must lie in [1, 65536], got 65537"),
     (["graph-check", *CHAIN3, "--nmax", "200"], "n_max must lie in [1, 32], got 200"),
+    # a peak threshold is checked before any root is found
+    (["fourier", *STEP, "--kmax", "100", "--threshold", "2"],
+     "--threshold must lie in (0, 1), got 2.0"),
+    (["fourier", *STEP, "--kmax", "100", "--threshold", "nan"],
+     "--threshold must lie in (0, 1), got nan"),
 ])
 def test_empty_or_meaningless_sizes_exit_three(runner, monkeypatch, args, message):
     def no_array(*args):

@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from raysplit import orbits
 from raysplit.combinatorics import (
     _signed_counts,
     binomial_sums,
@@ -15,13 +17,61 @@ from raysplit.combinatorics import (
 from raysplit.model import build_potential
 from raysplit.orbits import (
     OrbitCode,
-    _cyclic_word_counts,
+    _divisors,
+    _moebius,
     _primitive_necklace_counts,
+    _word_count,
     canonical_rotation,
     necklace_count,
+    orbit_classes,
     orbit_record,
     primitive_count,
 )
+
+
+def _cyclic_word_counts(max_length: int) -> list[dict[tuple[int, int], int]]:
+    """counts[n][(n_r, tau2)]: binary words of length n by R count and cyclic
+    unequal pairs, for n = 1..max_length (counts[0] is empty).
+
+    A transfer-matrix pass over the bits carries the states
+    (last bit, n_r, tau2) of the open words that start with L, and closes the
+    cycle after n bits by counting last != L as one more unequal pair.  The
+    words that start with R are their complements (L <-> R), with n - n_r R's
+    and the same pairs.  One pass serves every length, O(max_length^3) in
+    all, instead of the 2^n of listing the words.
+    """
+    counts: list[dict[tuple[int, int], int]] = [{} for _ in range(max_length + 1)]
+    states = {(0, 0, 0): 1}
+    for n in range(1, max_length + 1):
+        closed = counts[n]
+        step: dict[tuple[int, int, int], int] = {}
+        for (last, n_r, tau2), words in states.items():
+            for key in ((n_r, tau2 + last), (n - n_r, tau2 + last)):
+                closed[key] = closed.get(key, 0) + words
+            for bit in (0, 1):
+                key = (bit, n_r + bit, tau2 + (last ^ bit))
+                step[key] = step.get(key, 0) + words
+        states = step
+    return counts
+
+
+@cache
+def _dp_words() -> list[dict[tuple[int, int], int]]:
+    # every length that _signed_counts(64) reads
+    return _cyclic_word_counts(128)
+
+
+def _dp_primitive_necklace_counts(p: int) -> dict[tuple[int, int], int]:
+    """The Moebius inversion of _primitive_necklace_counts over the DP's cells."""
+    primitive: dict[tuple[int, int], int] = {}
+    for q in _divisors(p):
+        mu = _moebius(q)
+        if mu == 0:
+            continue
+        for (n_r, tau2), count in _dp_words()[p // q].items():
+            key = (q * n_r, q * tau2)
+            primitive[key] = primitive.get(key, 0) + mu * count
+    return {key: count // p for key, count in sorted(primitive.items()) if count}
 
 
 def test_half_length_one_classes():
@@ -136,14 +186,68 @@ def test_class_counts_match_enumerated_classes():
 
 
 def test_primitive_word_counts_give_primitive_necklaces():
-    # the kernel _signed_counts reads: every word once, then primitive necklaces
-    words = _cyclic_word_counts(32)
+    # the kernel _signed_counts and orbit_classes read
     for p in range(1, 33):
-        assert sum(words[p].values()) == 2 ** p
-        counts = _primitive_necklace_counts(p, words)
+        counts = _primitive_necklace_counts(p)
+        assert list(counts) == sorted(counts)
         assert all(necklaces > 0 for necklaces in counts.values())
         assert all(tau2 % 2 == 0 and tau2 <= 2 * min(n_r, p - n_r) for n_r, tau2 in counts)
         assert sum(counts.values()) == primitive_count(p)
+
+
+def _cells(n):
+    """Every (n_r, tau2) a word of length n could fall in: 0 <= tau2 / 2 <= min(n_r, n - n_r)."""
+    return [(b, 2 * j) for b in range(n + 1) for j in range(min(b, n - b) + 1)]
+
+
+def test_word_count_equals_the_word_count_dp():
+    for n in range(1, 129):
+        words = _dp_words()[n]
+        cells = _cells(n)
+        assert set(words) <= set(cells)
+        # a cell the DP lacks counts zero
+        assert {cell: _word_count(n, *cell) for cell in cells} == {
+            cell: words.get(cell, 0) for cell in cells}
+
+
+def test_word_counts_sum_to_every_word():
+    for n in range(1, 200):
+        assert sum(_word_count(n, *cell) for cell in _cells(n)) == 2 ** n
+
+
+def test_run_count_numerator_is_divisible_by_j():
+    # W = n C(n - b - 1, j - 1) C(b - 1, j - 1) / j is an integer without rounding
+    for n in range(2, 200):
+        for b in range(1, n):
+            for j in range(1, min(b, n - b) + 1):
+                assert n * math.comb(n - b - 1, j - 1) * math.comb(b - 1, j - 1) % j == 0
+
+
+def test_primitive_necklace_counts_equal_the_dp_inversion():
+    for p in range(1, 129):
+        assert list(_primitive_necklace_counts(p).items()) == list(
+            _dp_primitive_necklace_counts(p).items())
+
+
+@pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.7, 0.98), (0.25, 0.3)])
+def test_orbit_classes_equal_the_dp_built_classes(monkeypatch, b, lam):
+    pot = build_potential(b, lam)
+    closed = [orbit_classes(pot, max_length) for max_length in range(1, 33)]
+    monkeypatch.setattr(orbits, "_primitive_necklace_counts", _dp_primitive_necklace_counts)
+    assert closed == [orbit_classes(pot, max_length) for max_length in range(1, 33)]
+
+
+def test_signed_counts_equal_the_dp_built_counts(monkeypatch):
+    closed = [_signed_counts(m) for m in range(1, 65)]
+    monkeypatch.setattr(orbits, "_primitive_necklace_counts", _dp_primitive_necklace_counts)
+    dp = [_signed_counts(m) for m in range(1, 65)]
+    assert [list(acc.items()) for acc in closed] == [list(acc.items()) for acc in dp]
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_sum_rules_hold_at_the_documented_cap(m):
+    assert binomial_sums(m) == tuple(Fraction(math.comb(m, beta)) for beta in range(m + 1))
+    assert verify_sum_rule(m)[1]
 
 
 def test_m_range_validation():
