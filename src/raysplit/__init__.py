@@ -5,131 +5,44 @@ potential is a step scaling with the energy, maps the same system onto a
 directed-graph scattering matrix, reconstructs the level density from
 Newtonian and non-Newtonian periodic orbits, and verifies the exact
 combinatorial identities behind that reconstruction.
+
+The public names below are exported lazily (PEP 562): ``raysplit.find_roots``
+imports ``raysplit.spectrum`` on first use, so importing the package, or one
+layer of it, loads no other layer.
 """
 
-from .model import (
-    NStepPotential,
-    ScaledStepPotential,
-    build_nstep,
-    build_potential,
-    interface_coefficients,
-)
-from .spectrum import (
-    CompletenessError,
-    CompletenessReport,
-    SpectrumResult,
-    find_roots,
-    matching_determinant,
-    secular,
-    weyl_count,
-)
-from .orbits import (
-    OrbitClass,
-    OrbitCode,
-    OrbitRecord,
-    action_spectrum,
-    amplitude,
-    canonical_rotation,
-    classes_of,
-    enumerate_necklaces,
-    enumerate_primitive,
-    necklace_count,
-    orbit_classes,
-    orbit_record,
-    primitive_count,
-)
-from .graph import (
-    build_smatrix,
-    counting_function,
-    det_one_minus_s,
-    trace_power,
-    trace_powers,
-)
-from .trace import (
-    DensityProfile,
-    cycle_expansion,
-    evaluate_cycle_terms,
-    newtonian_prediction,
-    rho_resummed,
-    rho_trace,
-    trace_formula,
-    zeta,
-)
-from .analysis import (
-    FourierProfile,
-    PeakMatchReport,
-    default_s_spacing,
-    default_tolerance,
-    detect_peaks,
-    fourier_transform,
-    match_peaks,
-)
-from .combinatorics import (
-    PoissonCaseReport,
-    WordClass,
-    WordClassTable,
-    binomial_sums,
-    build_word_table,
-    poisson_special_case_check,
-    sum_rule_polynomial,
-    verify_sum_rule,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NStepPotential",
-    "ScaledStepPotential",
-    "build_nstep",
-    "build_potential",
-    "interface_coefficients",
-    "CompletenessError",
-    "CompletenessReport",
-    "SpectrumResult",
-    "find_roots",
-    "matching_determinant",
-    "secular",
-    "weyl_count",
-    "OrbitClass",
-    "OrbitCode",
-    "OrbitRecord",
-    "action_spectrum",
-    "amplitude",
-    "canonical_rotation",
-    "classes_of",
-    "enumerate_necklaces",
-    "enumerate_primitive",
-    "necklace_count",
-    "orbit_classes",
-    "orbit_record",
-    "primitive_count",
-    "build_smatrix",
-    "counting_function",
-    "det_one_minus_s",
-    "trace_power",
-    "trace_powers",
-    "DensityProfile",
-    "cycle_expansion",
-    "evaluate_cycle_terms",
-    "newtonian_prediction",
-    "rho_resummed",
-    "rho_trace",
-    "trace_formula",
-    "zeta",
-    "FourierProfile",
-    "PeakMatchReport",
-    "default_s_spacing",
-    "default_tolerance",
-    "detect_peaks",
-    "fourier_transform",
-    "match_peaks",
-    "PoissonCaseReport",
-    "WordClass",
-    "WordClassTable",
-    "binomial_sums",
-    "build_word_table",
-    "poisson_special_case_check",
-    "sum_rule_polynomial",
-    "verify_sum_rule",
-    "__version__",
-]
+_EXPORTS = {
+    "model": ("NStepPotential", "ScaledStepPotential", "build_nstep", "build_potential",
+              "interface_coefficients"),
+    "spectrum": ("CompletenessError", "CompletenessReport", "SpectrumResult", "find_roots",
+                 "matching_determinant", "secular", "weyl_count"),
+    "orbits": ("OrbitClass", "OrbitCode", "OrbitRecord", "action_spectrum", "amplitude",
+               "canonical_rotation", "classes_of", "enumerate_necklaces", "enumerate_primitive",
+               "necklace_count", "orbit_classes", "orbit_record", "primitive_count"),
+    "graph": ("build_smatrix", "counting_function", "det_one_minus_s", "trace_power",
+              "trace_powers"),
+    "trace": ("DensityProfile", "cycle_expansion", "evaluate_cycle_terms",
+              "newtonian_prediction", "rho_resummed", "rho_trace", "trace_formula", "zeta"),
+    "analysis": ("FourierProfile", "PeakMatchReport", "default_s_spacing", "default_tolerance",
+                 "detect_peaks", "fourier_transform", "match_peaks"),
+    "combinatorics": ("PoissonCaseReport", "WordClass", "WordClassTable", "binomial_sums",
+                      "build_word_table", "poisson_special_case_check", "sum_rule_polynomial",
+                      "verify_sum_rule"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

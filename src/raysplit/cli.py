@@ -10,6 +10,9 @@ are written to their files block by block as they are formatted, so no
 whole text or per-row object list is held: a table's memory is its columns.
 On Linux with 2 or more CPUs, a table of 4 blocks or more is formatted by two
 processes, a forked helper taking every other block, into the same bytes.
+Each subcommand imports the layers it runs in its own body, so importing this
+module loads neither numpy nor any layer; `orbits`, and `identity` without
+--poisson, run without numpy.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ import sys
 from functools import wraps
 
 import click
-import numpy as np
 
-from . import __version__, analysis, combinatorics, graph, orbits, spectrum, trace
-from .model import ScaledStepPotential, build_nstep, build_potential
+from . import __version__
+from .model import ContractFailure, ScaledStepPotential, build_nstep, build_potential
 
 SCHEMA_VERSION = 1
 
@@ -38,10 +40,6 @@ _HELPER_BLOCKS = 4   # blocks from which a table is formatted by two processes
 _MAX_POINTS = 2 ** 22   # points of a trace grid or comb, actions of a fourier grid, or levels
 _MAX_SAMPLES = 2 ** 16   # graph-check wavenumbers: 65 traces of each take about 68 MB
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-class ContractFailure(RuntimeError):
-    """A requested verification did not hold."""
 
 
 def _fmt(x: float) -> str:
@@ -67,7 +65,7 @@ def _guard(fn):
         except OSError as exc:
             click.echo(_error_json("io-failure", str(exc)), err=True)
             sys.exit(EXIT_IO)
-        except (ContractFailure, spectrum.CompletenessError) as exc:
+        except ContractFailure as exc:
             click.echo(_error_json("contract-violation", str(exc)), err=True)
             sys.exit(EXIT_CONTRACT)
 
@@ -116,8 +114,14 @@ def _write_text(path: str, text: str) -> None:
     _write(path, (text,))
 
 
+def _is_array(value) -> bool:
+    """Whether value is a numpy array; while numpy is not loaded, nothing is one."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
 def _tolist(column) -> list:
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+    return column.tolist() if _is_array(column) else list(column)
 
 
 def _cpus() -> int:
@@ -214,7 +218,7 @@ def _template(row: str, sep: str = "", encode=list):
 
 def _csv_rows(columns: list) -> _Rows:
     """The CSV row lines of the columns: a column of floats in 15 digits, any other by str."""
-    floats = [col.dtype.kind == "f" if isinstance(col, np.ndarray)
+    floats = [col.dtype.kind == "f" if _is_array(col)
               else all(isinstance(v, float) for v in col) for col in columns]
     return _Rows(columns, _template(",".join("%.15g" if f else "%s" for f in floats) + "\n"))
 
@@ -251,7 +255,7 @@ def _json_text(payload: dict):
                 json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "\n    }"
             block = _template(record, sep, lambda col: _json_items(col, "\n").split("\n"))
             rows = _Rows([value[k] for k in keys], block, sep)
-        elif isinstance(value, np.ndarray) or (
+        elif _is_array(value) or (
                 type(value) is list and set(map(type, value)) <= _JSON_SCALARS):
             rows = _Rows([value], lambda cells: _json_items(cells[0], sep), sep)
         else:
@@ -361,12 +365,14 @@ def main() -> None:
 @_guard
 def spectrum_cmd(ctx, **opts):
     """Compute all roots up to --kmax with a completeness report."""
+    from . import spectrum
+
     opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
     _check_levels(pot, opts["kmax"])
     result = spectrum.find_roots(pot, opts["kmax"])
     roots = result.roots
-    residuals = np.abs(spectrum.secular_function(pot)(roots))
+    residuals = abs(spectrum.secular_function(pot)(roots))
     rep = result.completeness
     columns = {"n": range(1, len(roots) + 1), "k": roots, "E": roots * roots, "residual": residuals}
     completeness = {
@@ -387,6 +393,8 @@ def spectrum_cmd(ctx, **opts):
 
 def _sized_records(pot: ScaledStepPotential, max_length: int | None, count: int | None):
     """Primitive orbit records in (length, action, word) order, truncated."""
+    from . import orbits
+
     if count is not None:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count!r}")
@@ -448,6 +456,10 @@ def orbits_cmd(ctx, **opts):
 @_guard
 def trace_cmd(ctx, **opts):
     """Reconstruct the level density from periodic orbits on a k grid."""
+    import numpy as np
+
+    from . import orbits, trace
+
     opts = _apply_config(ctx, opts)
     if opts["b"] is None or opts["lam"] is None:
         raise ValueError("--b and --lambda are required")
@@ -481,7 +493,10 @@ def trace_cmd(ctx, **opts):
         }))
 
 
-def _read_roots_csv(path: str) -> np.ndarray:
+def _read_roots_csv(path: str):
+    """The 'k' column of a roots CSV as a float array."""
+    import numpy as np
+
     ks = []
     with open(path, "r", encoding="utf-8") as fh:
         idx = None
@@ -512,6 +527,8 @@ def _read_roots_csv(path: str) -> np.ndarray:
 
 def _action_step(opts: dict, k_top: float) -> float:
     """--ds, or pi / (4 k_top); ValueError when --smin to --smax then takes over _MAX_POINTS."""
+    from . import analysis
+
     ds = opts["ds"] if opts["ds"] is not None else analysis.default_s_spacing(k_top)
     if (opts["smax"] - opts["smin"]) / ds >= _MAX_POINTS:
         raise ValueError(f"--smin {opts['smin']!r} to --smax {opts['smax']!r} in steps of {ds!r} "
@@ -540,6 +557,10 @@ def _action_step(opts: dict, k_top: float) -> float:
 @_guard
 def fourier_cmd(ctx, **opts):
     """Transform the level sequence and match |F(s)| peaks to orbit actions."""
+    import numpy as np
+
+    from . import analysis, orbits, spectrum
+
     opts = _apply_config(ctx, opts)
     if not 0 < opts["smin"] < opts["smax"] < math.inf:
         raise ValueError(f"need 0 < --smin < --smax < inf, got --smin {opts['smin']!r} "
@@ -603,6 +624,10 @@ def fourier_cmd(ctx, **opts):
 @_guard
 def graph_check_cmd(ctx, **opts):
     """Verify unitarity, odd traces, the trace formula and quantization; report in JSON."""
+    import numpy as np
+
+    from . import graph, orbits, spectrum, trace
+
     opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
     if not 0 < opts["kmax"] < math.inf:
@@ -656,6 +681,8 @@ def graph_check_cmd(ctx, **opts):
 @_guard
 def identity_cmd(ctx, **opts):
     """Verify the exact cyclic-word sum rules in rational arithmetic."""
+    from . import combinatorics
+
     opts = _apply_config(ctx, opts)
     if _exclusive(opts, "m_single", "--m", "max_m", "--max-m") is None:
         raise ValueError("one of --m or --max-m is required")

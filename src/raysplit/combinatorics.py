@@ -24,10 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from . import orbits as _orbits
-from . import spectrum as _spectrum
 from .model import ScaledStepPotential, build_potential
 
 __all__ = [
@@ -181,13 +178,17 @@ class PoissonCaseReport:
 
 def poisson_special_case_check(lam: float) -> PoissonCaseReport:
     """Verify the equal-weight geometry end to end for a given lam in (0, 1)."""
+    import numpy as np
+
+    from . import spectrum
+
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
     beta = float(np.sqrt(1.0 - lam))
     b = beta / (1.0 + beta)
     pot = build_potential(b, lam)
     comb_spacing = np.pi / (2.0 * b)
-    result = _spectrum.find_roots(pot, (_POISSON_ROOTS + 0.5) * comb_spacing)
+    result = spectrum.find_roots(pot, (_POISSON_ROOTS + 0.5) * comb_spacing)
     roots = result.roots[:_POISSON_ROOTS]
     expected = comb_spacing * np.arange(1, len(roots) + 1)
     root_dev = float(np.max(np.abs(roots - expected))) if len(roots) else np.inf

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+class ContractFailure(RuntimeError):
+    """A requested verification did not hold (the CLI's exit code 1)."""
+
+
 @dataclass(frozen=True)
 class ScaledStepPotential:
     """Single scaled step at x = b with strength lam.

@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import NStepPotential, ScaledStepPotential, interface_coefficients
+from .model import ContractFailure, NStepPotential, ScaledStepPotential, interface_coefficients
 
 __all__ = [
     "CompletenessError",
@@ -57,7 +57,7 @@ _POLISH_ULP = 4
 _CERTIFICATE_ULP = 4
 
 
-class CompletenessError(RuntimeError):
+class CompletenessError(ContractFailure):
     """Raised when the returned roots break the Sturm-Pruefer certificate.
 
     That is, when they are not strictly increasing or their staircase leaves

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from raysplit import cli
+from raysplit import analysis, cli, graph, orbits, spectrum
 from raysplit.cli import main
 
 STEP = ["--b", "0.7", "--lambda", "0.5"]
@@ -352,8 +352,8 @@ def test_empty_or_meaningless_sizes_exit_three(runner, monkeypatch, args, messag
     def no_array(*args):
         raise AssertionError("a count sized an array before it was checked")
 
-    monkeypatch.setattr(cli.spectrum, "find_roots", no_array)
-    monkeypatch.setattr(cli.graph, "build_smatrix", no_array)
+    monkeypatch.setattr(spectrum, "find_roots", no_array)
+    monkeypatch.setattr(graph, "build_smatrix", no_array)
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert res.stdout == ""
@@ -418,7 +418,7 @@ def test_graph_check_caps_word_powers_before_any_matrix(runner, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("S(k) was built")
 
-    monkeypatch.setattr(cli.graph, "build_smatrix", no_matrix)
+    monkeypatch.setattr(graph, "build_smatrix", no_matrix)
     res = runner.invoke(main, ["graph-check", *STEP, "--nmax", "33"])
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"]["message"] == "n_max must lie in [1, 32], got 33"
@@ -449,6 +449,31 @@ def test_graph_check_never_loads_numpy_random(tmp_path):
         assert res.stdout == "False\n"
         checks = json.loads((tmp_path / "check.json").read_text())["checks"]
         assert all(entry["ok"] for entry in checks.values())
+
+
+def modules_after(tmp_path, args):
+    """The layers of raysplit, and numpy, loaded by a fresh interpreter
+    importing raysplit.cli and, for nonempty args, running that command."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\nfrom raysplit.cli import main\n"
+            "if sys.argv[1:]:\n    main(sys.argv[1:], standalone_mode=False)\n"
+            "print(' '.join(sorted(sys.modules)))")
+    argv = [*args, "--out", str(tmp_path / "out")] if args else []
+    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    return {name.removeprefix("raysplit.") for name in res.stdout.split()
+            if name == "numpy" or name.startswith("raysplit.")}
+
+
+@pytest.mark.parametrize("args, loaded", [
+    ([], {"cli", "model"}),
+    (["orbits", *STEP, "--max-length", "8"], {"cli", "model", "orbits"}),
+    (["identity", "--max-m", "4"], {"cli", "model", "orbits", "combinatorics"}),
+    (["spectrum", *STEP], {"cli", "model", "spectrum", "numpy"}),
+], ids=["import", "orbits", "identity", "spectrum"])
+def test_each_command_loads_only_its_layers(tmp_path, args, loaded):
+    assert modules_after(tmp_path, args) == loaded
 
 
 def test_level_bound_is_the_weyl_estimate():
@@ -526,7 +551,7 @@ def test_fourier_rejects_a_bad_action_window_before_any_root(runner, monkeypatch
     def no_roots(*args):
         raise AssertionError("roots were found")
 
-    monkeypatch.setattr(cli.spectrum, "find_roots", no_roots)
+    monkeypatch.setattr(spectrum, "find_roots", no_roots)
     res = runner.invoke(main, ["fourier", *STEP, "--kmax", "100", "--smin", smin, "--smax", smax])
     assert res.exit_code == 3
     message = json.loads(res.stderr)["error"]["message"]
@@ -695,8 +720,8 @@ def test_oversized_grids_exit_three_before_any_work(runner, monkeypatch, args, m
     def no_work(*args):
         raise AssertionError("work began")
 
-    monkeypatch.setattr(cli.spectrum, "find_roots", no_work)
-    monkeypatch.setattr(cli.orbits, "orbit_classes", no_work)
+    monkeypatch.setattr(spectrum, "find_roots", no_work)
+    monkeypatch.setattr(orbits, "orbit_classes", no_work)
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"] == {"type": "invalid-parameter", "message": message}
@@ -806,13 +831,13 @@ def test_json_floats_read_back_bit_for_bit(runner):
     pot = cli.build_potential(0.7, 0.5)
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "300", "--format", "json"])
     ks = np.array([rec["k"] for rec in json.loads(res.stdout)["roots"]])
-    assert np.array_equal(ks, cli.spectrum.find_roots(pot, 300.0).roots)
+    assert np.array_equal(ks, spectrum.find_roots(pot, 300.0).roots)
     res = runner.invoke(main, ["fourier", *STEP, "--kmax", "300", "--format", "json"])
     doc = json.loads(res.stdout)
-    roots = cli.spectrum.find_roots(pot, 300.0).roots
-    s_grid = np.arange(0.2, 10.0 + cli.analysis.default_s_spacing(roots.max()),
-                       cli.analysis.default_s_spacing(roots.max()))
-    profile = cli.analysis.fourier_transform(roots, s_grid)
+    roots = spectrum.find_roots(pot, 300.0).roots
+    s_grid = np.arange(0.2, 10.0 + analysis.default_s_spacing(roots.max()),
+                       analysis.default_s_spacing(roots.max()))
+    profile = analysis.fourier_transform(roots, s_grid)
     assert np.array_equal(doc["s"], profile.s_grid)
     assert np.array_equal(doc["absF"], profile.magnitude)
 
