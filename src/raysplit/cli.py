@@ -8,6 +8,9 @@ and floats in 15 significant digits; JSON carries schema_version, and its
 floats are the shortest repr that reads back to the same float.  Artifacts
 are written to their files block by block as they are formatted, so no
 whole text or per-row object list is held: a table's memory is its columns.
+A table of one block (4,096 rows) or more that holds a numpy column is
+formatted by numpy (raysplit._text) into the same bytes; tables of plain
+lists, shorter tables and any other value go through Python's % and json.
 On Linux with 2 or more CPUs, a table of 4 blocks or more is formatted by two
 processes, a forked helper taking every other block, into the same bytes.
 Each subcommand imports the layers it runs in its own body, so importing this
@@ -145,7 +148,7 @@ def _receive(pipe) -> str | None:
 class _Rows:
     """Rows of equal-length columns (numpy arrays or sequences), formatted as they are iterated.
 
-    Every _BLOCK rows become one piece of text, block(cells), cells a list per column.
+    Every _BLOCK rows become one piece of text, block(cells), cells a slice per column.
     A table of _HELPER_BLOCKS blocks or more, on two or more CPUs, is split
     with one forked helper that formats the odd-numbered blocks into a pipe
     while this process formats the even ones; the pieces come out in order
@@ -160,8 +163,7 @@ class _Rows:
         return len(self.columns[0]) if self.columns else 0
 
     def _piece(self, i: int) -> str:
-        cells = [_tolist(col[i:i + _BLOCK]) for col in self.columns]
-        return (self.sep if i else "") + self.block(cells)
+        return (self.sep if i else "") + self.block([col[i:i + _BLOCK] for col in self.columns])
 
     def __iter__(self):
         starts = range(0, len(self), _BLOCK)
@@ -206,21 +208,33 @@ class _Rows:
             os._exit(status)
 
 
-def _template(row: str, sep: str = "", encode=list):
-    """The block that fills the %-template row, once per row, with each column's encoded cells."""
+def _template(row: str, sep: str = "", as_json: bool = False):
+    """The block that fills the %-template row, once per row, with each column's cells,
+    a %s cell by str, or as JSON as_json."""
     def block(columns: list) -> str:
         cells = [None] * (len(columns[0]) * len(columns))
         for j, col in enumerate(columns):
-            cells[j::len(columns)] = encode(col)
+            cells[j::len(columns)] = (_json_items(_tolist(col), "\n").split("\n") if as_json
+                                      else _tolist(col))
         return sep.join([row] * len(columns[0])) % tuple(cells)
     return block
+
+
+def _block(columns: list, row: str, sep: str = "", as_json: bool = False):
+    """_template's block, or numpy's for a table of _BLOCK rows or more holding an array:
+    the same text, without a Python object per cell."""
+    if not any(map(_is_array, columns)) or len(columns[0]) < _BLOCK:
+        return _template(row, sep, as_json)
+    from . import _text
+
+    return _text.block(row, sep, as_json)
 
 
 def _csv_rows(columns: list) -> _Rows:
     """The CSV row lines of the columns: a column of floats in 15 digits, any other by str."""
     floats = [col.dtype.kind == "f" if _is_array(col)
               else all(isinstance(v, float) for v in col) for col in columns]
-    return _Rows(columns, _template(",".join("%.15g" if f else "%s" for f in floats) + "\n"))
+    return _Rows(columns, _block(columns, ",".join("%.15g" if f else "%s" for f in floats) + "\n"))
 
 
 def _csv_text(kind: str, header: list[str], rows: _Rows, trailer: list[str] = ()):
@@ -253,11 +267,11 @@ def _json_text(payload: dict):
             keys = sorted(value)
             record = "{\n      " + ",\n      ".join(
                 json.dumps(k).replace("%", "%%") + ": %s" for k in keys) + "\n    }"
-            block = _template(record, sep, lambda col: _json_items(col, "\n").split("\n"))
-            rows = _Rows([value[k] for k in keys], block, sep)
+            columns = [value[k] for k in keys]
+            rows = _Rows(columns, _block(columns, record, sep, as_json=True), sep)
         elif _is_array(value) or (
                 type(value) is list and set(map(type, value)) <= _JSON_SCALARS):
-            rows = _Rows([value], lambda cells: _json_items(cells[0], sep), sep)
+            rows = _Rows([value], _block([value], "%s", sep, as_json=True), sep)
         else:
             yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
             continue
@@ -484,7 +498,7 @@ def trace_cmd(ctx, **opts):
         peaks = k_grid[1:-1][(vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])]
         comb = trace.newtonian_prediction(pot, teeth)
         comb = comb[(comb >= opts["kmin"]) & (comb <= opts["kmax"])]
-        nearest = [float(np.min(np.abs(comb - p))) if len(comb) else math.inf for p in peaks]
+        nearest = [float(np.min(np.abs(comb - p))) if len(comb) else None for p in peaks]
         _write(opts["report"], _json_text({
             "kind": "trace-peaks",
             "density_maxima": peaks,

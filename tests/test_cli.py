@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from raysplit import analysis, cli, graph, orbits, spectrum
+from raysplit import _text, analysis, cli, graph, orbits, spectrum
 from raysplit.cli import main
 
 STEP = ["--b", "0.7", "--lambda", "0.5"]
@@ -304,6 +304,21 @@ def test_trace_artifacts(runner, tmp_path):
     assert len(payload["maxima_to_comb_distance"]) == len(payload["density_maxima"])
 
 
+def test_trace_report_without_comb_teeth_is_valid_json(runner, tmp_path):
+    # no tooth of the comb lies in [kmin, kmax]: each distance is null, as RFC 8259 allows
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rep = tmp_path / "r.json"
+    res = runner.invoke(main, ["trace", *STEP, "--kmin", "1", "--kmax", "1.4", "--points", "50",
+                               "--report", str(rep)])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(rep.read_text(), parse_constant=no_constants)
+    assert payload["newtonian_comb"] == []
+    assert payload["density_maxima"]
+    assert payload["maxima_to_comb_distance"] == [None] * len(payload["density_maxima"])
+
+
 def test_trace_sums_orbits_past_the_table_cap(runner):
     res = runner.invoke(main, ["trace", *STEP, "--max-length", "24", "--resummed",
                                "--points", "50", "--format", "json"])
@@ -471,7 +486,10 @@ def modules_after(tmp_path, args):
     (["orbits", *STEP, "--max-length", "8"], {"cli", "model", "orbits"}),
     (["identity", "--max-m", "4"], {"cli", "model", "orbits", "combinatorics"}),
     (["spectrum", *STEP], {"cli", "model", "spectrum", "numpy"}),
-], ids=["import", "orbits", "identity", "spectrum"])
+    # a table of one block or more is formatted by numpy
+    (["spectrum", *STEP, "--kmax", "15000"], {"cli", "model", "spectrum", "numpy", "_text"}),
+    (["trace", *STEP], {"cli", "model", "orbits", "trace", "numpy"}),
+], ids=["import", "orbits", "identity", "spectrum", "spectrum-blocks", "trace"])
 def test_each_command_loads_only_its_layers(tmp_path, args, loaded):
     assert modules_after(tmp_path, args) == loaded
 
@@ -582,6 +600,9 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     columns = {
         "n": range(1, 11), "k": rng.uniform(0.0, 1e6, 10), "code": [f"w{i}" for i in range(10)],
         "m": np.arange(10), "x": [float(v) for v in rng.normal(size=10)], "ok": rng.normal(size=10) > 0,
+        # residual-sized, energies up to 1e12, negatives and non-finite values
+        "r": rng.uniform(0.0, 1e-17, 10), "E": rng.uniform(0.0, 1e12, 10),
+        "y": np.array([-1.5, -0.0, 0.0, 1e-5, -1e15, 1e16, np.nan, np.inf, -np.inf, 0.1]),
     }
     expected = "".join(
         ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) + "\n"
@@ -592,7 +613,7 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
         out = tmp_path / "t.csv"
         cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
         text = out.read_text()
-        assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok\n" + expected + "# note=1\n"
+        assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
         assert len(helpers) == (cpus == 2 and block < 4)
 
 
@@ -601,29 +622,32 @@ def test_json_and_writes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, 
     payload = {"kind": "blocks", "x": [i / 7 for i in range(10)], "names": ["é", "λ"] * 5,
                "rows": [{"i": i, "x": i / 3, "s": f"%s{i}", "ok": i % 2 == 0} for i in range(10)],
                "records": cli._Records({"k": np.arange(10) / 3, "n": range(10),
-                                        "s": [f"%s{i}é" for i in range(10)]})}
+                                        "s": [f"%s{i}é" for i in range(10)],
+                                        "r": np.linspace(-1e-17, 1e-17, 10),
+                                        "E": np.geomspace(1.0, 1e12, 10)}),
+               "y": np.array([-1.5, -0.0, 0.0, 1e-5, -1e15, 1e16, np.nan, np.inf, -np.inf, 0.1])}
     monkeypatch.setattr(cli, "_BLOCK", block)
     for cpus in (1, 2):
-        # the array x, the list names and the records each fork a helper from 4 blocks on
+        # the lists x and names, the records and the array y each fork a helper from 4 blocks on
         helpers = offer_cpus(monkeypatch, cpus)
         text = json_text(payload)
         assert text == dumps_oracle(payload)
-        assert len(helpers) == (3 if cpus == 2 and block < 4 else 0)
+        assert len(helpers) == (4 if cpus == 2 and block < 4 else 0)
         cli._write_text(str(tmp_path / "t.json"), text)
         assert (tmp_path / "t.json").read_bytes() == text.encode("utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failing_helper_leaves_the_artifact_whole(runner, monkeypatch, fmt):
-    # the block function raises in the helper from its second block on; this process
+    # numpy's block function raises in the helper from its second block on; this process
     # formats what the pipe did not deliver, and the command still exits 0
     args = ["spectrum", *STEP, "--kmax", "300", "--format", fmt]
     offer_cpus(monkeypatch, 1)
     expected = runner.invoke(main, args).stdout
-    parent, template = os.getpid(), cli._template
+    parent, numpy_block = os.getpid(), _text.block
 
-    def failing_template(*args, **kwargs):
-        block, calls = template(*args, **kwargs), []
+    def failing_numpy_block(*args, **kwargs):
+        block, calls = numpy_block(*args, **kwargs), []
 
         def failing(columns):
             calls.append(1)
@@ -632,7 +656,7 @@ def test_a_failing_helper_leaves_the_artifact_whole(runner, monkeypatch, fmt):
             return block(columns)
         return failing
 
-    monkeypatch.setattr(cli, "_template", failing_template)
+    monkeypatch.setattr(_text, "block", failing_numpy_block)
     monkeypatch.setattr(cli, "_BLOCK", 8)
     helpers = offer_cpus(monkeypatch, 2)
     res = runner.invoke(main, args)
