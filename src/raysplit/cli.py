@@ -11,8 +11,6 @@ whole text or per-row object list is held: a table's memory is its columns.
 A table of one block (4,096 rows) or more that holds a numpy column is
 formatted by numpy (raysplit._text) into the same bytes; tables of plain
 lists, shorter tables and any other value go through Python's % and json.
-On Linux with 2 or more CPUs, a table of 4 blocks or more is formatted by two
-processes, a forked helper taking every other block, into the same bytes.
 Each subcommand imports the layers it runs in its own body, so importing this
 module loads neither numpy nor any layer; `orbits`, and `identity` without
 --poisson, run without numpy.
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import sys
 from functools import wraps
@@ -39,7 +36,6 @@ EXIT_RANGE = 3
 EXIT_IO = 4
 
 _BLOCK = 4096   # rows or list items formatted per block, each block one write
-_HELPER_BLOCKS = 4   # blocks from which a table is formatted by two processes
 _MAX_POINTS = 2 ** 22   # points of a trace grid or comb, actions of a fourier grid, or levels
 _MAX_SAMPLES = 2 ** 16   # graph-check wavenumbers: 65 traces of each take about 68 MB
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -127,33 +123,10 @@ def _tolist(column) -> list:
     return column.tolist() if _is_array(column) else list(column)
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or cannot tell."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _receive(pipe) -> str | None:
-    """The next length-prefixed piece on the helper's pipe, None once the pipe has ended."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size)
-        if len(data) == size:
-            return data.decode()
-    return None
-
-
 class _Rows:
     """Rows of equal-length columns (numpy arrays or sequences), formatted as they are iterated.
 
     Every _BLOCK rows become one piece of text, block(cells), cells a slice per column.
-    A table of _HELPER_BLOCKS blocks or more, on two or more CPUs, is split
-    with one forked helper that formats the odd-numbered blocks into a pipe
-    while this process formats the even ones; the pieces come out in order
-    and are the same text.  A block the helper did not deliver (it crashed or
-    was killed) is formatted here.
     """
 
     def __init__(self, columns: list, block, sep: str = "") -> None:
@@ -166,46 +139,7 @@ class _Rows:
         return (self.sep if i else "") + self.block([col[i:i + _BLOCK] for col in self.columns])
 
     def __iter__(self):
-        starts = range(0, len(self), _BLOCK)
-        pid = None
-        if len(starts) >= _HELPER_BLOCKS and _cpus() >= 2:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:   # no process to spare: every block is formatted here
-                os.close(read_fd)
-                os.close(write_fd)
-        if pid is None:
-            yield from map(self._piece, starts)
-            return
-        if pid == 0:
-            self._help(starts[1::2], read_fd, write_fd)
-        os.close(write_fd)
-        try:
-            # the read end closes first, so a helper still writing exits on EPIPE
-            with os.fdopen(read_fd, "rb") as pipe:
-                for n, i in enumerate(starts):
-                    piece = _receive(pipe) if n % 2 else None
-                    yield self._piece(i) if piece is None else piece
-        finally:
-            os.waitpid(pid, 0)
-
-    def _help(self, starts, read_fd: int, write_fd: int) -> None:
-        """The helper: the pieces at starts into the pipe, length-prefixed, then os._exit.
-
-        It never returns into its caller and never flushes inherited stdio.
-        """
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                for i in starts:
-                    data = self._piece(i).encode()
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
+        return map(self._piece, range(0, len(self), _BLOCK))
 
 
 def _template(row: str, sep: str = "", as_json: bool = False):
@@ -583,6 +517,8 @@ def fourier_cmd(ctx, **opts):
         raise ValueError(f"--threshold must lie in (0, 1), got {opts['threshold']!r}")
     if opts["ds"] is not None and not 0 < opts["ds"] < math.inf:
         raise ValueError(f"ds must be finite and positive, got {opts['ds']!r}")
+    if opts["report"] and (opts["b"] is None or opts["lam"] is None):
+        raise ValueError("--report needs --b and --lambda for the candidate actions")
     if opts["ds"] is not None or not opts["roots_path"] and 0 < (opts["kmax"] or 0) < math.inf:
         _action_step(opts, opts["kmax"])   # before any root: k_top <= --kmax
     pot = classes = None
@@ -602,16 +538,12 @@ def fourier_cmd(ctx, **opts):
     ds = _action_step(opts, k_top)
     s_grid = np.arange(opts["smin"], opts["smax"] + ds, ds)
     profile = analysis.fourier_transform(roots, s_grid)
-    peaks = analysis.detect_peaks(profile, opts["threshold"])
-    tol = analysis.default_tolerance(k_top)
-    report = None
-    if classes is not None:
-        report = analysis.match_peaks(peaks, orbits.action_spectrum(classes, opts["smax"] + tol), tol)
     _write_table(opts, "fourier", {"s": profile.s_grid, "absF": profile.magnitude},
                  meta={"j_roots": profile.j_roots, "k_max": profile.k_max})
     if opts["report"]:
-        if report is None:
-            raise ValueError("--report needs --b and --lambda for the candidate actions")
+        peaks = analysis.detect_peaks(profile, opts["threshold"])
+        tol = analysis.default_tolerance(k_top)
+        report = analysis.match_peaks(peaks, orbits.action_spectrum(classes, opts["smax"] + tol), tol)
         _write(opts["report"], _json_text({
             "kind": "fourier-peaks",
             "tolerance": report.tolerance,

@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from raysplit import _text, analysis, cli, graph, orbits, spectrum
+from raysplit import analysis, cli, graph, orbits, spectrum
 from raysplit.cli import main
 
 STEP = ["--b", "0.7", "--lambda", "0.5"]
@@ -577,23 +576,55 @@ def test_fourier_rejects_a_bad_action_window_before_any_root(runner, monkeypatch
                        f"and --smax {float(smax)!r}")
 
 
-def offer_cpus(monkeypatch, n):
-    """Let the CLI see n CPUs; returns the pids of the helpers it forks from now on."""
-    pids = []
-    fork = os.fork
+def test_fourier_rejects_a_report_without_the_step_before_any_root(runner, monkeypatch, tmp_path):
+    def no_work(*args):
+        raise AssertionError("roots were found or transformed")
 
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    monkeypatch.setattr(spectrum, "find_roots", no_work)
+    monkeypatch.setattr(analysis, "fourier_transform", no_work)
+    roots = tmp_path / "r.csv"
+    roots.write_text("n,k\n1,3.25\n2,6.5\n")
+    out = tmp_path / "f.csv"
+    res = runner.invoke(main, ["fourier", "--roots", str(roots), "--report",
+                               str(tmp_path / "rep.json"), "--out", str(out)])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"]["message"] == (
+        "--report needs --b and --lambda for the candidate actions")
+    assert not out.exists()
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
+
+def test_no_subcommand_forks(runner, monkeypatch, tmp_path):
+    # tables of many blocks are formatted in this process, into the standard library's text
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+    def artifact(name, *args):
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+        return (tmp_path / name).read_text(encoding="utf-8")
+
+    step = ["spectrum", *STEP, "--kmax", "1e5"]
+    csv_text = artifact("spectrum.csv", *step)
+    spectrum_json = artifact("spectrum.json", *step, "--format", "json")
+    fourier_json = artifact("fourier.json", "fourier", *STEP, "--kmax", "3e4", "--format", "json")
+    payload = json.loads(spectrum_json)
+    records, rep = payload["roots"], payload["completeness"]
+    assert len(records) == 29034   # 8 blocks
+    assert csv_text == (
+        "# schema_version=1 kind=spectrum\nn,k,E,residual\n"
+        + "".join("%d,%.15g,%.15g,%.15g\n" % (r["n"], r["k"], r["E"], r["residual"])
+                  for r in records)
+        + "# max_staircase_deviation=%.15g\n# staircase_tolerance=%.15g\n"
+          "# rescans=%d\n# near_degenerate_count=%d\n"
+        % (rep["max_staircase_deviation"], rep["tolerance"], rep["rescans"],
+           len(rep["near_degenerate"])))
+    for text in (spectrum_json, fourier_json):
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-# 10 rows in 10, 5, 4 or 1 blocks: a table of 4 blocks or more is split with a helper on 2 CPUs
+# 10 rows in 10, 5, 4 or 1 blocks
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])
 def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     rng = np.random.default_rng(5)
@@ -608,13 +639,10 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
         ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in zip(*columns.values()))
     monkeypatch.setattr(cli, "_BLOCK", block)
-    for cpus in (1, 2):
-        helpers = offer_cpus(monkeypatch, cpus)
-        out = tmp_path / "t.csv"
-        cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
-        text = out.read_text()
-        assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
-        assert len(helpers) == (cpus == 2 and block < 4)
+    out = tmp_path / "t.csv"
+    cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
+    text = out.read_text()
+    assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])
@@ -627,78 +655,10 @@ def test_json_and_writes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, 
                                         "E": np.geomspace(1.0, 1e12, 10)}),
                "y": np.array([-1.5, -0.0, 0.0, 1e-5, -1e15, 1e16, np.nan, np.inf, -np.inf, 0.1])}
     monkeypatch.setattr(cli, "_BLOCK", block)
-    for cpus in (1, 2):
-        # the lists x and names, the records and the array y each fork a helper from 4 blocks on
-        helpers = offer_cpus(monkeypatch, cpus)
-        text = json_text(payload)
-        assert text == dumps_oracle(payload)
-        assert len(helpers) == (4 if cpus == 2 and block < 4 else 0)
-        cli._write_text(str(tmp_path / "t.json"), text)
-        assert (tmp_path / "t.json").read_bytes() == text.encode("utf-8")
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_failing_helper_leaves_the_artifact_whole(runner, monkeypatch, fmt):
-    # numpy's block function raises in the helper from its second block on; this process
-    # formats what the pipe did not deliver, and the command still exits 0
-    args = ["spectrum", *STEP, "--kmax", "300", "--format", fmt]
-    offer_cpus(monkeypatch, 1)
-    expected = runner.invoke(main, args).stdout
-    parent, numpy_block = os.getpid(), _text.block
-
-    def failing_numpy_block(*args, **kwargs):
-        block, calls = numpy_block(*args, **kwargs), []
-
-        def failing(columns):
-            calls.append(1)
-            if os.getpid() != parent and len(calls) > 1:
-                raise RuntimeError("the helper fails")
-            return block(columns)
-        return failing
-
-    monkeypatch.setattr(_text, "block", failing_numpy_block)
-    monkeypatch.setattr(cli, "_BLOCK", 8)
-    helpers = offer_cpus(monkeypatch, 2)
-    res = runner.invoke(main, args)
-    assert res.exit_code == 0, res.output
-    assert res.stdout == expected and len(helpers) == 1
-    with pytest.raises(ChildProcessError):   # already reaped
-        os.waitpid(helpers[0], os.WNOHANG)
-
-
-def test_a_closed_generator_leaves_no_helper_running(monkeypatch):
-    # 8 blocks of 80 kB: the helper blocks on the full pipe until the read end closes
-    def too_long(*args):
-        raise TimeoutError("the helper was still running 20 s after close()")
-
-    helpers = offer_cpus(monkeypatch, 2)
-    pieces = iter(cli._csv_rows([np.full(8 * cli._BLOCK, 1 / 3)]))
-    assert next(pieces).startswith("0.333333333333333\n")
-    assert len(helpers) == 1
-    previous = signal.signal(signal.SIGALRM, too_long)
-    signal.alarm(20)
-    try:
-        pieces.close()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):   # already reaped
-        os.waitpid(helpers[0], os.WNOHANG)
-
-
-@pytest.mark.parametrize("rows, cpus, error", [
-    (9, 2, AssertionError("a helper was forked")),   # 3 blocks
-    (10, 1, AssertionError("a helper was forked")),
-    (10, 2, BlockingIOError(11, "Resource temporarily unavailable")),   # fork fails
-])
-def test_tables_without_a_helper_are_formatted_here(monkeypatch, rows, cpus, error):
-    def no_fork():
-        raise error
-
-    monkeypatch.setattr(cli, "_BLOCK", 3)
-    offer_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert "".join(cli._csv_rows([np.arange(rows)])) == "".join(f"{i}\n" for i in range(rows))
+    text = json_text(payload)
+    assert text == dumps_oracle(payload)
+    cli._write_text(str(tmp_path / "t.json"), text)
+    assert (tmp_path / "t.json").read_bytes() == text.encode("utf-8")
 
 
 @pytest.mark.parametrize("fmt, records", [("csv", None), ("json", None), ("json", "rows")])
