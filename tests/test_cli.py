@@ -624,6 +624,22 @@ def test_no_subcommand_forks(runner, monkeypatch, tmp_path):
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("rows, cpus, error", [
+    (9, 2, AssertionError("a process was forked")),   # 3 blocks
+    (10, 1, AssertionError("a process was forked")),
+    (10, 2, BlockingIOError(11, "Resource temporarily unavailable")),   # fork fails
+])
+def test_tables_without_a_helper_are_formatted_here(monkeypatch, rows, cpus, error):
+    # whatever the CPU count and whether or not fork works, the rows come out of this process
+    def no_fork():
+        raise error
+
+    monkeypatch.setattr(cli, "_BLOCK", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert "".join(cli._csv_rows([np.arange(rows)])) == "".join(f"{i}\n" for i in range(rows))
+
+
 # 10 rows in 10, 5, 4 or 1 blocks
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])
 def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
