@@ -16,8 +16,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "model": ("NStepPotential", "ScaledStepPotential", "build_nstep", "build_potential",
-              "interface_coefficients"),
+    "model": ("NStepPotential", "build_nstep", "build_potential", "interface_coefficients",
+              "step_parameters"),
     "spectrum": ("CompletenessError", "CompletenessReport", "SpectrumResult", "find_roots",
                  "matching_determinant", "secular", "weyl_count"),
     "orbits": ("OrbitClass", "OrbitCode", "OrbitRecord", "action_spectrum", "amplitude",

@@ -27,9 +27,9 @@ from functools import wraps
 import click
 
 from . import __version__
-from .model import ContractFailure, ScaledStepPotential, build_nstep, build_potential
+from .model import ContractFailure, NStepPotential, build_nstep, build_potential
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_CONTRACT = 1
 EXIT_RANGE = 3
@@ -339,7 +339,7 @@ def spectrum_cmd(ctx, **opts):
                  meta={"k_max": result.k_max, "completeness": completeness}, trailer=trailer)
 
 
-def _sized_records(pot: ScaledStepPotential, max_length: int | None, count: int | None):
+def _sized_records(pot: NStepPotential, max_length: int | None, count: int | None):
     """Primitive orbit records in (length, action, word) order, truncated."""
     from . import orbits
 
@@ -416,7 +416,7 @@ def trace_cmd(ctx, **opts):
         raise ValueError("need 0 < kmin < kmax < inf")
     if not 2 <= opts["points"] <= _MAX_POINTS:
         raise ValueError(f"points must lie in [2, {_MAX_POINTS}], got {opts['points']!r}")
-    teeth = int(opts["kmax"] * pot.omega1 / np.pi) + 1   # the report's comb, from k = 0 up
+    teeth = int(opts["kmax"] * pot.total_length / np.pi) + 1   # the report's comb, from k = 0 up
     if opts["report"] and teeth > _MAX_POINTS:
         raise ValueError(f"the --report comb to --kmax has {teeth} teeth, over {_MAX_POINTS}")
     classes = orbits.orbit_classes(pot, opts["max_length"])
@@ -603,7 +603,7 @@ def graph_check_cmd(ctx, **opts):
         "odd_traces": {"max_deviation": odd_dev, "tolerance": 1e-12},
         "det_at_roots": {"max_deviation": det_dev, "tolerance": 1e-8, "roots": len(roots)},
     }
-    if isinstance(pot, ScaledStepPotential):
+    if len(pot.lengths) == 2:   # the orbit picture of a single step
         formula = trace.trace_formula(pot, orbits.orbit_classes(pot, opts["nmax"]), ks)
         word_dev = float(np.max(np.abs(traces[1::2] - formula)))
         checks["trace_word_sums"] = {"max_deviation": word_dev, "tolerance": 1e-10}

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from . import orbits as _orbits
-from .model import ScaledStepPotential, build_potential
+from .model import NStepPotential, build_potential
 
 __all__ = [
     "WordClass",
@@ -169,7 +169,7 @@ class PoissonCaseReport:
 
     lam: float
     b: float
-    potential: ScaledStepPotential
+    potential: NStepPotential
     roots_checked: int
     max_root_deviation: float
     max_action_deviation: float

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import NStepPotential, ScaledStepPotential, interface_coefficients
+from .model import NStepPotential, interface_coefficients
 
 __all__ = [
     "build_smatrix",
@@ -32,7 +32,7 @@ def _blocks(pot, size: int):
     return (slice(i, i + step) for i in range(0, size, step))
 
 
-def build_smatrix(pot: ScaledStepPotential | NStepPotential, k) -> np.ndarray:
+def build_smatrix(pot: NStepPotential, k) -> np.ndarray:
     """Graph scattering matrix S(k), shape shape(k) + (2N, 2N); unitary for real k.
 
     Directed-bond basis (1>, ..., N>, 1<, ..., N<) where i> moves right.

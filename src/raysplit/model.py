@@ -1,12 +1,18 @@
-"""Scaled step potentials and their derived spectral parameters.
+"""Scaled step potentials and the chains they form.
 
-A scaled step potential on the unit interval takes the value V = lam * E on
-(b, 1) and zero on (0, b), with hard walls at both ends.  Because the step
-height scales with energy, the classical dynamics is the same at every E and
-all spectral quantities are functions of the wavenumber k alone (units with
-hbar = 1, mass 1/2, E = k^2).  Inside the step region the local wavenumber is
-kappa = beta * k with beta = sqrt(1 - lam), which motivates measuring each
-region by its weighted length beta_i * (width).
+A scaled potential on the unit interval is piecewise constant, V = lam_i * E
+on region i, with hard walls at both ends.  Because each step height scales
+with energy, the classical dynamics is the same at every E and all spectral
+quantities are functions of the wavenumber k alone (units with hbar = 1,
+mass 1/2, E = k^2).  Inside region i the local wavenumber is beta_i * k with
+beta_i = sqrt(1 - lam_i), which motivates measuring each region by its
+weighted length beta_i * (width).
+
+There is one potential type, the N-region chain.  The single step at x = b of
+strength lam is its two-region member: build_potential(b, lam) is
+build_nstep((0, b, 1), (0, lam)), and step_parameters reads its weighted
+lengths l1, l2 and interface coefficients r, t, which is all the orbit
+picture needs of it.
 """
 
 from __future__ import annotations
@@ -18,45 +24,6 @@ from typing import Sequence
 
 class ContractFailure(RuntimeError):
     """A requested verification did not hold (the CLI's exit code 1)."""
-
-
-@dataclass(frozen=True)
-class ScaledStepPotential:
-    """Single scaled step at x = b with strength lam.
-
-    All derived quantities are fixed at construction:
-
-    beta    sqrt(1 - lam), ratio of wavenumbers across the step
-    l1, l2  weighted lengths b and beta * (1 - b) of the two regions
-    omega1  l1 + l2, the total weighted length (mean level spacing pi/omega1)
-    omega2  l1 - l2
-    r, t    reflection and transmission coefficients of the step
-
-    betas, lengths and total_length describe the same step as the two-region
-    chain that NStepPotential spells out, so chain code serves both types.
-    """
-
-    b: float
-    lam: float
-    beta: float
-    l1: float
-    l2: float
-    omega1: float
-    omega2: float
-    r: float
-    t: float
-
-    @property
-    def betas(self) -> tuple[float, float]:
-        return (1.0, self.beta)
-
-    @property
-    def lengths(self) -> tuple[float, float]:
-        return (self.l1, self.l2)
-
-    @property
-    def total_length(self) -> float:
-        return self.omega1
 
 
 @dataclass(frozen=True)
@@ -79,28 +46,21 @@ class NStepPotential:
 
     @property
     def total_length(self) -> float:
-        """Sum of weighted lengths; plays the role of omega1 for chains."""
+        """Sum of weighted lengths, Omega; the mean level spacing is pi / Omega."""
         return sum(self.lengths)
 
 
-def build_potential(b: float, lam: float) -> ScaledStepPotential:
-    """Construct a ScaledStepPotential, validating 0 < b < 1 and 0 <= lam < 1.
+def build_potential(b: float, lam: float) -> NStepPotential:
+    """The single scaled step at x = b with strength lam, as a two-region chain.
 
-    Raises ValueError naming the offending parameter when out of range.
+    Validates 0 < b < 1 and 0 <= lam < 1, raising ValueError naming the
+    offending parameter when out of range.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie in (0, 1), got b={b!r}")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got lambda={lam!r}")
-    beta = math.sqrt(1.0 - lam)
-    l1 = b
-    l2 = beta * (1.0 - b)
-    r = (1.0 - beta) / (1.0 + beta)
-    t = math.sqrt(1.0 - r * r)
-    return ScaledStepPotential(
-        b=b, lam=lam, beta=beta, l1=l1, l2=l2,
-        omega1=l1 + l2, omega2=l1 - l2, r=r, t=t,
-    )
+    return build_nstep((0.0, b, 1.0), (0.0, lam))
 
 
 def build_nstep(breakpoints: Sequence[float], lambdas: Sequence[float]) -> NStepPotential:
@@ -150,3 +110,16 @@ def interface_coefficients(beta_left: float, beta_right: float) -> tuple[float, 
     r = (beta_left - beta_right) / (beta_left + beta_right)
     t = math.sqrt(1.0 - r * r)
     return r, t
+
+
+def step_parameters(pot: NStepPotential) -> tuple[float, float, float, float]:
+    """(l1, l2, r, t) of a two-region chain: its weighted lengths and the
+    reflection and transmission coefficients of its one interface.
+
+    The orbit picture of the step reads nothing else of the potential.
+    Raises ValueError for any other region count.
+    """
+    if len(pot.lengths) != 2:
+        raise ValueError(f"a single step has two regions, got a potential "
+                         f"with {len(pot.lengths)}")
+    return (*pot.lengths, *interface_coefficients(*pot.betas))

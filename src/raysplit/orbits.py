@@ -5,6 +5,8 @@ each traversal entirely in the left (L) or right (R) region.  An orbit is
 therefore a cyclic binary word; cyclically equivalent words describe the same
 orbit, so orbits are necklaces.  Adjacent equal symbols (LL or RR) mean a
 reflection off the step, adjacent unequal symbols a transmission through it.
+The step is any two-region chain: its actions and amplitudes read only
+model.step_parameters, and any other region count raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterable, Iterator
 
-from .model import ScaledStepPotential
+from .model import NStepPotential, step_parameters
 
 _MAX_LENGTH = 32
 # Largest orbit table enumerate_primitive lists: every length up to 20
@@ -217,15 +219,16 @@ def _pair_counts(x: int, n: int) -> tuple[int, int, int]:
     return x.bit_count(), (x & rot).bit_count(), (x ^ rot).bit_count()
 
 
-def orbit_record(code: OrbitCode, pot: ScaledStepPotential) -> OrbitRecord:
+def orbit_record(code: OrbitCode, pot: NStepPotential) -> OrbitRecord:
     """Compute counts, sign and reduced action from the popcounts of the word."""
+    l1, l2, _, _ = step_parameters(pot)
     n = code.length
     n_r, rr, tau2 = _pair_counts(int(code.word.translate(_BITS), 2), n)
     n_l = n - n_r
     return OrbitRecord(
         code=code, n_l=n_l, n_r=n_r, sigma=n - tau2, tau2=tau2,
         rr_pairs=rr, sign=-1 if (n + rr) % 2 else 1,
-        s0=2.0 * (n_l * pot.l1 + n_r * pot.l2),
+        s0=2.0 * (n_l * l1 + n_r * l2),
     )
 
 
@@ -266,12 +269,13 @@ def _rr_pairs(n_r: int, tau2: int) -> int:
     return n_r - tau2 // 2
 
 
-def orbit_classes(pot: ScaledStepPotential, max_length: int) -> tuple[OrbitClass, ...]:
+def orbit_classes(pot: NStepPotential, max_length: int) -> tuple[OrbitClass, ...]:
     """Every primitive orbit of length 1..max_length, counted by class.
 
     Ordered by (length, n_r, tau2).  Nothing is enumerated, so no row cap
     applies: max_length 32 takes well under a second.
     """
+    l1, l2, _, _ = step_parameters(pot)
     _check_length(max_length, "max_length")
     out = []
     for n in range(1, max_length + 1):
@@ -280,7 +284,7 @@ def orbit_classes(pot: ScaledStepPotential, max_length: int) -> tuple[OrbitClass
             out.append(OrbitClass(
                 length=n, n_l=n_l, n_r=n_r, sigma=n - tau2, tau2=tau2,
                 sign=-1 if (n + _rr_pairs(n_r, tau2)) % 2 else 1,
-                s0=2.0 * (n_l * pot.l1 + n_r * pot.l2), multiplicity=count,
+                s0=2.0 * (n_l * l1 + n_r * l2), multiplicity=count,
             ))
     return tuple(out)
 
@@ -302,9 +306,10 @@ def classes_of(records: Iterable[OrbitRecord]) -> tuple[OrbitClass, ...]:
     )
 
 
-def amplitude(rec: OrbitRecord | OrbitClass, pot: ScaledStepPotential) -> float:
+def amplitude(rec: OrbitRecord | OrbitClass, pot: NStepPotential) -> float:
     """Stability amplitude sign * r^sigma * t^(2 tau) of one orbit traversal."""
-    return rec.sign * pot.r ** rec.sigma * pot.t ** rec.tau2
+    _, _, r, t = step_parameters(pot)
+    return rec.sign * r ** rec.sigma * t ** rec.tau2
 
 
 def action_spectrum(classes: Iterable[OrbitClass], s_max: float) -> list[float]:

@@ -1,12 +1,9 @@
 """Exact quantization condition and complete root finding.
 
-The spectrum of a single scaled step is the positive zero set of
-
-    secular(k) = sin(k omega1) - r sin(k omega2),
-
-and that of an N-region chain the zero set of psi(1; k), for the solution
-psi with psi(0) = 0.  Both are found from one monotone function instead of
-a scan.  Take that solution and its Pruefer angle
+The spectrum of an N-region chain, the single step included as its
+two-region member, is the positive zero set of psi(1; k) for the solution
+psi with psi(0) = 0.  It is found from one monotone function instead of a
+scan.  Take that solution and its Pruefer angle
 theta(x; k) = atan2(q psi, psi'), where q = beta_i k is the local
 wavenumber.  Across region i, theta grows by q times the width, that is by
 k l_i.  At an interface psi and psi' are continuous, so phi = theta mod pi
@@ -24,9 +21,10 @@ Omega = sum l_i:
 
 find_roots takes the count from theta(1; k_max), refines every level in its
 index interval by Illinois regula falsi, polishes it by one Newton step on
-secular_function(pot), and certifies the list against the staircase bound.
-For a chain that function is the scaled psi(1; k); det(1 - S(k)) of the
-graph module is left to the tests as an independent oracle.
+secular_function(pot), the scaled psi(1; k), and certifies the list against
+the staircase bound.  det(1 - S(k)) of the graph module and the step's closed
+form secular(k) = sin(k Omega) - r sin(k (l1 - l2)) are left to the tests as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -36,14 +34,13 @@ from functools import partial
 
 import numpy as np
 
-from .model import ContractFailure, NStepPotential, ScaledStepPotential, interface_coefficients
+from .model import ContractFailure, NStepPotential, interface_coefficients, step_parameters
 
 __all__ = [
     "CompletenessError",
     "CompletenessReport",
     "SpectrumResult",
     "secular",
-    "secular_slope",
     "secular_function",
     "matching_determinant",
     "weyl_count",
@@ -80,9 +77,9 @@ class CompletenessReport:
     tolerance its bound 1 + (N - 1) / 2 for N regions, a theorem:
     N(k) = floor(theta(1; k) / pi) lies within 1 of theta(1; k) / pi, and
     theta(1; k) within (N - 1) pi / 2 of Omega k (module docstring).
-    near_degenerate lists roots where secular_function(pot) has a slope
-    below 1e-8 in magnitude.  rescans is always 0: every level is found in
-    its own interval.
+    near_degenerate lists roots where secular_function(pot), the scaled
+    psi(1; k) for every potential, has a slope below 1e-8 in magnitude.
+    rescans is always 0: every level is found in its own interval.
     """
 
     max_staircase_deviation: float
@@ -102,35 +99,30 @@ class SpectrumResult:
         return self.roots ** 2
 
 
-def secular(pot: ScaledStepPotential, k):
-    """sin(k omega1) - r sin(k omega2); zero exactly on the spectrum."""
+def secular(pot: NStepPotential, k):
+    """sin(k (l1 + l2)) - r sin(k (l1 - l2)) of a single step; zero exactly on
+    its spectrum.  The closed form the tests check secular_function against."""
+    l1, l2, r, _ = step_parameters(pot)
     k = np.asarray(k, dtype=float) if np.ndim(k) else k
-    return np.sin(k * pot.omega1) - pot.r * np.sin(k * pot.omega2)
+    return np.sin(k * (l1 + l2)) - r * np.sin(k * (l1 - l2))
 
 
-def secular_slope(pot: ScaledStepPotential, k):
-    """d/dk of secular, used for Newton polish and degeneracy flagging."""
-    return pot.omega1 * np.cos(k * pot.omega1) - pot.r * pot.omega2 * np.cos(k * pot.omega2)
+def matching_determinant(pot: NStepPotential, k):
+    """Wavefunction-matching form of the quantization condition of a single step,
 
+        cos(k l1) sin(k l2) + (beta_2 / beta_1) sin(k l1) cos(k l2)
 
-def matching_determinant(pot: ScaledStepPotential, k):
-    """Wavefunction-matching form of the quantization condition,
-
-        cos(k b) sin(kappa (1 - b)) + (kappa / k) sin(k b) cos(kappa (1 - b))
-
-    with kappa = beta k.  Derived by joining sine solutions at the step, so it
-    is an independent route to the same zero set: it equals
-    (1 + beta) / 2 times secular.  The k -> 0 limit of kappa / k is beta.
+    with beta_2 / beta_1 = (1 - r) / (1 + r).  Derived by joining sine
+    solutions at the step, so it is an independent route to the same zero
+    set: it equals secular / (1 + r).
     """
+    l1, l2, r, _ = step_parameters(pot)
     k = np.asarray(k, dtype=float)
-    kappa = pot.beta * k
-    ratio = np.where(k == 0.0, pot.beta, kappa / np.where(k == 0.0, 1.0, k))
-    right = 1.0 - pot.b
-    out = np.cos(k * pot.b) * np.sin(kappa * right) + ratio * np.sin(k * pot.b) * np.cos(kappa * right)
+    out = np.cos(k * l1) * np.sin(k * l2) + (1.0 - r) / (1.0 + r) * np.sin(k * l1) * np.cos(k * l2)
     return out if out.ndim else float(out)
 
 
-def weyl_count(pot: ScaledStepPotential | NStepPotential, k):
+def weyl_count(pot: NStepPotential, k):
     """Average staircase total_length * k / pi, the smooth part of the counting."""
     return pot.total_length * np.asarray(k, dtype=float) / np.pi
 
@@ -195,7 +187,7 @@ def _illinois(f, lo, hi, flo, fhi, target):
             fhi = np.where(move_lo, fhi, fx)
 
 
-def _prufer_angle(pot: ScaledStepPotential | NStepPotential, k):
+def _prufer_angle(pot: NStepPotential, k):
     """theta(1; k) of the solution with psi(0) = 0, see the module docstring.
 
     The interface remap of phi = theta mod pi is applied as the shift
@@ -228,16 +220,18 @@ def _staircase_deviation(roots: np.ndarray, slope: float, k_max: float, bound: f
     return float(devs.max()), int(over[0] if over.size else np.argmax(devs))
 
 
-def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> SpectrumResult:
-    """All levels in (0, k_max] of a single step or an N-region chain.
+def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
+    """All levels in (0, k_max] of an N-region chain.
 
     The count is floor(theta(1; k_max) / pi), and level n is the root of
     theta(1; k) - n pi in its index interval (module docstring), refined to
     adjacent floats by Illinois regula falsi and polished by one Newton step
-    on secular_function(pot).  Roots are accurate to a few ulp of k, the
-    float64 limit, since k * l_i is itself rounded; on the l1 = l2 comb they
-    lie within 4 ulp of n pi / (l1 + l2) for k_max up to 1e6.  Roots listed
-    as near-degenerate in the report sit where secular_function(pot) is flat.
+    on secular_function(pot), whose value and slope _chain_psi returns in
+    one pass over each block.  The single step takes the same path as any
+    chain.  Roots are accurate to a few ulp of k, the float64 limit, since
+    k * l_i is itself rounded; on the l1 = l2 comb they lie within 4 ulp of
+    n pi / (l1 + l2) for k_max up to 1e6.  Roots listed as near-degenerate
+    in the report sit where secular_function(pot) is flat.
 
     k = 0 is never returned.  Raises ValueError unless 0 < k_max < inf, and
     CompletenessError (with the offending interval) when the roots are not
@@ -250,7 +244,6 @@ def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> Spect
     width = len(pot.lengths) - 1
     half = 0.5 * width
     theta = partial(_prufer_angle, pot)
-    f, slope = _secular_pair(pot)
     count = int(theta(float(k_max)) // np.pi)
     roots, near = np.empty(count), []
     for i in range(0, count, _REFINE_BLOCK):
@@ -264,8 +257,8 @@ def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> Spect
         # as fast as k l_N (the last region is never damped by an interface),
         # so a level lies within about _POLISH_ULP ulp(Omega k) / l_N of its
         # theta root.  A longer Newton step is the noise of a flat f: dropped.
-        slopes = slope(k)
-        step = f(k) / slopes
+        value, slopes = _chain_psi(pot, k)
+        step = value / slopes
         window = _POLISH_ULP * np.spacing(omega * k) / pot.lengths[-1]
         roots[n - 1] = np.where(np.abs(step) <= window, k - step, k)
         near.extend(roots[n - 1][np.abs(slopes) < _DEGENERATE_SLOPE])
@@ -299,23 +292,24 @@ def find_roots(pot: ScaledStepPotential | NStepPotential, k_max: float) -> Spect
     return SpectrumResult(roots=roots, k_max=float(k_max), completeness=report)
 
 
-def secular_function(pot: ScaledStepPotential | NStepPotential):
+def secular_function(pot: NStepPotential):
     """A real function of k whose zeros are exactly the levels of pot.
 
-    secular for a single step; for a chain, psi(1; k) of the solution with
-    psi(0) = 0, scaled so that it equals det(1 - S(k)) turned onto the real
-    axis, up to a sign (_chain_psi).  find_roots polishes each root by one
-    Newton step on it and flags near-degenerate roots by its slope; the
-    spectrum subcommand reports |f| at each root as the residual.
+    It is c psi(1; k) of the solution with psi(0) = 0, scaled so that it
+    equals det(1 - S(k)) turned onto the real axis, up to a sign
+    (_chain_psi); for a single step it is 2 secular.  It is evaluated
+    _REFINE_BLOCK wavenumbers at a time, so its temporaries stay bounded.
+    find_roots polishes each root by one Newton step on it and flags
+    near-degenerate roots by its slope; the spectrum subcommand reports |f|
+    at each root as the residual.
     """
-    return _secular_pair(pot)[0]
-
-
-def _secular_pair(pot: ScaledStepPotential | NStepPotential):
-    """secular_function(pot) and its derivative, as two functions of k."""
-    if isinstance(pot, ScaledStepPotential):
-        return partial(secular, pot), partial(secular_slope, pot)
-    return (lambda k: _chain_psi(pot, k)[0]), (lambda k: _chain_psi(pot, k)[1])
+    def f(k):
+        k = np.asarray(k, dtype=float)
+        flat, out = k.reshape(-1), np.empty(k.size)
+        for i in range(0, k.size, _REFINE_BLOCK):
+            out[i:i + _REFINE_BLOCK] = _chain_psi(pot, flat[i:i + _REFINE_BLOCK])[0]
+        return out.reshape(k.shape)[()]
+    return f
 
 
 def _chain_psi(pot: NStepPotential, k):

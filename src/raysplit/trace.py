@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ScaledStepPotential
+from .model import NStepPotential, step_parameters
 from .orbits import OrbitClass, amplitude
 
 __all__ = [
@@ -72,7 +72,7 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
-def trace_formula(pot: ScaledStepPotential, orbits: Sequence[OrbitClass], k) -> np.ndarray:
+def trace_formula(pot: NStepPotential, orbits: Sequence[OrbitClass], k) -> np.ndarray:
     """Tr S(k)^{2n} for n = 1..L from orbit classes, L the longest class given.
 
     Tr S^{2n} = sum over classes p with n_p | n of 2 n_p m_p (A_p e^{i s0_p k})^{n / n_p}:
@@ -94,7 +94,7 @@ def trace_formula(pot: ScaledStepPotential, orbits: Sequence[OrbitClass], k) -> 
 
 
 def rho_trace(
-    pot: ScaledStepPotential,
+    pot: NStepPotential,
     orbits: Sequence[OrbitClass],
     nu_max: int,
     k_grid: Sequence[float],
@@ -136,7 +136,7 @@ def rho_trace(
 
 
 def rho_resummed(
-    pot: ScaledStepPotential,
+    pot: NStepPotential,
     orbits: Sequence[OrbitClass],
     k_grid: Sequence[float],
     eta: float = 0.0,
@@ -174,21 +174,21 @@ def rho_resummed(
     )
 
 
-def newtonian_prediction(pot: ScaledStepPotential, m_max: int) -> np.ndarray:
+def newtonian_prediction(pot: NStepPotential, m_max: int) -> np.ndarray:
     """Level comb 2 pi m / s0_N from the single bouncing orbit alone.
 
-    s0_N = 2 omega1 is the reduced action of the orbit that crosses the step
+    s0_N = 2 (l1 + l2) is the reduced action of the orbit that crosses the step
     ballistically.  Exact for lam = 0 and for the degenerate geometry
     l1 = l2; otherwise a systematically wrong prediction, which is the point
     of comparing it against the full orbit sum.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max!r}")
-    s0_newton = 2.0 * pot.omega1
+    s0_newton = 2.0 * pot.total_length
     return 2.0 * np.pi * np.arange(1, m_max + 1) / s0_newton
 
 
-def zeta(pot: ScaledStepPotential, orbits: Sequence[OrbitClass], k) -> complex | np.ndarray:
+def zeta(pot: NStepPotential, orbits: Sequence[OrbitClass], k) -> complex | np.ndarray:
     """Spectral determinant product prod_p (1 - A_p e^{i s0_p k}).
 
     Each orbit class contributes its factor to the power of its multiplicity.
@@ -233,12 +233,13 @@ def cycle_expansion(orbits: Sequence[OrbitClass]) -> dict[tuple[int, int, int], 
 
 
 def evaluate_cycle_terms(
-    cells: dict[tuple[int, int, int], int], pot: ScaledStepPotential, k
+    cells: dict[tuple[int, int, int], int], pot: NStepPotential, k
 ) -> complex | np.ndarray:
     """Sum coefficient r^sigma t^tau2 x^n_l y^n_r over the cells at wavenumber k."""
+    l1, l2, r, t = step_parameters(pot)
     karr = np.asarray(k, dtype=complex)
-    x, y = np.exp(2j * pot.l1 * karr), np.exp(2j * pot.l2 * karr)
+    x, y = np.exp(2j * l1 * karr), np.exp(2j * l2 * karr)
     out = np.zeros_like(karr)
     for (n_l, n_r, tau2), coeff in cells.items():
-        out = out + coeff * pot.r ** (n_l + n_r - tau2) * pot.t ** tau2 * x ** n_l * y ** n_r
+        out = out + coeff * r ** (n_l + n_r - tau2) * t ** tau2 * x ** n_l * y ** n_r
     return complex(out) if karr.ndim == 0 else out

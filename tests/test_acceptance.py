@@ -14,12 +14,14 @@ import pytest
 from raysplit.analysis import default_s_spacing, default_tolerance, detect_peaks, fourier_transform, match_peaks
 from raysplit.combinatorics import binomial_sums, verify_sum_rule
 from raysplit.graph import det_one_minus_s, trace_power
-from raysplit.model import build_nstep, build_potential
+from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.orbits import orbit_classes
 from raysplit.spectrum import find_roots
 from raysplit.trace import newtonian_prediction, rho_resummed, rho_trace, trace_formula, zeta
 
 REF = build_potential(0.7, 0.5)
+L1, L2, _, _ = step_parameters(REF)
+OMEGA1 = REF.total_length
 
 
 CRITERION_LINES = []
@@ -34,7 +36,7 @@ def report(n, ok):
 
 @pytest.fixture(scope="module")
 def ref_roots():
-    k_max = (10_000 + 0.5) * math.pi / REF.omega1
+    k_max = (10_000 + 0.5) * math.pi / OMEGA1
     result = find_roots(REF, k_max)
     assert len(result.roots) >= 10_000
     return result
@@ -68,7 +70,7 @@ def test_criterion_02_equal_length_closed_form():
 def test_criterion_03_weyl_completeness(ref_roots):
     start = time.perf_counter()
     roots = ref_roots.roots
-    w = REF.omega1 * roots / math.pi
+    w = OMEGA1 * roots / math.pi
     n = np.arange(1, len(roots) + 1)
     sup = max(
         float(np.max(np.abs(n - w))),
@@ -131,13 +133,13 @@ def test_criterion_07_action_spectroscopy(ref_roots):
     tol = default_tolerance(k_max)
     # complete candidate set: every repeated action is 2 (a l1 + c l2)
     lattice = sorted(
-        2.0 * (a * REF.l1 + c * REF.l2)
-        for a in range(int(10.0 / (2 * REF.l1)) + 2)
-        for c in range(int(10.0 / (2 * REF.l2)) + 2)
-        if (a, c) != (0, 0) and 2.0 * (a * REF.l1 + c * REF.l2) <= 10.0 + tol
+        2.0 * (a * L1 + c * L2)
+        for a in range(int(10.0 / (2 * L1)) + 2)
+        for c in range(int(10.0 / (2 * L2)) + 2)
+        if (a, c) != (0, 0) and 2.0 * (a * L1 + c * L2) <= 10.0 + tol
     )
     match = match_peaks(peaks, lattice, tol)
-    newtonian = 2.0 * REF.omega1 * np.arange(1, int(10.0 / (2 * REF.omega1)) + 2)
+    newtonian = 2.0 * OMEGA1 * np.arange(1, int(10.0 / (2 * OMEGA1)) + 2)
     non_newtonian = [
         p for p, a, _ in match.pairs
         if not math.isnan(a) and np.min(np.abs(newtonian - a)) > tol
@@ -151,16 +153,16 @@ def test_criterion_07_action_spectroscopy(ref_roots):
 def test_criterion_08_density_reconstruction():
     # geometry with a strong step so the ballistic comb visibly fails
     pot = build_potential(0.7, 0.98)
-    tol = 0.25 * math.pi / pot.omega1
+    tol = 0.25 * math.pi / pot.total_length
     roots = find_roots(pot, 100.0).roots[:20]
     recs = orbit_classes(pot, 7)
-    step = math.pi / (400.0 * pot.omega1)
+    step = math.pi / (400.0 * pot.total_length)
     k = np.arange(step, roots[-1] + 2 * tol, step)
     values = rho_trace(pot, recs, 30, k, eta=0.05).values
     idx = np.where((values[1:-1] > values[:-2]) & (values[1:-1] >= values[2:]))[0] + 1
     maxima = k[idx]
     rho_ok = all(np.min(np.abs(maxima - r)) <= tol for r in roots)
-    comb = newtonian_prediction(pot, int(roots[-1] * pot.omega1 / math.pi) + 2)
+    comb = newtonian_prediction(pot, int(roots[-1] * pot.total_length / math.pi) + 2)
     comb_miss = any(np.min(np.abs(comb - r)) > tol for r in roots)
     assert report(8, len(roots) == 20 and rho_ok and comb_miss)
 

@@ -32,7 +32,7 @@ def test_spectrum_csv_shape(runner):
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20"])
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
-    assert lines[0] == "# schema_version=1 kind=spectrum"
+    assert lines[0] == "# schema_version=2 kind=spectrum"
     assert lines[1] == "n,k,E,residual"
     rows = data_rows(res.stdout)
     assert len(rows) == 5
@@ -47,7 +47,7 @@ def test_spectrum_json_schema(runner):
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20", "--format", "json"])
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["kind"] == "spectrum"
     assert len(payload["roots"]) == 5
     assert payload["roots"][0]["k"] == pytest.approx(3.25522256931717, abs=1e-12)
@@ -102,7 +102,7 @@ def plain(value):
 def dumps_oracle(payload):
     """The JSON artifact as the plain (pure-Python) json.dumps path writes it."""
     payload = {key: plain(value) for key, value in payload.items()}
-    return json.dumps({"schema_version": 1, **payload}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"schema_version": 2, **payload}, indent=2, sort_keys=True) + "\n"
 
 
 def json_text(payload):
@@ -246,7 +246,7 @@ def test_orbits_table_by_length(runner):
     res = runner.invoke(main, ["orbits", *STEP, "--max-length", "7"])
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
-    assert lines[0] == "# schema_version=1 kind=orbits"
+    assert lines[0] == "# schema_version=2 kind=orbits"
     assert lines[1] == "code,length,nu,nL,nR,sigma,tau2,sign,S0"
     rows = data_rows(res.stdout)
     assert len(rows) == 41
@@ -297,7 +297,7 @@ def test_trace_artifacts(runner, tmp_path):
     rows = data_rows(out.read_text())
     assert len(rows) == 300
     payload = json.loads(rep.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["density_maxima"]
     assert payload["newtonian_comb"]
     assert len(payload["maxima_to_comb_distance"]) == len(payload["density_maxima"])
@@ -394,7 +394,7 @@ def test_fourier_match_report(runner, tmp_path):
     assert payload["peaks"]
     assert payload["worst_residual"] < payload["tolerance"]
     header = out.read_text().splitlines()
-    assert header[0] == "# schema_version=1 kind=fourier"
+    assert header[0] == "# schema_version=2 kind=fourier"
     assert header[1] == "s,absF"
 
 
@@ -439,13 +439,39 @@ def test_graph_check_caps_word_powers_before_any_matrix(runner, monkeypatch):
 
 
 def test_graph_check_chain_skips_word_sums(runner):
+    # the orbit picture is that of a single step; a two-region chain is one
     res = runner.invoke(
         main,
-        ["graph-check", "--breakpoints", "0,0.5,1", "--lambdas", "0,0.5",
+        ["graph-check", "--breakpoints", "0,0.3,0.6,1", "--lambdas", "0,0.5,0.75",
          "--kmax", "30", "--samples", "5", "--nmax", "4", "--roots", "5"],
     )
     assert res.exit_code == 0
     assert "trace_word_sums" not in json.loads(res.stdout)["checks"]
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--kmax", "1e3"],
+    ["spectrum", "--kmax", "1e3", "--format", "json"],
+    ["graph-check"],
+], ids=["spectrum-csv", "spectrum-json", "graph-check"])
+def test_step_is_the_two_region_chain(runner, args):
+    # --b/--lambda and the chain spelling of the same step write the same bytes
+    step = runner.invoke(main, [*args, *STEP])
+    chain = runner.invoke(main, [*args, "--breakpoints", "0,0.7,1", "--lambdas", "0,0.5"])
+    assert step.exit_code == chain.exit_code == 0, step.output + chain.output
+    assert step.stdout_bytes == chain.stdout_bytes
+    if args[0] == "graph-check":
+        assert json.loads(step.stdout)["checks"]["trace_word_sums"]["ok"]
+
+
+@pytest.mark.parametrize("lambdas", ["0.3,0.8", "0.8,0.3"], ids=["r-positive", "r-negative"])
+def test_graph_check_trace_formula_on_two_region_chains(runner, lambdas):
+    # a damped first region (lambda_1 != 0), and an interface reflection
+    # coefficient r = +-0.303 of either sign: the orbit picture needs only l1, l2, r, t
+    res = runner.invoke(main, ["graph-check", "--breakpoints", "0,0.6,1", "--lambdas", lambdas])
+    assert res.exit_code == 0, res.output
+    word_sums = json.loads(res.stdout)["checks"]["trace_word_sums"]
+    assert word_sums["ok"] and word_sums["max_deviation"] < 1e-11
 
 
 def test_graph_check_never_loads_numpy_random(tmp_path):
@@ -495,7 +521,7 @@ def test_each_command_loads_only_its_layers(tmp_path, args, loaded):
 
 def test_level_bound_is_the_weyl_estimate():
     pot = cli.build_potential(0.7, 0.5)
-    k_edge = (cli._MAX_POINTS - 1.5) * math.pi / pot.omega1
+    k_edge = (cli._MAX_POINTS - 1.5) * math.pi / pot.total_length
     cli._check_levels(pot, k_edge * (1 - 1e-12))
     with pytest.raises(ValueError, match="more than 4194304"):
         cli._check_levels(pot, k_edge * (1 + 1e-12))
@@ -613,7 +639,7 @@ def test_no_subcommand_forks(runner, monkeypatch, tmp_path):
     records, rep = payload["roots"], payload["completeness"]
     assert len(records) == 29034   # 8 blocks
     assert csv_text == (
-        "# schema_version=1 kind=spectrum\nn,k,E,residual\n"
+        "# schema_version=2 kind=spectrum\nn,k,E,residual\n"
         + "".join("%d,%.15g,%.15g,%.15g\n" % (r["n"], r["k"], r["E"], r["residual"])
                   for r in records)
         + "# max_staircase_deviation=%.15g\n# staircase_tolerance=%.15g\n"
@@ -658,7 +684,7 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     out = tmp_path / "t.csv"
     cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
     text = out.read_text()
-    assert text == "# schema_version=1 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
+    assert text == "# schema_version=2 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])

@@ -14,7 +14,7 @@ from raysplit.combinatorics import (
     poisson_special_case_check,
     verify_sum_rule,
 )
-from raysplit.model import build_potential
+from raysplit.model import build_potential, step_parameters
 from raysplit.orbits import (
     OrbitCode,
     _divisors,
@@ -131,8 +131,7 @@ def test_weight_structure_invariants():
 
 def test_signed_sum_evaluates_to_one_numerically():
     # substituting x = r^2 must collapse the table to exactly 1
-    pot = build_potential(0.7, 0.5)
-    x = pot.r**2
+    x = step_parameters(build_potential(0.7, 0.5))[2] ** 2
     for m in (1, 2, 3, 5):
         total = sum(
             float(c.t_w) * (-1) ** c.alpha * x**c.beta * (1 - x) ** c.gamma

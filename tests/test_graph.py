@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raysplit.model import build_nstep, build_potential
+from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.graph import (
     _DET_BLOCK,
     _blocks,
@@ -21,6 +21,8 @@ from raysplit.spectrum import find_roots, secular
 from raysplit.trace import trace_formula
 
 REF = build_potential(0.7, 0.5)
+L1, L2, R, T = step_parameters(REF)
+OMEGA1 = REF.total_length
 
 
 def enumerated_word_sum(pot, k, n):
@@ -36,8 +38,9 @@ def enumerated_word_sum(pot, k, n):
     rr = np.bitwise_count(w & rot).astype(np.int64)
     tau2 = np.bitwise_count(w ^ rot).astype(np.int64)
     sign = np.where((n + rr) % 2, -1.0, 1.0)
-    amp = sign * pot.r ** (n - tau2) * pot.t ** tau2
-    lengths = (n - n_r) * pot.l1 + n_r * pot.l2
+    l1, l2, r, t = step_parameters(pot)
+    amp = sign * r ** (n - tau2) * t ** tau2
+    lengths = (n - n_r) * l1 + n_r * l2
     return complex(2.0 * np.sum(amp * np.exp(2j * k * lengths)))
 
 
@@ -50,15 +53,15 @@ def test_single_step_matrix_literal_form():
     # chain basis (1>, 2>, 1<, 2<); i> moves right
     k = 2.3
     S = build_smatrix(REF, k)
-    d1 = np.exp(1j * REF.l1 * k)
-    d2 = np.exp(1j * REF.l2 * k)
+    d1 = np.exp(1j * L1 * k)
+    d2 = np.exp(1j * L2 * k)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = -d1             # left wall: 1< -> 1>
     expected[3, 1] = -d2             # right wall: 2> -> 2<
-    expected[2, 0] = REF.r * d1      # 1> reflects into 1<
-    expected[1, 0] = REF.t * d2      # 1> transmits into 2>
-    expected[1, 3] = -REF.r * d2     # 2< reflects into 2>
-    expected[2, 3] = REF.t * d1      # 2< transmits into 1<
+    expected[2, 0] = R * d1      # 1> reflects into 1<
+    expected[1, 0] = T * d2      # 1> transmits into 2>
+    expected[1, 3] = -R * d2     # 2< reflects into 2>
+    expected[2, 3] = T * d1      # 2< transmits into 1<
     assert np.max(np.abs(S - expected)) == 0.0
 
 
@@ -96,8 +99,8 @@ def test_det_closed_form():
     det = det_one_minus_s(REF, ks)
     closed = (
         1.0
-        + REF.r * (np.exp(2j * REF.l1 * ks) - np.exp(2j * REF.l2 * ks))
-        - np.exp(2j * REF.omega1 * ks)
+        + R * (np.exp(2j * L1 * ks) - np.exp(2j * L2 * ks))
+        - np.exp(2j * OMEGA1 * ks)
     )
     assert np.max(np.abs(det - closed)) < 1e-13
 
@@ -105,7 +108,7 @@ def test_det_closed_form():
 def test_det_proportional_to_secular_on_real_axis():
     ks = np.linspace(0.1, 60.0, 200)
     det = det_one_minus_s(REF, ks)
-    prop = -2j * np.exp(1j * REF.omega1 * ks) * secular(REF, ks)
+    prop = -2j * np.exp(1j * OMEGA1 * ks) * secular(REF, ks)
     assert np.max(np.abs(det - prop)) < 1e-13
 
 

@@ -7,41 +7,42 @@ from hypothesis import given, strategies as st
 
 from raysplit.model import (
     NStepPotential,
-    ScaledStepPotential,
     build_nstep,
     build_potential,
     interface_coefficients,
+    step_parameters,
 )
 
 
 def test_reference_geometry_fields():
     # [DERIVED] closed forms at b = 0.7, lam = 0.5
     pot = build_potential(0.7, 0.5)
-    assert pot.beta == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert pot.l1 == 0.7
-    assert pot.l2 == pytest.approx(0.3 * math.sqrt(0.5), abs=1e-15)
-    assert pot.omega1 == pytest.approx(0.7 + 0.3 * math.sqrt(0.5), abs=1e-15)
-    assert pot.omega2 == pytest.approx(0.7 - 0.3 * math.sqrt(0.5), abs=1e-15)
+    l1, l2, r, t = step_parameters(pot)
+    assert pot.betas[1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert l1 == 0.7
+    assert l2 == pytest.approx(0.3 * math.sqrt(0.5), abs=1e-15)
+    assert pot.total_length == pytest.approx(0.7 + 0.3 * math.sqrt(0.5), abs=1e-15)
+    assert l1 - l2 == pytest.approx(0.7 - 0.3 * math.sqrt(0.5), abs=1e-15)
     beta = math.sqrt(0.5)
-    assert pot.r == pytest.approx((1 - beta) / (1 + beta), abs=1e-15)
-    assert pot.t == pytest.approx(math.sqrt(1 - pot.r**2), abs=1e-15)
+    assert r == pytest.approx((1 - beta) / (1 + beta), abs=1e-15)
+    assert t == pytest.approx(math.sqrt(1 - r**2), abs=1e-15)
 
 
 def test_zero_strength_is_transparent():
     pot = build_potential(0.3, 0.0)
-    assert pot.beta == 1.0
-    assert pot.r == 0.0
-    assert pot.t == 1.0
-    assert pot.l2 == pytest.approx(0.7, abs=1e-15)
-    assert pot.omega1 == pytest.approx(1.0, abs=1e-15)
+    _, l2, r, t = step_parameters(pot)
+    assert pot.betas == (1.0, 1.0)
+    assert r == 0.0
+    assert t == 1.0
+    assert l2 == pytest.approx(0.7, abs=1e-15)
+    assert pot.total_length == pytest.approx(1.0, abs=1e-15)
 
 
 def test_equal_weighted_lengths_at_special_b():
     # b = beta / (1 + beta) makes the two weighted lengths coincide
     beta = math.sqrt(0.5)
-    pot = build_potential(beta / (1 + beta), 0.5)
-    assert abs(pot.l1 - pot.l2) < 1e-9
-    assert abs(pot.omega2) < 1e-9
+    l1, l2, _, _ = step_parameters(build_potential(beta / (1 + beta), 0.5))
+    assert abs(l1 - l2) < 1e-9
 
 
 def test_build_nstep_three_regions():
@@ -112,9 +113,10 @@ def test_interface_coefficients_reject_nonpositive_beta():
 )
 def test_flux_conservation_invariant(b, lam):
     pot = build_potential(b, lam)
-    assert abs(pot.r**2 + pot.t**2 - 1.0) < 1e-14
-    assert 0.0 <= pot.r < 1.0
-    assert pot.omega1 == pytest.approx(pot.l1 + pot.l2, abs=1e-15)
+    l1, l2, r, t = step_parameters(pot)
+    assert abs(r**2 + t**2 - 1.0) < 1e-14
+    assert 0.0 <= r < 1.0
+    assert pot.total_length == pytest.approx(l1 + l2, abs=1e-15)
 
 
 @given(
@@ -122,20 +124,25 @@ def test_flux_conservation_invariant(b, lam):
     lam=st.floats(0.0, 0.99),
 )
 def test_two_region_chain_matches_single_step(b, lam):
+    # the step is the two-region chain, with the closed forms of the step bit for bit
     step = build_potential(b, lam)
-    chain = build_nstep([0.0, b, 1.0], [0.0, lam])
-    assert chain.lengths[0] == pytest.approx(step.l1, abs=1e-14)
-    assert chain.lengths[1] == pytest.approx(step.l2, abs=1e-14)
-    r, t = interface_coefficients(chain.betas[0], chain.betas[1])
-    assert r == pytest.approx(step.r, abs=1e-14)
-    assert t == pytest.approx(step.t, abs=1e-14)
-    assert step.betas == chain.betas
-    assert step.lengths == chain.lengths
-    assert step.total_length == chain.total_length == step.omega1
+    assert step == build_nstep([0.0, b, 1.0], [0.0, lam])
+    beta = math.sqrt(1.0 - lam)
+    r = (1.0 - beta) / (1.0 + beta)
+    assert step_parameters(step) == (b, beta * (1.0 - b), r, math.sqrt(1.0 - r * r))
+    assert step.betas == (1.0, beta)
+    assert step.total_length == b + beta * (1.0 - b)
+
+
+@pytest.mark.parametrize("bps, lams", [([0.0, 1.0], [0.0]),
+                                       ([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])])
+def test_step_parameters_need_two_regions(bps, lams):
+    with pytest.raises(ValueError, match="two regions"):
+        step_parameters(build_nstep(bps, lams))
 
 
 def test_dataclasses_are_frozen():
     pot = build_potential(0.7, 0.5)
     with pytest.raises(AttributeError):
-        pot.b = 0.5  # type: ignore[misc]
-    assert isinstance(pot, ScaledStepPotential)
+        pot.lengths = (0.5, 0.5)  # type: ignore[misc]
+    assert isinstance(pot, NStepPotential)

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from raysplit.model import build_potential
+from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.orbits import (
     OrbitClass,
     _pair_counts,
@@ -23,6 +23,8 @@ from raysplit.orbits import (
 )
 
 REF = build_potential(0.7, 0.5)
+L1, L2, R, T = step_parameters(REF)
+OMEGA1 = REF.total_length
 
 
 def brute_necklaces(n):
@@ -100,7 +102,7 @@ def test_record_left_bounce():
     assert (rec.n_l, rec.n_r) == (1, 0)
     assert (rec.sigma, rec.tau2, rec.rr_pairs) == (1, 0, 0)
     assert rec.sign == -1
-    assert rec.s0 == pytest.approx(2 * REF.l1, abs=1e-15)
+    assert rec.s0 == pytest.approx(2 * L1, abs=1e-15)
 
 
 def test_record_right_bounce():
@@ -108,22 +110,22 @@ def test_record_right_bounce():
     assert (rec.n_l, rec.n_r) == (0, 1)
     assert (rec.sigma, rec.tau2, rec.rr_pairs) == (1, 0, 1)
     assert rec.sign == 1
-    assert rec.s0 == pytest.approx(2 * REF.l2, abs=1e-15)
+    assert rec.s0 == pytest.approx(2 * L2, abs=1e-15)
 
 
 def test_record_full_crossing():
     rec = lookup("LR")
     assert (rec.sigma, rec.tau2) == (0, 2)
     assert rec.sign == 1
-    assert rec.s0 == pytest.approx(2 * REF.omega1, abs=1e-15)
-    assert amplitude(rec, REF) == pytest.approx(REF.t**2, abs=1e-15)
+    assert rec.s0 == pytest.approx(2 * OMEGA1, abs=1e-15)
+    assert amplitude(rec, REF) == pytest.approx(T**2, abs=1e-15)
 
 
 def test_record_double_bounce_word():
     rec = lookup("LLRR")
     assert (rec.sigma, rec.tau2, rec.rr_pairs) == (2, 2, 1)
     assert rec.sign == -1
-    assert rec.s0 == pytest.approx(4 * REF.omega1, abs=1e-15)
+    assert rec.s0 == pytest.approx(4 * OMEGA1, abs=1e-15)
 
 
 def test_period_is_action_slope():
@@ -156,7 +158,7 @@ def test_amplitude_equals_per_pair_product(word):
     canon = canonical_rotation(word)
     code = [c for c in enumerate_necklaces(len(word)) if c.word == canon][0]
     rec = orbit_record(code, REF)
-    factors = {"LL": -REF.r, "RR": REF.r, "LR": -REF.t, "RL": -REF.t}
+    factors = {"LL": -R, "RR": R, "LR": -T, "RL": -T}
     prod = 1.0
     n = len(canon)
     for i in range(n):
@@ -188,7 +190,7 @@ def test_repetition_power_law():
 def test_action_spectrum_reference_potential():
     # s_max alone bounds the repetitions: R up to R^4 (8 l2 = 1.70), L and LR once
     spect = action_spectrum(orbit_classes(REF, 2), s_max=2.0)
-    expected = [2 * REF.l2, 4 * REF.l2, 6 * REF.l2, 8 * REF.l2, 2 * REF.l1, 2 * REF.omega1]
+    expected = [2 * L2, 4 * L2, 6 * L2, 8 * L2, 2 * L1, 2 * OMEGA1]
     assert spect == pytest.approx(sorted(expected), abs=1e-12)
     assert all(type(s) is float for s in spect)
 
@@ -232,3 +234,14 @@ def test_classes_of_small_set():
     assert classes_of([]) == ()
     with pytest.raises(ValueError, match="primitive"):
         classes_of([lookup("LRLR")])
+
+
+def test_orbit_layer_needs_two_regions():
+    # the orbit picture is that of one step; a 3-region chain has none here
+    chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
+    code = enumerate_primitive(2)[-1]
+    rec, cls = orbit_record(code, REF), orbit_classes(REF, 2)[-1]
+    for call in (lambda: orbit_record(code, chain), lambda: orbit_classes(chain, 4),
+                 lambda: amplitude(rec, chain), lambda: amplitude(cls, chain)):
+        with pytest.raises(ValueError, match="two regions"):
+            call()

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from raysplit import graph, spectrum
-from raysplit.model import build_nstep, build_potential
+from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.spectrum import (
     CompletenessError,
     _illinois,
     find_roots,
     matching_determinant,
     secular,
-    secular_slope,
     weyl_count,
 )
 
 REF = build_potential(0.7, 0.5)
+L1, L2, R, _ = step_parameters(REF)
+OMEGA1 = REF.total_length
 CHAIN3 = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
 REPRO5 = build_nstep([0, 0.3805, 0.3905, 0.7133, 0.7979, 1], [0.6119, 0.9401, 0.9907, 0.723, 0.808])
 
@@ -29,6 +30,16 @@ def test_secular_reference_values():
     # [PAPER] sign change bracketing the first excited root
     assert secular(REF, 3.0) == pytest.approx(0.2236, abs=5e-4)
     assert secular(REF, 3.4442) == pytest.approx(-0.1706, abs=5e-4)
+
+
+@pytest.mark.parametrize("lambdas", [(0.0, 0.5), (0.8, 0.3)], ids=["step", "r-negative"])
+def test_step_function_is_twice_the_closed_form(lambdas):
+    # for two regions c psi(1; k) = 2 (1 - r) psi(1; k) is 2 secular(k) identically
+    pot = build_nstep([0.0, 0.6, 1.0], lambdas)
+    k = np.random.default_rng(5).uniform(0.0, 1e3, 500)
+    f = spectrum.secular_function(pot)
+    assert np.max(np.abs(f(k) - 2.0 * secular(pot, k))) < 1e-12
+    assert f(3.0) == pytest.approx(2.0 * secular(pot, 3.0), abs=1e-15)
 
 
 def test_first_root_frozen_value():
@@ -42,7 +53,7 @@ def test_matching_determinant_same_zero_set():
     rng = np.random.default_rng(3)
     ks = rng.uniform(0.0, 100.0, 100)
     lhs = matching_determinant(REF, ks)
-    rhs = 0.5 * (1.0 + REF.beta) * secular(REF, ks)
+    rhs = secular(REF, ks) / (1.0 + R)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -80,7 +91,7 @@ def test_eleven_roots_up_to_forty():
 def test_roots_monotone_and_residuals_small():
     res = find_roots(REF, 200.0)
     assert np.all(np.diff(res.roots) > 0)
-    assert np.max(np.abs(secular(REF, res.roots))) < 1e-10 * (1 + REF.omega1)
+    assert np.max(np.abs(secular(REF, res.roots))) < 1e-10 * (1 + OMEGA1)
     assert res.completeness.tolerance == 1.5
     assert res.completeness.max_staircase_deviation <= 1.5
     assert res.completeness.near_degenerate == ()
@@ -93,7 +104,7 @@ def test_root_invariants_random_geometry(b, lam):
     res = find_roots(pot, 60.0)
     assert np.all(np.diff(res.roots) > 0)
     assert np.all(res.roots > 0)
-    assert np.max(np.abs(secular(pot, res.roots))) < 1e-10 * (1 + pot.omega1)
+    assert np.max(np.abs(secular(pot, res.roots))) < 1e-10 * (1 + pot.total_length)
     assert res.completeness.max_staircase_deviation <= 1.5
 
 
@@ -105,13 +116,14 @@ def test_comb_roots_within_four_ulp(lam):
     roots = find_roots(pot, 1e5).roots
     n = np.arange(1, len(roots) + 1, dtype=np.longdouble)
     pi = np.longdouble("3.14159265358979323846264338327950288")
-    exact = n * pi / (np.longdouble(pot.l1) + np.longdouble(pot.l2))
+    l1, l2, _, _ = step_parameters(pot)
+    exact = n * pi / (np.longdouble(l1) + np.longdouble(l2))
     err = np.abs(roots.astype(np.longdouble) - exact) / np.spacing(roots)
     assert np.max(err) <= 4.0
 
 
 def test_weyl_count_examples():
-    assert weyl_count(REF, 10.0) == pytest.approx(10.0 * REF.omega1 / math.pi, abs=1e-15)
+    assert weyl_count(REF, 10.0) == pytest.approx(10.0 * OMEGA1 / math.pi, abs=1e-15)
     chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
     assert weyl_count(chain, 10.0) == pytest.approx(
         10.0 * chain.total_length / math.pi, abs=1e-15
@@ -122,7 +134,7 @@ def test_newton_polish_hits_machine_precision():
     res = find_roots(REF, 100.0)
     # polished roots should be far below the contract tolerance
     assert np.max(np.abs(secular(REF, res.roots))) < 1e-12
-    assert np.min(np.abs(secular_slope(REF, res.roots))) > 1e-3
+    assert np.min(np.abs(spectrum._chain_psi(REF, res.roots)[1])) > 1e-3
 
 
 def test_nstep_free_well_matches_analytic():
@@ -197,7 +209,7 @@ def test_refinement_evaluations_per_bracket(case, monkeypatch):
     # the scan and refinement it replaced needed about 25
     pot, k_max = (REF, 1e4) if case == "step" else (CHAIN3, 5e3)
     counters = []
-    for name in ("_prufer_angle", "secular", "secular_slope", "_chain_psi"):
+    for name in ("_prufer_angle", "_chain_psi"):
         counters.append(Counted(getattr(spectrum, name)))
         monkeypatch.setattr(spectrum, name, counters[-1])
     roots = find_roots(pot, k_max).roots

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from raysplit.model import build_potential
+from raysplit.model import build_nstep, build_potential
 from raysplit.graph import det_one_minus_s
 from raysplit.orbits import (
     amplitude,
@@ -24,10 +24,12 @@ from raysplit.trace import (
     newtonian_prediction,
     rho_resummed,
     rho_trace,
+    trace_formula,
     zeta,
 )
 
 REF = build_potential(0.7, 0.5)
+OMEGA1 = REF.total_length
 
 
 def records(pot, max_length):
@@ -37,7 +39,7 @@ def records(pot, max_length):
 def test_empty_orbit_set_gives_smooth_density():
     k = np.linspace(1.0, 10.0, 50)
     prof = rho_trace(REF, [], 5, k)
-    assert np.allclose(prof.values, REF.omega1 / (2 * np.pi * k), atol=0, rtol=0)
+    assert np.allclose(prof.values, OMEGA1 / (2 * np.pi * k), atol=0, rtol=0)
 
 
 def test_single_orbit_hand_formula():
@@ -52,7 +54,7 @@ def test_single_orbit_hand_formula():
         (amp**nu) * np.exp(1j * nu * rec.s0 * (k + 1j * eta))
         for nu in range(1, nu_max + 1)
     )
-    expected = REF.omega1 / (2 * np.pi * k) + (rec.s0 / (2 * k)) * osc.real / np.pi
+    expected = OMEGA1 / (2 * np.pi * k) + (rec.s0 / (2 * k)) * osc.real / np.pi
     assert np.max(np.abs(prof.values - expected)) < 1e-14
 
 
@@ -89,7 +91,7 @@ def test_resummed_rejects_pole():
     # r = 0 makes the crossing amplitude exactly 1: poles on the real axis
     pot = build_potential(0.5, 0.0)
     recs = orbit_classes(pot, 2)
-    k = np.array([math.pi / pot.omega1])      # z = 1 exactly
+    k = np.array([math.pi / pot.total_length])      # z = 1 exactly
     with pytest.raises(ValueError, match="pole"):
         rho_resummed(pot, recs, k)
 
@@ -97,7 +99,7 @@ def test_resummed_rejects_pole():
 def record_sums(pot, recs, nu_max, k, eta):
     """Reference densities with one term per listed orbit: (truncated, resummed)."""
     kc = k + 1j * eta
-    weyl = pot.omega1 / (2 * np.pi * k)
+    weyl = pot.total_length / (2 * np.pi * k)
     truncated = np.zeros_like(kc)
     resummed = np.zeros_like(kc)
     for rec in recs:
@@ -160,7 +162,7 @@ def test_grid_and_argument_validation():
 
 def test_newtonian_prediction_values():
     comb = newtonian_prediction(REF, 3)
-    expected = np.pi * np.arange(1, 4) / REF.omega1
+    expected = np.pi * np.arange(1, 4) / OMEGA1
     assert np.allclose(comb, expected, atol=1e-15)
     with pytest.raises(ValueError, match="m_max"):
         newtonian_prediction(REF, 0)
@@ -177,7 +179,7 @@ def test_zeta_transparent_step_zeros():
     pot = build_potential(0.5, 0.0)
     recs = orbit_classes(pot, 2)
     for m in (1, 2, 5):
-        assert abs(zeta(pot, recs, m * math.pi / pot.omega1)) < 1e-12
+        assert abs(zeta(pot, recs, m * math.pi / pot.total_length)) < 1e-12
 
 
 def test_zeta_converges_to_determinant_off_axis():
@@ -207,9 +209,9 @@ def test_phase_winds_once_per_level():
     expected = -2 * math.atan(half / eta)     # -0.950 pi for this window
     for kj in roots:
         ks = np.linspace(kj - half, kj + half, 2001) + 1j * eta
-        det_drop = unwound_drop(det_one_minus_s(REF, ks), REF.omega1, half)
+        det_drop = unwound_drop(det_one_minus_s(REF, ks), OMEGA1, half)
         assert det_drop == pytest.approx(expected, abs=0.02 * math.pi)
-        zeta_drop = unwound_drop(zeta(REF, recs, ks), REF.omega1, half)
+        zeta_drop = unwound_drop(zeta(REF, recs, ks), OMEGA1, half)
         assert -1.3 * math.pi < zeta_drop < -0.45 * math.pi
 
 
@@ -247,7 +249,7 @@ def test_cycle_expansion_evaluates_to_det_one_minus_s(b, lam):
 def test_cycle_expansion_is_the_secular_function_on_the_real_axis():
     cells = cycle_expansion(orbit_classes(REF, 8))
     k = np.linspace(0.5, 60.0, 400)
-    expected = -2j * np.exp(1j * k * REF.omega1) * secular(REF, k)
+    expected = -2j * np.exp(1j * k * OMEGA1) * secular(REF, k)
     assert np.max(np.abs(evaluate_cycle_terms(cells, REF, k) - expected)) < 1e-12
 
 
@@ -263,3 +265,13 @@ def test_mutated_class_leaves_longer_cells(mutation):
     cells = cycle_expansion(classes)
     assert any(n_l + n_r > 2 for n_l, n_r, _ in cells)
     assert {key: c for key, c in cells.items() if sum(key[:2]) <= 2} == DET_CELLS
+
+
+def test_orbit_sums_need_two_regions():
+    chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
+    classes, k = orbit_classes(REF, 4), np.array([1.0, 2.0])
+    for call in (lambda: trace_formula(chain, classes, k), lambda: zeta(chain, classes, k),
+                 lambda: rho_trace(chain, classes, 2, k),
+                 lambda: evaluate_cycle_terms(cycle_expansion(classes), chain, k)):
+        with pytest.raises(ValueError, match="two regions"):
+            call()
