@@ -29,7 +29,7 @@ import click
 from . import __version__
 from .model import ContractFailure, NStepPotential, build_nstep, build_potential
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_CONTRACT = 1
 EXIT_RANGE = 3

@@ -19,11 +19,12 @@ Omega = sum l_i:
 - the level count is N(k) = floor(theta(1; k) / pi) exactly, and the
   staircase obeys |N(k) - Omega k / pi| < 1 + (N - 1) / 2.
 
-find_roots takes the count from theta(1; k_max), refines every level in its
-index interval by Illinois regula falsi, polishes it by one Newton step on
-secular_function(pot), the scaled psi(1; k), and certifies the list against
-the staircase bound.  det(1 - S(k)) of the graph module and the step's closed
-form secular(k) = sin(k Omega) - r sin(k (l1 - l2)) are left to the tests as
+find_roots takes the count from theta(1; k_max), solves for every level in
+its index interval by safeguarded Newton steps on theta, polishes it to the
+nearest float64 by one Newton step on secular_function(pot), the scaled
+psi(1; k), and certifies the list against the staircase bound.
+det(1 - S(k)) of the graph module and the step's closed form
+secular(k) = sin(k Omega) - r sin(k (l1 - l2)) are left to the tests as
 independent oracles.
 """
 
@@ -47,7 +48,8 @@ __all__ = [
     "find_roots",
 ]
 
-_ILLINOIS_ITERS = 40
+_NEWTON_ITERS = 64
+_NEWTON_TOL = 1e-8
 _DEGENERATE_SLOPE = 1e-8
 _REFINE_BLOCK = 4096
 _POLISH_ULP = 4
@@ -127,81 +129,61 @@ def weyl_count(pot: NStepPotential, k):
     return pot.total_length * np.asarray(k, dtype=float) / np.pi
 
 
-def _illinois(f, lo, hi, flo, fhi, target):
-    """Refine every bracket to adjacent floats by Illinois regula falsi.
+def _newton(f, k, lo, hi, target, tol):
+    """Solve f(k) = target[i] for increasing f, which returns value and slope,
+    from k[i] in the bracket [lo[i], hi[i]].
 
-    The function refined on bracket i is f(k) - target[i], and flo, fhi are
-    its values at the ends.  Each step evaluates it at the secant point of
-    the bracket, with the Illinois modification (Dowell & Jarratt, BIT 11,
-    168 (1971)): an end kept by two secant steps running has its value
-    halved, which gives superlinear convergence from both sides.  A secant
-    point that rounds onto or past an end is moved one float inside, so the
-    bracket shrinks at every step and a root already found to rounding level
-    costs one more evaluation; a NaN secant point, and every step after
-    _ILLINOIS_ITERS, takes the midpoint instead.  A bracket is done when its
-    midpoint equals an end (the ends are adjacent floats) or f is exactly 0
-    at a trial point; its midpoint is returned.
-
-    f is evaluated only on the brackets still open.  find_roots passes at
-    most _REFINE_BLOCK brackets, which bounds the temporaries of each step
-    (the trial points, f values and masks).
+    Each step evaluates f at k, keeps the side of k that holds the root, and
+    is done, returning k minus the Newton step, once that step is at most tol
+    or too small to move k.  That test comes first, so a rounding-level step
+    onto an end cannot start a bisection of the whole bracket.  Otherwise the
+    next k is the Newton point if it lies strictly inside the bracket, and
+    the midpoint if not.  A simple root ends within about f'' tol^2 / f', a
+    root of multiplicity m within (m - 1) tol, each up to the rounding of k;
+    after _NEWTON_ITERS steps the current k is returned.  f sees only the
+    solves still open, at most _REFINE_BLOCK from find_roots.
     """
-    roots = np.empty(len(lo))
-    todo = np.arange(len(lo))
-    kept = np.zeros(len(lo), dtype=np.int8)   # end the last secant step kept: +1 hi, -1 lo
-    step = 0
+    roots = np.empty(len(k))
+    todo = np.arange(len(k))
     with np.errstate(all="ignore"):
-        while True:
-            mid = 0.5 * (lo + hi)
-            done = (mid == lo) | (mid == hi)
-            roots[todo[done]] = mid[done]
+        for _ in range(_NEWTON_ITERS):
+            value, slope = f(k)
+            g = value - target
+            step = np.divide(g, slope, out=np.zeros_like(g), where=g != 0.0)
+            new = k - step
+            done = (np.abs(step) <= tol) | (new == k)
+            roots[todo[done]] = new[done]
             if done.all():
                 return roots
-            if done.any():
-                todo, lo, hi, flo, fhi, target, kept, mid = (
-                    a[~done] for a in (todo, lo, hi, flo, fhi, target, kept, mid))
-            if step < _ILLINOIS_ITERS:
-                x = lo - flo * (hi - lo) / (fhi - flo)
-                secant = ~np.isnan(x)
-                x = np.where(secant, x, mid)
-                # nextafter only where needed: it costs as much as f on a block
-                low, high = x <= lo, x >= hi
-                if low.any():
-                    x[low] = np.nextafter(lo[low], hi[low])
-                if high.any():
-                    x[high] = np.nextafter(hi[high], lo[high])
-            else:
-                secant = np.zeros(len(todo), dtype=bool)
-                x = mid
-            step += 1
-            fx = np.asarray(f(x), dtype=float) - target
-            zero = fx == 0.0
-            move_lo = np.sign(fx) == np.sign(flo)
-            fhi = np.where(secant & move_lo & (kept == 1), 0.5 * fhi, fhi)
-            flo = np.where(secant & ~move_lo & (kept == -1), 0.5 * flo, flo)
-            kept = np.where(secant, np.where(move_lo, 1, -1), 0).astype(np.int8)
-            # an exact zero closes the bracket onto x
-            lo = np.where(move_lo | zero, x, lo)
-            hi = np.where(move_lo & ~zero, hi, x)
-            flo = np.where(move_lo, fx, flo)
-            fhi = np.where(move_lo, fhi, fx)
+            todo, k, lo, hi, target, g, new = (
+                a[~done] for a in (todo, k, lo, hi, target, g, new))
+            lo, hi = np.where(g < 0.0, k, lo), np.where(g > 0.0, k, hi)
+            k = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+    roots[todo] = k
+    return roots
 
 
-def _prufer_angle(pot: NStepPotential, k):
-    """theta(1; k) of the solution with psi(0) = 0, see the module docstring.
+def _prufer_angle(pot: NStepPotential, k, slope=True):
+    """theta(1; k) of psi(0) = 0 (module docstring), with slope=True also dtheta/dk.
 
     The interface remap of phi = theta mod pi is applied as the shift
-    arg(1 + r e^{-2 i theta}), with r the interface reflection coefficient
-    (beta - beta') / (beta + beta').  The shift is pi-periodic in theta, so
-    theta needs no reduction mod pi, and |shift| <= arcsin |r| < pi / 2.
+    arg(1 + r e^{-2 i theta}) = atan2(y, x), with r the interface reflection
+    coefficient (beta - beta') / (beta + beta').  The shift is pi-periodic in
+    theta, so theta needs no reduction mod pi, and |shift| <= arcsin |r| <
+    pi / 2.  Its theta-derivative is (1 - r^2) / (x^2 + y^2) - 1, so the
+    slope d = dtheta/dk becomes d (1 - r^2) / (x^2 + y^2) + l across an
+    interface and the region of optical length l behind it.
     """
     betas, lengths = pot.betas, pot.lengths
-    theta = k * lengths[0]
+    theta, d = k * lengths[0], lengths[0]
     for beta_l, beta_r, length in zip(betas, betas[1:], lengths[1:]):
         r, _ = interface_coefficients(beta_l, beta_r)
         two = 2.0 * theta
-        theta = theta + np.arctan2(-r * np.sin(two), 1.0 + r * np.cos(two)) + k * length
-    return theta
+        x, y = 1.0 + r * np.cos(two), -r * np.sin(two)
+        theta = theta + np.arctan2(y, x) + k * length
+        if slope:
+            d = d * (1.0 - r * r) / (x * x + y * y) + length
+    return (theta, d) if slope else theta
 
 
 def _staircase_deviation(roots: np.ndarray, slope: float, k_max: float, bound: float):
@@ -224,14 +206,15 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     """All levels in (0, k_max] of an N-region chain.
 
     The count is floor(theta(1; k_max) / pi), and level n is the root of
-    theta(1; k) - n pi in its index interval (module docstring), refined to
-    adjacent floats by Illinois regula falsi and polished by one Newton step
-    on secular_function(pot), whose value and slope _chain_psi returns in
-    one pass over each block.  The single step takes the same path as any
-    chain.  Roots are accurate to a few ulp of k, the float64 limit, since
-    k * l_i is itself rounded; on the l1 = l2 comb they lie within 4 ulp of
-    n pi / (l1 + l2) for k_max up to 1e6.  Roots listed as near-degenerate
-    in the report sit where secular_function(pot) is flat.
+    theta(1; k) - n pi in its index interval (module docstring), solved for
+    from the Weyl point n pi / Omega until a step is at most _NEWTON_TOL of
+    pi / Omega.  One Newton step on secular_function(pot), whose value and
+    slope _chain_psi returns in one pass over each block with the phases
+    k l_i taken exactly, then makes each root the float64 nearest the level
+    of pot as stored: |k - k_n| <= ulp(k) / 2 + 2e-15, where the absolute
+    term is the rounding of sin and cos at small k.  The single step takes
+    the same path as any chain.  Roots listed as near-degenerate in the
+    report sit where secular_function(pot) is flat.
 
     k = 0 is never returned.  Raises ValueError unless 0 < k_max < inf, and
     CompletenessError (with the offending interval) when the roots are not
@@ -241,18 +224,15 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     if not (k_max > 0 and np.isfinite(k_max)):
         raise ValueError(f"k_max must be finite and positive, got {k_max!r}")
     omega = pot.total_length
-    width = len(pot.lengths) - 1
-    half = 0.5 * width
+    half = 0.5 * (len(pot.lengths) - 1)
     theta = partial(_prufer_angle, pot)
-    count = int(theta(float(k_max)) // np.pi)
+    count = int(theta(float(k_max), slope=False) // np.pi)
+    spacing = np.pi / omega
     roots, near = np.empty(count), []
     for i in range(0, count, _REFINE_BLOCK):
         n = np.arange(i + 1, min(count, i + _REFINE_BLOCK) + 1)
-        # the interval ends (n -/+ half) pi / Omega lie on one grid, shared
-        ends = np.maximum((np.arange(len(n) + width) + (n[0] - half)) * (np.pi / omega), 0.0)
-        g, target = theta(ends), n * np.pi
-        k = _illinois(theta, ends[:len(n)], ends[width:],
-                      g[:len(n)] - target, g[width:] - target, target)
+        k = _newton(theta, n * spacing, np.maximum((n - half) * spacing, 0.0),
+                    (n + half) * spacing, n * np.pi, _NEWTON_TOL * spacing)
         # theta(1; k) carries a few ulp(Omega k) of rounding and grows at least
         # as fast as k l_N (the last region is never damped by an interface),
         # so a level lies within about _POLISH_ULP ulp(Omega k) / l_N of its
@@ -297,23 +277,24 @@ def secular_function(pot: NStepPotential):
 
     It is c psi(1; k) of the solution with psi(0) = 0, scaled so that it
     equals det(1 - S(k)) turned onto the real axis, up to a sign
-    (_chain_psi); for a single step it is 2 secular.  It is evaluated
-    _REFINE_BLOCK wavenumbers at a time, so its temporaries stay bounded.
-    find_roots polishes each root by one Newton step on it and flags
-    near-degenerate roots by its slope; the spectrum subcommand reports |f|
-    at each root as the residual.
+    (_chain_psi); for a single step it is 2 secular.  It is evaluated value
+    only, _REFINE_BLOCK wavenumbers at a time so its temporaries stay bounded,
+    with the exact phases of the polish, so at a root it measures the
+    rounding of the root and not that of k l_i.  find_roots polishes each
+    root by one Newton step on it and flags near-degenerate roots by its
+    slope; the spectrum subcommand reports |f| at each root as the residual.
     """
     def f(k):
         k = np.asarray(k, dtype=float)
         flat, out = k.reshape(-1), np.empty(k.size)
         for i in range(0, k.size, _REFINE_BLOCK):
-            out[i:i + _REFINE_BLOCK] = _chain_psi(pot, flat[i:i + _REFINE_BLOCK])[0]
+            out[i:i + _REFINE_BLOCK] = _chain_psi(pot, flat[i:i + _REFINE_BLOCK], slope=False)
         return out.reshape(k.shape)[()]
     return f
 
 
-def _chain_psi(pot: NStepPotential, k):
-    """c psi(1; k) and its exact k-derivative, by transfer matrices.
+def _chain_psi(pot: NStepPotential, k, slope=True):
+    """c psi(1; k), with slope=True also its exact k-derivative, by transfer matrices.
 
     psi solves -psi'' = q^2 psi, q = beta_i k in region i, with psi(0) = 0
     and psi'(0) = beta_1 k.  Across region i the pair w = (psi, psi' / q)
@@ -324,16 +305,35 @@ def _chain_psi(pot: NStepPotential, k):
     c psi(1; k) = (-1)^(N - 1) Re[e^{-i (2 Omega k + theta0 + pi d) / 2} det(1 - S(k))]
     for N regions, d = 2N and theta0 = arg det S(0), so the near-degenerate
     slope threshold keeps the scale it was set on.
+
+    Each angle k l_i is the double-double h + e of Dekker's two-product
+    (Numer. Math. 18, 224 (1971)), turned by sin h + e cos h and
+    cos h - e sin h, exact to e^2.  A rounded k l_i would move a root at k by
+    up to about ulp(k l_i) / l_i, a sizeable share of ulp(k).
     """
     betas = pot.betas
     scale, u, v, du, dv = 2.0, 0.0, 1.0, 0.0, 0.0
+    k_hi, k_lo = _split(k)
     # region 1 is entered through a trivial interface: r = 0, ratio 1
     for beta_l, beta_r, length in zip(betas[:1] + betas, betas, pot.lengths):
         r, _ = interface_coefficients(beta_l, beta_r)
         scale *= 1.0 - r
         ratio = beta_l / beta_r
         v, dv = ratio * v, ratio * dv
-        c, s = np.cos(k * length), np.sin(k * length)
-        du, dv = du + length * v, dv - length * u
-        u, v, du, dv = c * u + s * v, c * v - s * u, c * du + s * dv, c * dv - s * du
-    return scale * u, scale * du
+        h = k * length
+        l_hi, l_lo = _split(length)
+        e = ((k_hi * l_hi - h) + k_hi * l_lo + k_lo * l_hi) + k_lo * l_lo
+        s, c = np.sin(h), np.cos(h)
+        s, c = s + e * c, c - e * s
+        if slope:
+            du, dv = du + length * v, dv - length * u
+            du, dv = c * du + s * dv, c * dv - s * du
+        u, v = c * u + s * v, c * v - s * u
+    return (scale * u, scale * du) if slope else scale * u
+
+
+def _split(a):
+    """Dekker's split a = hi + lo into halves whose products are exact."""
+    t = 134217729.0 * a    # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi

@@ -32,7 +32,7 @@ def test_spectrum_csv_shape(runner):
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20"])
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
-    assert lines[0] == "# schema_version=2 kind=spectrum"
+    assert lines[0] == "# schema_version=3 kind=spectrum"
     assert lines[1] == "n,k,E,residual"
     rows = data_rows(res.stdout)
     assert len(rows) == 5
@@ -47,7 +47,7 @@ def test_spectrum_json_schema(runner):
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20", "--format", "json"])
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["kind"] == "spectrum"
     assert len(payload["roots"]) == 5
     assert payload["roots"][0]["k"] == pytest.approx(3.25522256931717, abs=1e-12)
@@ -102,7 +102,7 @@ def plain(value):
 def dumps_oracle(payload):
     """The JSON artifact as the plain (pure-Python) json.dumps path writes it."""
     payload = {key: plain(value) for key, value in payload.items()}
-    return json.dumps({"schema_version": 2, **payload}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"schema_version": 3, **payload}, indent=2, sort_keys=True) + "\n"
 
 
 def json_text(payload):
@@ -246,7 +246,7 @@ def test_orbits_table_by_length(runner):
     res = runner.invoke(main, ["orbits", *STEP, "--max-length", "7"])
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
-    assert lines[0] == "# schema_version=2 kind=orbits"
+    assert lines[0] == "# schema_version=3 kind=orbits"
     assert lines[1] == "code,length,nu,nL,nR,sigma,tau2,sign,S0"
     rows = data_rows(res.stdout)
     assert len(rows) == 41
@@ -297,7 +297,7 @@ def test_trace_artifacts(runner, tmp_path):
     rows = data_rows(out.read_text())
     assert len(rows) == 300
     payload = json.loads(rep.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["density_maxima"]
     assert payload["newtonian_comb"]
     assert len(payload["maxima_to_comb_distance"]) == len(payload["density_maxima"])
@@ -394,7 +394,7 @@ def test_fourier_match_report(runner, tmp_path):
     assert payload["peaks"]
     assert payload["worst_residual"] < payload["tolerance"]
     header = out.read_text().splitlines()
-    assert header[0] == "# schema_version=2 kind=fourier"
+    assert header[0] == "# schema_version=3 kind=fourier"
     assert header[1] == "s,absF"
 
 
@@ -639,7 +639,7 @@ def test_no_subcommand_forks(runner, monkeypatch, tmp_path):
     records, rep = payload["roots"], payload["completeness"]
     assert len(records) == 29034   # 8 blocks
     assert csv_text == (
-        "# schema_version=2 kind=spectrum\nn,k,E,residual\n"
+        "# schema_version=3 kind=spectrum\nn,k,E,residual\n"
         + "".join("%d,%.15g,%.15g,%.15g\n" % (r["n"], r["k"], r["E"], r["residual"])
                   for r in records)
         + "# max_staircase_deviation=%.15g\n# staircase_tolerance=%.15g\n"
@@ -684,7 +684,7 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
     out = tmp_path / "t.csv"
     cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
     text = out.read_text()
-    assert text == "# schema_version=2 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
+    assert text == "# schema_version=3 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])

@@ -12,7 +12,6 @@ from raysplit import graph, spectrum
 from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.spectrum import (
     CompletenessError,
-    _illinois,
     find_roots,
     matching_determinant,
     secular,
@@ -175,9 +174,10 @@ def test_engine_raises_when_roots_stay_missing(monkeypatch):
     k20 = find_roots(REF, 100.0).roots[20]
     lose = lambda r: np.append(np.delete(r, 20), 1e9)
     duplicate = lambda r: np.where(np.arange(len(r)) == 20, r[21], r)
+    newton = spectrum._newton
     for broken, message in ((lose, "staircase deviates"), (duplicate, "not strictly increasing")):
-        monkeypatch.setattr(spectrum, "_illinois",
-                            lambda *a, broken=broken: broken(_illinois(*a)))
+        monkeypatch.setattr(spectrum, "_newton",
+                            lambda *a, broken=broken: broken(newton(*a)))
         with pytest.raises(CompletenessError, match=message) as exc:
             find_roots(REF, 100.0)
         lo, hi = exc.value.interval
@@ -198,15 +198,16 @@ class Counted:
         self.f = f
         self.points = 0
 
-    def __call__(self, pot, k):
+    def __call__(self, pot, k, slope=True):
         self.points += np.size(k)
-        return self.f(pot, k)
+        return self.f(pot, k, slope=slope)
 
 
 @pytest.mark.parametrize("case", ["step", "chain"])
 def test_refinement_evaluations_per_bracket(case, monkeypatch):
     # every function evaluation of find_roots, per root (one bracket per root);
-    # the scan and refinement it replaced needed about 25
+    # the scan and refinement it replaced needed about 25, the regula falsi
+    # that refined theta to adjacent floats about 9.5
     pot, k_max = (REF, 1e4) if case == "step" else (CHAIN3, 5e3)
     counters = []
     for name in ("_prufer_angle", "_chain_psi"):
@@ -215,7 +216,7 @@ def test_refinement_evaluations_per_bracket(case, monkeypatch):
     roots = find_roots(pot, k_max).roots
     assert len(roots) > 1000
     assert counters[0].points > 0
-    assert sum(c.points for c in counters) / len(roots) <= 12.0
+    assert sum(c.points for c in counters) / len(roots) <= 6.0
 
 
 def test_find_roots_memory_is_bounded():
@@ -265,13 +266,21 @@ def test_sign_change_across_a_chunk_boundary_is_found(monkeypatch, j):
     kind=st.sampled_from(["cube", "tanh"]),
 )
 def test_hard_brackets_end_at_the_root(c, left, right, kind):
-    # a triple root and a saturated step defeat plain regula falsi
+    # a triple root (Newton converges only linearly, by 2/3 a step) and a
+    # saturated step (Newton steps leave the bracket) need the safeguard
     lo, hi = c - left * max(1.0, abs(c)), c + right * max(1.0, abs(c))
     assume(lo < c < hi)
-    f = (lambda k: (k - c) ** 3) if kind == "cube" else (lambda k: np.tanh(50.0 * (k - c)))
+    if kind == "cube":
+        f, multiplicity = lambda k: ((k - c) ** 3, 3.0 * (k - c) ** 2), 3
+    else:
+        f, multiplicity = lambda k: (np.tanh(50.0 * (k - c)), 50.0 / np.cosh(50.0 * (k - c)) ** 2), 1
+    evaluations = []
+    counted = lambda k: evaluations.append(k) or f(k)
+    tol = 1e-8 * (hi - lo)
     lo, hi = np.array([lo]), np.array([hi])
-    root = _illinois(f, lo, hi, f(lo), f(hi), np.zeros(1))[0]
-    assert abs(root - c) <= 2 * np.spacing(abs(c))
+    root = spectrum._newton(counted, 0.5 * (lo + hi), lo, hi, np.zeros(1), tol)[0]
+    assert len(evaluations) < spectrum._NEWTON_ITERS
+    assert abs(root - c) <= max(multiplicity - 1, 1) * tol + 2 * np.spacing(c)
 
 
 def _ulp_errors(roots, exact_fn):
@@ -366,6 +375,37 @@ def test_chain_roots_against_mpmath():
     with mpmath.workdps(40):
         errs = _ulp_errors(roots, _psi_end(CHAIN3))
     assert np.max(errs) <= 4.0
+
+
+def _psi_end_exact(pot):
+    """psi(1; k), up to a positive factor, of the problem find_roots solves:
+    the float64 optical lengths and wavenumber ratios of pot, taken exactly."""
+    lengths = [mpmath.mpf(x) for x in pot.lengths]
+    betas = [mpmath.mpf(x) for x in pot.betas]
+
+    def psi_end(k):
+        u, v = mpmath.mpf(0), mpmath.mpf(1)
+        for i, length in enumerate(lengths):
+            v = v * betas[max(i - 1, 0)] / betas[i]
+            c, s = mpmath.cos(k * length), mpmath.sin(k * length)
+            u, v = c * u + s * v, c * v - s * u
+        return u
+
+    return psi_end
+
+
+@pytest.mark.parametrize("pot", [REF, CHAIN3], ids=["step", "chain"])
+def test_roots_are_correctly_rounded(pot):
+    # 30 roots below each of k = 1e2, 1e4 and 1e6 against the root at 200 bits:
+    # each is the nearest float64, up to 2e-15 of sin and cos rounding at small k
+    roots = find_roots(pot, 1e6).roots
+    ends = np.searchsorted(roots, [1e2, 1e4, 1e6])
+    with mpmath.workprec(200):
+        psi_end = _psi_end_exact(pot)
+        for k in np.concatenate([roots[j - 30:j] for j in ends]):
+            x = mpmath.mpf(float(k))
+            exact = mpmath.findroot(psi_end, (x, x * (1 + mpmath.mpf(2) ** -40)), solver="secant")
+            assert float(abs(x - exact)) <= 0.5 * np.spacing(k) + 2e-15, k
 
 
 @pytest.mark.parametrize("chain, k_max", [
