@@ -33,18 +33,13 @@ import re
 
 import numpy as np
 
+from .model import _split
+
 _PAD = 0xFF
 _PAD_WORD = np.uint32(0xFFFFFFFF)
 _S_MIN, _S_MAX = -280, 300   # exponents of the 10^s table; |x| in (1e-270, 1e270) needs [-254, 287]
-_SPLIT = 134217729.0          # 2^27 + 1, Dekker's splitter of a double into two 26-bit halves
 _FRACTION_BITS = np.uint64(2 ** 52 - 1)
 _DOUBT = 1e-9                 # rounding margin, in units of the last digit kept
-
-
-def _split(v):
-    c = v * _SPLIT
-    hi = c - (c - v)
-    return hi, v - hi
 
 
 def _powers_of_ten():

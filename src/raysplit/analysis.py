@@ -10,11 +10,13 @@ On a uniform action grid the sum is a type-1 non-uniform FFT: the levels are
 spread onto an oversampled periodic grid with a Gaussian kernel, one FFT
 gives every grid mode, and dividing by the kernel's Fourier coefficients
 recovers F (Greengard & Lee, SIAM Rev. 46, 443 (2004); Barnett, Magland &
-af Klinteberg, SIAM J. Sci. Comput. 41, C479 (2019)).  It costs
-O(J w + M log M) time and O(J + M) memory for J levels, kernel width w and
-grid size M, about twice the number of actions, and agrees with the direct
-sum to within 1e-12 J.  The direct sum stays as the exact path for
-non-uniform grids and as the oracle.
+af Klinteberg, SIAM J. Sci. Comput. 41, C479 (2019)).  A large grid of S
+actions is cut into B <= 8 bands, each its own transform about its own
+centre on a grid of M ~ 2 S / B points.  That costs O(B J w + S log M) time
+and O(J w + M) memory besides the output, for J levels and kernel width w:
+the memory goes to the levels' stencil and one band's grid and FFT scratch.
+It agrees with the direct sum to within 1e-12 J.  The direct sum stays as
+the exact path for non-uniform grids and as the oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .model import _split
 
 __all__ = [
     "FourierProfile",
@@ -40,7 +44,8 @@ __all__ = [
 _OVERSAMPLING = 2
 _HALF_WIDTH = 16
 _TAU = _HALF_WIDTH * _OVERSAMPLING / (4.0 * np.pi * (_OVERSAMPLING - 0.5))
-_SPREAD_BLOCK = 4096                      # levels spread per np.add.at
+_BANDS = 8                                # transforms a large action grid is cut into
+_BAND_MIN = 1 << 15                       # fewest actions per band when there are several
 _TWO_PI_LO = 2.4492935982947064e-16      # 2 pi - fl(2 pi)
 
 
@@ -94,54 +99,72 @@ def fourier_transform(roots: Sequence[float], s_grid: Sequence[float]) -> Fourie
 
 
 def _magnitude_nufft(k: np.ndarray, s: np.ndarray, ds: float) -> np.ndarray:
-    """|F| on the uniform grid s with step ds, by Gaussian gridding.
+    """|F| on the uniform grid s with step ds, by Gaussian gridding in bands.
 
-    With c = n // 2 and p = m - c, F(s_c + p ds) = sum_j w_j e^{-i p x_j}
-    where w_j = e^{-i s_c k_j} and x_j = k_j ds mod 2 pi: a type-1 transform
-    onto the modes -c <= p < n - c.  That gives F on the exact grid
-    s_c + p ds.  The stored floats s_m sit a few ulp off it, and at J levels
-    up to k_max that shifts F by up to J k_max ulp(s), so a second transform,
-    weighted by k_j, gives dF/ds and moves each value onto s_m.
+    The grid is cut into _band_edges(n) bands of equal size, give or take
+    one action, each its own transform.  With c = m // 2 for a band of m
+    actions centred on s_c = s[lo + c], and p = i - c for its i-th action,
+    F(s_c + p ds) = sum_j w_j e^{-i p x_j} where w_j = e^{-i s_c k_j} and
+    x_j = k_j ds mod 2 pi: a type-1 transform onto the modes -c <= p < m - c.
+    That gives F on the exact grid s_c + p ds.  The stored floats sit a few
+    ulp off it, and at J levels up to k_max that shifts F by up to
+    J k_max ulp(s), so a second transform, weighted by k_j, gives dF/ds and
+    moves each value onto its float.
 
-    Both transforms run in place (numpy >= 2.0 takes out=), their n modes
-    are sliced out without an index array, and each grid is freed once its
-    modes are taken: the peak memory is the two spread grids plus one FFT's
-    scratch, not two more grid-sized outputs.
+    Every band has the same FFT length, about twice the largest band, so the
+    levels' stencil (grid indices and Gaussian weights) is built once and a
+    band changes only the phases w_j.  Each band's grids are spread by
+    np.bincount, transformed in place and written into |F| one after the
+    other, so the memory is the J * 2 _HALF_WIDTH stencil, one band-sized
+    grid and its FFT scratch, not two grids over the whole action range.
     """
     n = s.size
-    c = n // 2
-    size = _fft_length(_OVERSAMPLING * n)
-    # level positions k ds size / 2 pi in grid steps: fractional part per
-    # level, then each stencil point at an integer offset from it
+    edges = _band_edges(n)
+    size = _fft_length(_OVERSAMPLING * max(b - a for a, b in zip(edges, edges[1:])))
+    idx, gauss = _stencil(k * ds, size)
+    tau = _TAU * (2.0 * np.pi / size) ** 2
+    mag = np.empty(n)
+    for lo, hi in zip(edges, edges[1:]):
+        m = hi - lo
+        c = m // 2
+        weight = np.exp(-1j * s[lo + c] * k)
+        f = _band_modes(idx, gauss, weight, size, m, c)
+        f -= 1j * _grid_offsets(s[lo:hi], c, ds) * _band_modes(idx, gauss, weight * k, size, m, c)
+        p = np.arange(m) - c
+        mag[lo:hi] = np.abs(f) * (np.exp(p * p * tau) / (2.0 * np.sqrt(np.pi * _TAU)))
+    return mag
+
+
+def _band_edges(n: int) -> list[int]:
+    """Start of each band of an n-action grid, then n: up to _BANDS bands of at
+    least _BAND_MIN actions each, so a small grid is one band."""
+    bands = min(_BANDS, max(1, n // _BAND_MIN))
+    return [n * b // bands for b in range(bands + 1)]
+
+
+def _stencil(kds: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat grid indices and (J, 2 _HALF_WIDTH) Gaussian weights of the levels.
+
+    Level j sits at x_j size / 2 pi grid steps, x_j = k_j ds; its fractional
+    part is taken first, then each stencil point lies an integer offset from it.
+    """
     scale_hi, scale_lo = _grid_scale(size)
-    kds = k * ds
     u = kds * scale_hi
     base = np.floor(u)
     frac = (u - base) + kds * scale_lo
     start = (base % size).astype(np.intp)
-    weight = np.exp(-1j * s[c] * k)
     offsets = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)
-    grid = np.zeros(size, dtype=complex)
-    slope = np.zeros(size, dtype=complex)
-    for i in range(0, k.size, _SPREAD_BLOCK):
-        block = slice(i, i + _SPREAD_BLOCK)
-        idx = (start[block, None] + offsets) % size
-        w = weight[block, None] * np.exp(-(frac[block, None] - offsets) ** 2 / (4.0 * _TAU))
-        np.add.at(grid, idx, w)
-        np.add.at(slope, idx, w * k[block, None])
-    f = _fft_modes(grid, n, c)
-    del grid                              # each grid freed once its modes are taken
-    slope = _fft_modes(slope, n, c)
-    f -= 1j * _grid_offsets(s, c, ds) * slope
-    p = np.arange(n) - c
-    tau = _TAU * (2.0 * np.pi / size) ** 2
-    return np.abs(f) * (np.exp(p * p * tau) / (2.0 * np.sqrt(np.pi * _TAU)))
+    idx = (start[:, None] + offsets) % size
+    return idx.ravel(), np.exp(-(frac[:, None] - offsets) ** 2 / (4.0 * _TAU))
 
 
-def _fft_modes(grid: np.ndarray, n: int, c: int) -> np.ndarray:
-    """The modes p = -c .. n - c - 1 of the FFT of grid, which is transformed in place."""
+def _band_modes(idx, gauss, weight, size: int, n: int, c: int) -> np.ndarray:
+    """Modes p = -c .. n - c - 1 of the grid spread from per-level weights."""
+    grid = np.empty(size, dtype=complex)
+    grid.real = np.bincount(idx, (gauss * weight.real[:, None]).ravel(), size)
+    grid.imag = np.bincount(idx, (gauss * weight.imag[:, None]).ravel(), size)
     np.fft.fft(grid, out=grid)
-    return np.concatenate((grid[grid.size - c:], grid[:n - c]))
+    return np.concatenate((grid[size - c:], grid[:n - c]))
 
 
 def _fft_length(n: int) -> int:
@@ -155,13 +178,6 @@ def _fft_length(n: int) -> int:
             f35 *= 3
         f5 *= 5
     return best
-
-
-def _split(a):
-    """Veltkamp split a = hi + lo, hi holding the leading 26 bits."""
-    t = 134217729.0 * a
-    hi = t - (t - a)
-    return hi, a - hi
 
 
 def _grid_scale(size: int) -> tuple[float, float]:

@@ -22,6 +22,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+def _split(a):
+    """Dekker's split a = hi + lo into halves whose products are exact."""
+    t = 134217729.0 * a    # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
 class ContractFailure(RuntimeError):
     """A requested verification did not hold (the CLI's exit code 1)."""
 
@@ -116,7 +123,6 @@ def step_parameters(pot: NStepPotential) -> tuple[float, float, float, float]:
     """(l1, l2, r, t) of a two-region chain: its weighted lengths and the
     reflection and transmission coefficients of its one interface.
 
-    The orbit picture of the step reads nothing else of the potential.
     Raises ValueError for any other region count.
     """
     if len(pot.lengths) != 2:

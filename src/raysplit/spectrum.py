@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import ContractFailure, NStepPotential, interface_coefficients, step_parameters
+from .model import ContractFailure, NStepPotential, _split, interface_coefficients, step_parameters
 
 __all__ = [
     "CompletenessError",
@@ -212,9 +212,8 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     slope _chain_psi returns in one pass over each block with the phases
     k l_i taken exactly, then makes each root the float64 nearest the level
     of pot as stored: |k - k_n| <= ulp(k) / 2 + 2e-15, where the absolute
-    term is the rounding of sin and cos at small k.  The single step takes
-    the same path as any chain.  Roots listed as near-degenerate in the
-    report sit where secular_function(pot) is flat.
+    term is the rounding of sin and cos at small k.  Roots listed as
+    near-degenerate in the report sit where secular_function(pot) is flat.
 
     k = 0 is never returned.  Raises ValueError unless 0 < k_max < inf, and
     CompletenessError (with the offending interval) when the roots are not
@@ -330,10 +329,3 @@ def _chain_psi(pot: NStepPotential, k, slope=True):
             du, dv = c * du + s * dv, c * dv - s * du
         u, v = c * u + s * v, c * v - s * u
     return (scale * u, scale * du) if slope else scale * u
-
-
-def _split(a):
-    """Dekker's split a = hi + lo into halves whose products are exact."""
-    t = 134217729.0 * a    # 2^27 + 1
-    hi = t - (t - a)
-    return hi, a - hi

@@ -60,16 +60,15 @@ def _weyl_density(pot, k: np.ndarray) -> np.ndarray:
     return pot.total_length / (2.0 * np.pi * k)
 
 
-def _check_grid(k_grid: np.ndarray) -> np.ndarray:
+def _check_args(k_grid, eta: float, domain: str) -> np.ndarray:
+    if domain not in ("energy", "k"):
+        raise ValueError(f"domain must be 'energy' or 'k', got {domain!r}")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     k = np.asarray(k_grid, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("k_grid must be strictly positive (k = 0 is singular)")
     return k
-
-
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta < math.inf:
-        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
 def trace_formula(pot: NStepPotential, orbits: Sequence[OrbitClass], k) -> np.ndarray:
@@ -84,11 +83,16 @@ def trace_formula(pot: NStepPotential, orbits: Sequence[OrbitClass], k) -> np.nd
     karr = np.asarray(k)
     longest = max((cls.length for cls in orbits), default=0)
     sums = np.zeros((longest,) + karr.shape, dtype=complex)
+    groups = {}
     for cls in orbits:
-        z = amplitude(cls, pot) * np.exp(1j * cls.s0 * karr)
-        term = 2 * cls.length * cls.multiplicity * z
-        for n in range(cls.length, longest + 1, cls.length):
-            sums[n - 1] += term
+        amp, weight = amplitude(cls, pot), 2 * cls.length * cls.multiplicity
+        coeffs = groups.setdefault((cls.length, cls.s0), [0.0] * (longest // cls.length))
+        for q in range(len(coeffs)):
+            coeffs[q] += weight * amp ** (q + 1)
+    for (length, s0), coeffs in groups.items():
+        z = term = np.exp(1j * s0 * karr)
+        for n, coeff in zip(range(length, longest + 1, length), coeffs):
+            sums[n - 1] += coeff * term
             term = term * z
     return sums
 
@@ -111,15 +115,11 @@ def rho_trace(
     """
     if nu_max < 1:
         raise ValueError(f"nu_max must be >= 1, got {nu_max!r}")
-    if domain not in ("energy", "k"):
-        raise ValueError(f"domain must be 'energy' or 'k', got {domain!r}")
-    _check_eta(eta)
-    k = _check_grid(k_grid)
+    k = _check_args(k_grid, eta, domain)
     rho = _weyl_density(pot, k).astype(complex)
     kc = k + 1j * eta
     for cls in orbits:
-        base = amplitude(cls, pot) * np.exp(1j * cls.s0 * kc)
-        term = base.copy()
+        term = base = amplitude(cls, pot) * np.exp(1j * cls.s0 * kc)
         total = np.zeros_like(kc)
         for _ in range(nu_max):
             total += term
@@ -149,10 +149,7 @@ def rho_resummed(
     (|1 - z| < 1e-6, reachable only when |A| -> 1, e.g. the transmitting
     orbit at r = 0) are rejected with an error.
     """
-    if domain not in ("energy", "k"):
-        raise ValueError(f"domain must be 'energy' or 'k', got {domain!r}")
-    _check_eta(eta)
-    k = _check_grid(k_grid)
+    k = _check_args(k_grid, eta, domain)
     rho = _weyl_density(pot, k)
     kc = k + 1j * eta
     for cls in orbits:

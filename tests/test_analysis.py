@@ -1,12 +1,14 @@
 """Fourier transform of the level sequence and peak matching."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raysplit.analysis import (
+    _band_edges,
     _fft_length,
     _magnitude_direct,
     default_s_spacing,
@@ -49,12 +51,18 @@ def test_uniform_grid_fast_path_matches_direct():
     assert np.max(np.abs(prof.magnitude - direct)) < 1e-10
 
 
+@pytest.fixture(scope="module")
+def bench_levels():
+    """The J = 8,710 levels of the step to k = 3e4 and their default action step."""
+    roots = find_roots(build_potential(0.7, 0.5), 3e4).roots
+    return roots, default_s_spacing(roots[-1])
+
+
 @pytest.mark.parametrize("n_actions", [None, 414_720])
-def test_nufft_matches_direct_at_bench_scale(n_actions):
+def test_nufft_matches_direct_at_bench_scale(bench_levels, n_actions):
     # J = 8,710 levels on the default grid of 374,326 actions, and on a grid
     # of 414,720 whose FFT length 829,440 makes fl(m / 2 pi) off by 1.4e-16
-    roots = find_roots(build_potential(0.7, 0.5), 3e4).roots
-    ds = default_s_spacing(roots[-1])
+    roots, ds = bench_levels
     if n_actions is None:
         s = np.arange(0.2, 10.0 + ds, ds)
     else:
@@ -63,6 +71,40 @@ def test_nufft_matches_direct_at_bench_scale(n_actions):
     idx = np.random.default_rng(4).choice(s.size, 2000, replace=False)
     direct = _magnitude_direct(roots, s[idx])
     assert np.max(np.abs(prof.magnitude[idx] - direct)) <= 1e-12 * roots.size
+
+
+@pytest.mark.parametrize("n_actions", [None, 100_001])
+def test_nufft_band_edges_match_direct(bench_levels, n_actions):
+    # the first and last two actions of each band, where its modes reach
+    # furthest from the band centre: the default grid in 8 bands, and an
+    # odd-sized grid in 3 bands of 33,333 and 33,334 actions
+    roots, ds = bench_levels
+    if n_actions is None:
+        s = np.arange(0.2, 10.0 + ds, ds)
+    else:
+        s = 0.7 + ds * np.arange(n_actions)
+    edges = _band_edges(s.size)
+    assert len(edges) == (9 if n_actions is None else 4)
+    idx = np.array([i for lo, hi in zip(edges, edges[1:]) for i in (lo, lo + 1, hi - 2, hi - 1)])
+    prof = fourier_transform(roots, s)
+    direct = _magnitude_direct(roots, s[idx])
+    assert np.max(np.abs(prof.magnitude[idx] - direct)) <= 1e-12 * roots.size
+
+
+def test_nufft_peak_memory_is_one_band(bench_levels):
+    # the default grid of 374,326 actions is transformed band by band: the
+    # traced peak is the levels' stencil, one band's grid with its FFT
+    # scratch and the output, not two grids over the whole action range
+    roots, ds = bench_levels
+    s = np.arange(0.2, 10.0 + ds, ds)
+    assert s.size == 374_326
+    tracemalloc.start()
+    try:
+        fourier_transform(roots, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_nufft_with_wrapping_phases():

@@ -128,6 +128,24 @@ def test_class_sums_equal_orbit_sums(b, lam, max_length, eta):
     assert closed.truncation == f"{n} primitive orbits, resummed"
 
 
+@pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.3, 0.9)])
+def test_grouped_trace_formula_equals_per_class_sum(b, lam):
+    # one e^{i s0 k} per (length, action) group against one per class
+    pot = build_potential(b, lam)
+    classes = orbit_classes(pot, 32)
+    k = np.random.default_rng(2).uniform(1.0, 1e4, 64)
+    per_class = np.zeros((32, k.size), dtype=complex)
+    for cls in classes:
+        z = amplitude(cls, pot) * np.exp(1j * cls.s0 * k)
+        for q in range(1, 32 // cls.length + 1):
+            per_class[q * cls.length - 1] += 2 * cls.length * cls.multiplicity * z ** q
+    grouped = trace_formula(pot, classes, k)
+    assert grouped.shape == (32, k.size)
+    for n in range(32):
+        scale = np.max(np.abs(per_class[n]))
+        assert np.max(np.abs(grouped[n] - per_class[n])) <= 1e-12 * scale, n + 1
+
+
 def test_zeta_over_classes_equals_product_over_orbits():
     pot = build_potential(0.7, 0.98)
     ks = np.linspace(2.0, 30.0, 200) + 0.05j
