@@ -18,20 +18,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": ("NStepPotential", "build_nstep", "build_potential", "interface_coefficients",
               "step_parameters"),
-    "spectrum": ("CompletenessError", "CompletenessReport", "SpectrumResult", "find_roots",
-                 "matching_determinant", "secular", "weyl_count"),
+    "spectrum": ("CompletenessError", "CompletenessReport", "SpectrumResult", "find_roots"),
     "orbits": ("OrbitClass", "OrbitCode", "OrbitRecord", "action_spectrum", "amplitude",
-               "canonical_rotation", "classes_of", "enumerate_necklaces", "enumerate_primitive",
-               "necklace_count", "orbit_classes", "orbit_record", "primitive_count"),
-    "graph": ("build_smatrix", "counting_function", "det_one_minus_s", "trace_power",
-              "trace_powers"),
-    "trace": ("DensityProfile", "cycle_expansion", "evaluate_cycle_terms",
-              "newtonian_prediction", "rho_resummed", "rho_trace", "trace_formula", "zeta"),
+               "classes_of", "enumerate_primitive", "orbit_classes", "orbit_record",
+               "primitive_count"),
+    "graph": ("build_smatrix", "det_one_minus_s", "trace_powers"),
+    "trace": ("DensityProfile", "cycle_expansion", "newtonian_prediction", "rho_resummed",
+              "rho_trace", "trace_formula", "zeta"),
     "analysis": ("FourierProfile", "PeakMatchReport", "default_s_spacing", "default_tolerance",
                  "detect_peaks", "fourier_transform", "match_peaks"),
-    "combinatorics": ("PoissonCaseReport", "WordClass", "WordClassTable", "binomial_sums",
-                      "build_word_table", "poisson_special_case_check", "sum_rule_polynomial",
-                      "verify_sum_rule"),
+    "combinatorics": ("PoissonCaseReport", "binomial_sums", "poisson_special_case_check",
+                      "sum_rule_polynomial"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -72,10 +72,6 @@ class PeakMatchReport:
     worst_residual: float
     tolerance: float
 
-    @property
-    def unmatched(self) -> tuple[float, ...]:
-        return tuple(p for p, a, _ in self.pairs if np.isnan(a))
-
 
 def fourier_transform(roots: Sequence[float], s_grid: Sequence[float]) -> FourierProfile:
     """F(s) = sum_j e^{-i s k_j} evaluated on the grid; stores |F|.

@@ -478,7 +478,8 @@ def _action_step(opts: dict, k_top: float) -> float:
     from . import analysis
 
     ds = opts["ds"] if opts["ds"] is not None else analysis.default_s_spacing(k_top)
-    if (opts["smax"] - opts["smin"]) / ds >= _MAX_POINTS:
+    # np.arange(smin, smax + ds, ds) makes ceil of this many points
+    if (opts["smax"] + ds - opts["smin"]) / ds > _MAX_POINTS:
         raise ValueError(f"--smin {opts['smin']!r} to --smax {opts['smax']!r} in steps of {ds!r} "
                          f"(--ds, default pi / (4 k_max)) makes more than {_MAX_POINTS} actions")
     return ds

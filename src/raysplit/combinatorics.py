@@ -13,9 +13,8 @@ The verifiers never list the classes.  raysplit.orbits counts the primitive
 necklaces of each length by their R count and transmission count (a closed
 form for the cyclic words by runs, then Moebius inversion over the divisors);
 a class is a primitive necklace repeated nu times, and its RR-pair parity
-follows from those two counts.  The cost is polynomial in M.
-build_word_table still enumerates the necklaces one by one and is the oracle
-the counts are tested against.
+follows from those two counts.  The cost is polynomial in M.  The tests
+list the classes necklace by necklace as the oracle for these counts.
 """
 
 from __future__ import annotations
@@ -28,74 +27,19 @@ from . import orbits as _orbits
 from .model import NStepPotential, build_potential
 
 __all__ = [
-    "WordClass",
-    "WordClassTable",
     "PoissonCaseReport",
-    "build_word_table",
-    "verify_sum_rule",
     "sum_rule_polynomial",
     "binomial_sums",
     "poisson_special_case_check",
 ]
 
 _MAX_M = 64          # binomial_sums counts the classes, in time polynomial in M
-_MAX_TABLE_M = 13    # build_word_table lists them, ~2.6M classes at M = 13
 _POISSON_ROOTS = 20  # comb roots that poisson_special_case_check compares
-
-
-@dataclass(frozen=True)
-class WordClass:
-    """One cyclic class: canonical word, repetitions, exact weights."""
-
-    word: str
-    nu: int
-    t_w: Fraction
-    alpha: int
-    beta: int
-    gamma: int
-
-
-@dataclass(frozen=True)
-class WordClassTable:
-    """All cyclic classes of binary words of length 2M, lexicographic order."""
-
-    m: int
-    classes: tuple[WordClass, ...]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
 
 
 def _check_m(m: int, cap: int) -> None:
     if not 1 <= m <= cap:
         raise ValueError(f"M must lie in [1, {cap}], got {m!r}")
-
-
-def _pair_weights(x: int, n: int) -> tuple[int, int, int]:
-    """(alpha, beta, gamma) of a length-n word encoded with R as bit 1."""
-    _, rr, tau2 = _orbits._pair_counts(x, n)
-    return rr & 1, (n - tau2) >> 1, tau2 >> 1
-
-
-def build_word_table(m: int) -> WordClassTable:
-    """Enumerate every cyclic class of length 2M with its exact weights.
-
-    Memory grows with the necklace count (~2.6M classes at M = 13); the
-    verifiers below count the classes by (beta, nu) instead of listing them,
-    and this table is their test oracle.
-    """
-    _check_m(m, _MAX_TABLE_M)
-    n = 2 * m
-    classes = []
-    for word, period in _orbits._necklaces_with_period(n):
-        alpha, beta, gamma = _pair_weights(int(word.translate(_orbits._BITS), 2), n)
-        nu = n // period
-        classes.append(WordClass(
-            word=word, nu=nu, t_w=Fraction(m, nu),
-            alpha=alpha, beta=beta, gamma=gamma,
-        ))
-    return WordClassTable(m=m, classes=tuple(classes))
 
 
 def _signed_counts(m: int) -> dict[int, dict[int, int]]:
@@ -152,11 +96,6 @@ def sum_rule_polynomial(beta_sums: tuple[Fraction, ...]) -> tuple[tuple[Fraction
             coeffs[beta + j] += total * comb(gamma, j) * (-1) ** j
     expected = [Fraction(1)] + [Fraction(0)] * m
     return tuple(coeffs), coeffs == expected
-
-
-def verify_sum_rule(m: int) -> tuple[tuple[Fraction, ...], bool]:
-    """sum_rule_polynomial of the classes of length 2M."""
-    return sum_rule_polynomial(binomial_sums(m))
 
 
 @dataclass(frozen=True)

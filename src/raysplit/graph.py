@@ -19,8 +19,6 @@ __all__ = [
     "build_smatrix",
     "det_one_minus_s",
     "trace_powers",
-    "trace_power",
-    "counting_function",
 ]
 
 _DET_BLOCK = 4096   # wavenumbers per stack of the step's 4x4 S(k); a chain's holds as many entries
@@ -92,22 +90,3 @@ def trace_powers(pot, k, n_max: int) -> np.ndarray:
             traces[n, block] = np.trace(power, axis1=-2, axis2=-1)
     return traces.reshape((n_max,) + karr.shape)
 
-
-def trace_power(pot, k: float, n: int) -> complex:
-    """Tr S(k)^n, the last row of trace_powers."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    return complex(trace_powers(pot, k, n)[-1])
-
-
-def counting_function(pot, k: float, n_max: int) -> float:
-    """Spectral staircase from the trace expansion,
-
-        N(k) = (sum_i l_i) k / pi - 1/2 + (1/pi) Im sum_{n<=n_max} Tr S^n / n.
-
-    Approaches the exact number of levels below k as n_max grows, with the
-    usual half-step at the levels themselves.
-    """
-    traces = trace_powers(pot, k, n_max)
-    acc = float(np.sum(traces.imag / np.arange(1, n_max + 1)))
-    return pot.total_length * k / np.pi - 0.5 + acc / np.pi

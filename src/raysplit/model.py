@@ -48,10 +48,6 @@ class NStepPotential:
     lengths: tuple[float, ...]
 
     @property
-    def n_regions(self) -> int:
-        return len(self.lambdas)
-
-    @property
     def total_length(self) -> float:
         """Sum of weighted lengths, Omega; the mean level spacing is pi / Omega."""
         return sum(self.lengths)

@@ -28,8 +28,6 @@ __all__ = [
     "OrbitCode",
     "OrbitRecord",
     "OrbitClass",
-    "canonical_rotation",
-    "enumerate_necklaces",
     "enumerate_primitive",
     "orbit_record",
     "orbit_classes",
@@ -55,10 +53,6 @@ class OrbitCode:
     def length(self) -> int:
         return len(self.word)
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.nu == 1
-
 
 @dataclass(frozen=True)
 class OrbitRecord:
@@ -80,10 +74,6 @@ class OrbitRecord:
     sign: int
     s0: float
 
-    def period(self, k: float) -> float:
-        """Orbit period in the energy domain, dS/dE = s0 / (2k)."""
-        return self.s0 / (2.0 * k)
-
 
 @dataclass(frozen=True)
 class OrbitClass:
@@ -101,15 +91,6 @@ class OrbitClass:
     sign: int
     s0: float
     multiplicity: int
-
-
-def canonical_rotation(word: str) -> str:
-    """Lexicographically smallest rotation of a word over {L, R}."""
-    if not word or set(word) - {"L", "R"}:
-        raise ValueError(f"word must be a non-empty string over {{L, R}}, got {word!r}")
-    doubled = word + word
-    n = len(word)
-    return min(doubled[i:i + n] for i in range(n))
 
 
 def _code_from_word(word: str, period: int) -> OrbitCode:
@@ -141,11 +122,6 @@ def _necklaces_with_period(n: int) -> Iterator[tuple[str, int]]:
     yield from gen(1, 1)
 
 
-def necklace_count(length: int) -> int:
-    """Number of binary necklaces of the given length (cyclic Burnside sum)."""
-    return sum(_totient(d) * 2 ** (length // d) for d in _divisors(length)) // length
-
-
 def primitive_count(length: int) -> int:
     """Number of primitive binary necklaces of the given length (Moebius sum)."""
     return sum(_moebius(d) * 2 ** (length // d) for d in _divisors(length)) // length
@@ -153,10 +129,6 @@ def primitive_count(length: int) -> int:
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _totient(n: int) -> int:
-    return sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
 
 
 def _moebius(n: int) -> int:
@@ -177,12 +149,6 @@ def _moebius(n: int) -> int:
 def _check_length(length: int, what: str) -> None:
     if not 1 <= length <= _MAX_LENGTH:
         raise ValueError(f"{what} must lie in [1, {_MAX_LENGTH}], got {length!r}")
-
-
-def enumerate_necklaces(length: int) -> list[OrbitCode]:
-    """All binary necklaces of exactly the given length, lexicographic order."""
-    _check_length(length, "length")
-    return [_code_from_word(w, p) for w, p in _necklaces_with_period(length)]
 
 
 def enumerate_primitive(max_length: int) -> list[OrbitCode]:

@@ -23,9 +23,9 @@ find_roots takes the count from theta(1; k_max), solves for every level in
 its index interval by safeguarded Newton steps on theta, polishes it to the
 nearest float64 by one Newton step on secular_function(pot), the scaled
 psi(1; k), and certifies the list against the staircase bound.
-det(1 - S(k)) of the graph module and the step's closed form
-secular(k) = sin(k Omega) - r sin(k (l1 - l2)) are left to the tests as
-independent oracles.
+det(1 - S(k)) of the graph module is an independent check; the step's
+closed form sin(k Omega) - r sin(k (l1 - l2)) is another, and lives with
+the tests' oracles.
 """
 
 from __future__ import annotations
@@ -35,16 +35,13 @@ from functools import partial
 
 import numpy as np
 
-from .model import ContractFailure, NStepPotential, _split, interface_coefficients, step_parameters
+from .model import ContractFailure, NStepPotential, _split, interface_coefficients
 
 __all__ = [
     "CompletenessError",
     "CompletenessReport",
     "SpectrumResult",
-    "secular",
     "secular_function",
-    "matching_determinant",
-    "weyl_count",
     "find_roots",
 ]
 
@@ -95,38 +92,6 @@ class SpectrumResult:
     roots: np.ndarray
     k_max: float
     completeness: CompletenessReport
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.roots ** 2
-
-
-def secular(pot: NStepPotential, k):
-    """sin(k (l1 + l2)) - r sin(k (l1 - l2)) of a single step; zero exactly on
-    its spectrum.  The closed form the tests check secular_function against."""
-    l1, l2, r, _ = step_parameters(pot)
-    k = np.asarray(k, dtype=float) if np.ndim(k) else k
-    return np.sin(k * (l1 + l2)) - r * np.sin(k * (l1 - l2))
-
-
-def matching_determinant(pot: NStepPotential, k):
-    """Wavefunction-matching form of the quantization condition of a single step,
-
-        cos(k l1) sin(k l2) + (beta_2 / beta_1) sin(k l1) cos(k l2)
-
-    with beta_2 / beta_1 = (1 - r) / (1 + r).  Derived by joining sine
-    solutions at the step, so it is an independent route to the same zero
-    set: it equals secular / (1 + r).
-    """
-    l1, l2, r, _ = step_parameters(pot)
-    k = np.asarray(k, dtype=float)
-    out = np.cos(k * l1) * np.sin(k * l2) + (1.0 - r) / (1.0 + r) * np.sin(k * l1) * np.cos(k * l2)
-    return out if out.ndim else float(out)
-
-
-def weyl_count(pot: NStepPotential, k):
-    """Average staircase total_length * k / pi, the smooth part of the counting."""
-    return pot.total_length * np.asarray(k, dtype=float) / np.pi
 
 
 def _newton(f, k, lo, hi, target, tol):
@@ -276,12 +241,13 @@ def secular_function(pot: NStepPotential):
 
     It is c psi(1; k) of the solution with psi(0) = 0, scaled so that it
     equals det(1 - S(k)) turned onto the real axis, up to a sign
-    (_chain_psi); for a single step it is 2 secular.  It is evaluated value
-    only, _REFINE_BLOCK wavenumbers at a time so its temporaries stay bounded,
-    with the exact phases of the polish, so at a root it measures the
-    rounding of the root and not that of k l_i.  find_roots polishes each
-    root by one Newton step on it and flags near-degenerate roots by its
-    slope; the spectrum subcommand reports |f| at each root as the residual.
+    (_chain_psi); for a single step it is 2 (sin(k Omega) - r sin(k (l1 - l2))).
+    It is evaluated value only, _REFINE_BLOCK wavenumbers at a time so its
+    temporaries stay bounded, with the exact phases of the polish, so at a
+    root it measures the rounding of the root and not that of k l_i.
+    find_roots polishes each root by one Newton step on it and flags
+    near-degenerate roots by its slope; the spectrum subcommand reports |f|
+    at each root as the residual.
     """
     def f(k):
         k = np.asarray(k, dtype=float)

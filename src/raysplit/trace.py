@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NStepPotential, step_parameters
+from .model import NStepPotential
 from .orbits import OrbitClass, amplitude
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "newtonian_prediction",
     "zeta",
     "cycle_expansion",
-    "evaluate_cycle_terms",
 ]
 
 _POLE_TOLERANCE = 1e-6
@@ -228,15 +227,3 @@ def cycle_expansion(orbits: Sequence[OrbitClass]) -> dict[tuple[int, int, int], 
         cells = {key: coeff for key, coeff in grown.items() if coeff}
     return cells
 
-
-def evaluate_cycle_terms(
-    cells: dict[tuple[int, int, int], int], pot: NStepPotential, k
-) -> complex | np.ndarray:
-    """Sum coefficient r^sigma t^tau2 x^n_l y^n_r over the cells at wavenumber k."""
-    l1, l2, r, t = step_parameters(pot)
-    karr = np.asarray(k, dtype=complex)
-    x, y = np.exp(2j * l1 * karr), np.exp(2j * l2 * karr)
-    out = np.zeros_like(karr)
-    for (n_l, n_r, tau2), coeff in cells.items():
-        out = out + coeff * r ** (n_l + n_r - tau2) * t ** tau2 * x ** n_l * y ** n_r
-    return complex(out) if karr.ndim == 0 else out

@@ -1,0 +1,141 @@
+"""Independent oracles the tests compare the package against.
+
+No command runs any of these.  Each is a second route to something the
+package computes another way: the step's closed-form secular function and
+its wavefunction-matching form, the staircase from the trace expansion, the
+cycle-expansion cells summed at a wavenumber, necklaces listed one by one and
+counted by Burnside's sum, and the cyclic word classes listed with their
+exact weights.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+import numpy as np
+
+from raysplit.combinatorics import _check_m
+from raysplit.graph import trace_powers
+from raysplit.model import NStepPotential, step_parameters
+from raysplit.orbits import (
+    _BITS,
+    OrbitCode,
+    _check_length,
+    _code_from_word,
+    _divisors,
+    _necklaces_with_period,
+    _pair_counts,
+)
+
+_MAX_TABLE_M = 13    # build_word_table lists the classes, ~2.6M at M = 13
+
+
+def secular(pot: NStepPotential, k):
+    """sin(k (l1 + l2)) - r sin(k (l1 - l2)) of a single step; zero exactly on
+    its spectrum.  The closed form the tests check secular_function against."""
+    l1, l2, r, _ = step_parameters(pot)
+    k = np.asarray(k, dtype=float) if np.ndim(k) else k
+    return np.sin(k * (l1 + l2)) - r * np.sin(k * (l1 - l2))
+
+
+def matching_determinant(pot: NStepPotential, k):
+    """Wavefunction-matching form of the quantization condition of a single step,
+
+        cos(k l1) sin(k l2) + (beta_2 / beta_1) sin(k l1) cos(k l2)
+
+    with beta_2 / beta_1 = (1 - r) / (1 + r).  Derived by joining sine
+    solutions at the step, so it is an independent route to the same zero
+    set: it equals secular / (1 + r).
+    """
+    l1, l2, r, _ = step_parameters(pot)
+    k = np.asarray(k, dtype=float)
+    out = np.cos(k * l1) * np.sin(k * l2) + (1.0 - r) / (1.0 + r) * np.sin(k * l1) * np.cos(k * l2)
+    return out if out.ndim else float(out)
+
+
+def counting_function(pot, k: float, n_max: int) -> float:
+    """Spectral staircase from the trace expansion,
+
+        N(k) = (sum_i l_i) k / pi - 1/2 + (1/pi) Im sum_{n<=n_max} Tr S^n / n.
+
+    Approaches the exact number of levels below k as n_max grows, with the
+    usual half-step at the levels themselves.
+    """
+    traces = trace_powers(pot, k, n_max)
+    acc = float(np.sum(traces.imag / np.arange(1, n_max + 1)))
+    return pot.total_length * k / np.pi - 0.5 + acc / np.pi
+
+
+def evaluate_cycle_terms(
+    cells: dict[tuple[int, int, int], int], pot: NStepPotential, k
+) -> complex | np.ndarray:
+    """Sum coefficient r^sigma t^tau2 x^n_l y^n_r over the cells at wavenumber k."""
+    l1, l2, r, t = step_parameters(pot)
+    karr = np.asarray(k, dtype=complex)
+    x, y = np.exp(2j * l1 * karr), np.exp(2j * l2 * karr)
+    out = np.zeros_like(karr)
+    for (n_l, n_r, tau2), coeff in cells.items():
+        out = out + coeff * r ** (n_l + n_r - tau2) * t ** tau2 * x ** n_l * y ** n_r
+    return complex(out) if karr.ndim == 0 else out
+
+
+def min_rotation(word: str) -> str:
+    """Lexicographically smallest rotation of a word, by brute force."""
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def enumerate_necklaces(length: int) -> list[OrbitCode]:
+    """All binary necklaces of exactly the given length, lexicographic order."""
+    _check_length(length, "length")
+    return [_code_from_word(w, p) for w, p in _necklaces_with_period(length)]
+
+
+def necklace_count(length: int) -> int:
+    """Number of binary necklaces of the given length (cyclic Burnside sum)."""
+    return sum(_totient(d) * 2 ** (length // d) for d in _divisors(length)) // length
+
+
+def _totient(n: int) -> int:
+    return sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
+
+
+@dataclass(frozen=True)
+class WordClass:
+    """One cyclic class: canonical word, repetitions, exact weights."""
+
+    word: str
+    nu: int
+    t_w: Fraction
+    alpha: int
+    beta: int
+    gamma: int
+
+
+@dataclass(frozen=True)
+class WordClassTable:
+    """All cyclic classes of binary words of length 2M, lexicographic order."""
+
+    m: int
+    classes: tuple[WordClass, ...]
+
+
+def build_word_table(m: int) -> WordClassTable:
+    """Enumerate every cyclic class of length 2M with its exact weights.
+
+    Memory grows with the necklace count (~2.6M classes at M = 13);
+    combinatorics counts the classes by (beta, nu) instead of listing them,
+    and this table is its test oracle.
+    """
+    _check_m(m, _MAX_TABLE_M)
+    n = 2 * m
+    classes = []
+    for word, period in _necklaces_with_period(n):
+        _, rr, tau2 = _pair_counts(int(word.translate(_BITS), 2), n)
+        nu = n // period
+        classes.append(WordClass(
+            word=word, nu=nu, t_w=Fraction(m, nu),
+            alpha=rr & 1, beta=(n - tau2) >> 1, gamma=tau2 >> 1,
+        ))
+    return WordClassTable(m=m, classes=tuple(classes))

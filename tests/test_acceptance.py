@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from raysplit.analysis import default_s_spacing, default_tolerance, detect_peaks, fourier_transform, match_peaks
-from raysplit.combinatorics import binomial_sums, verify_sum_rule
-from raysplit.graph import det_one_minus_s, trace_power
+from raysplit.combinatorics import binomial_sums, sum_rule_polynomial
+from raysplit.graph import det_one_minus_s, trace_powers
 from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.orbits import orbit_classes
 from raysplit.spectrum import find_roots
@@ -92,8 +92,8 @@ def test_criterion_04_trace_oracle_equivalence():
     odd_dev = 0.0
     for i, k in enumerate(ks):
         for n in range(1, 13):
-            even_dev = max(even_dev, abs(trace_power(REF, k, 2 * n) - words[n - 1, i]))
-            odd_dev = max(odd_dev, abs(trace_power(REF, k, 2 * n + 1)))
+            even_dev = max(even_dev, abs(trace_powers(REF, k, 2 * n)[-1] - words[n - 1, i]))
+            odd_dev = max(odd_dev, abs(trace_powers(REF, k, 2 * n + 1)[-1]))
     elapsed = time.perf_counter() - start
     ok = even_dev < 1e-10 and odd_dev < 1e-12
     assert report(4, ok and elapsed < 30.0)
@@ -114,7 +114,7 @@ def test_criterion_06_exact_identities():
     start = time.perf_counter()
     ok = True
     for m in range(1, 13):
-        coeffs, flat = verify_sum_rule(m)
+        coeffs, flat = sum_rule_polynomial(binomial_sums(m))
         ok = ok and flat and coeffs[0] == 1 and all(c == 0 for c in coeffs[1:])
         ok = ok and all(s == math.comb(m, i) for i, s in enumerate(binomial_sums(m)))
     elapsed = time.perf_counter() - start

@@ -231,7 +231,7 @@ def test_match_peaks_assignment():
     assert report.pairs[0][1] == pytest.approx(1.0002)
     assert report.pairs[0][2] == pytest.approx(2e-4, rel=1e-6)
     assert math.isnan(report.pairs[1][1])
-    assert report.unmatched == (2.0,)
+    assert [p for p, a, _ in report.pairs if math.isnan(a)] == [2.0]
     assert report.worst_residual == pytest.approx(2e-4, rel=1e-6)
 
 
@@ -239,7 +239,7 @@ def test_match_peaks_empty_cases():
     assert match_peaks([], [1.0], 0.1).matched_fraction == 1.0
     report = match_peaks([1.0], [], 0.1)
     assert report.matched_fraction == 0.0
-    assert report.unmatched == (1.0,)
+    assert [p for p, a, _ in report.pairs if math.isnan(a)] == [1.0]
 
 
 @settings(max_examples=20, deadline=None)

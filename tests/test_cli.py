@@ -753,6 +753,29 @@ def test_oversized_grids_exit_three_before_any_work(runner, monkeypatch, args, m
     assert json.loads(res.stderr)["error"] == {"type": "invalid-parameter", "message": message}
 
 
+def test_fourier_action_cap_counts_the_points_of_the_grid(runner, monkeypatch):
+    # np.arange(smin, smax + ds, ds) holds ceil((smax + ds - smin) / ds) points, one
+    # more than (smax - smin) / ds when that is not a whole number
+    cap, ds = 100, 1e-3
+    monkeypatch.setattr(cli, "_MAX_POINTS", cap)
+    args = ["fourier", *STEP, "--kmax", "100", "--smin", "0.2", "--ds", str(ds), "--smax"]
+    smax = 0.2 + (cap - 1.5) * ds
+    assert len(np.arange(0.2, smax + ds, ds)) == cap
+    res = runner.invoke(main, [*args, str(smax)])
+    assert res.exit_code == 0, res.output
+    assert len(data_rows(res.stdout)) == cap
+
+    def no_roots(*args):
+        raise AssertionError("roots were found")
+
+    monkeypatch.setattr(spectrum, "find_roots", no_roots)
+    smax = 0.2 + (cap - 0.5) * ds
+    assert len(np.arange(0.2, smax + ds, ds)) == cap + 1
+    res = runner.invoke(main, [*args, str(smax)])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"]["message"].endswith(f"makes more than {cap} actions")
+
+
 @pytest.mark.parametrize("text, message", [
     ("n,k\n1\n", "line 2: no number in column 'k' (field 2) of '1'"),
     ("# c\nk\n2.5\n\nabc\n", "line 5: no number in column 'k' (field 1) of 'abc'"),

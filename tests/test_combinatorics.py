@@ -6,13 +6,13 @@ from functools import cache
 
 import pytest
 
+from oracles import build_word_table, min_rotation, necklace_count
 from raysplit import orbits
 from raysplit.combinatorics import (
     _signed_counts,
     binomial_sums,
-    build_word_table,
     poisson_special_case_check,
-    verify_sum_rule,
+    sum_rule_polynomial,
 )
 from raysplit.model import build_potential, step_parameters
 from raysplit.orbits import (
@@ -21,8 +21,6 @@ from raysplit.orbits import (
     _moebius,
     _primitive_necklace_counts,
     _word_count,
-    canonical_rotation,
-    necklace_count,
     orbit_classes,
     orbit_record,
     primitive_count,
@@ -77,7 +75,7 @@ def _dp_primitive_necklace_counts(p: int) -> dict[tuple[int, int], int]:
 def test_half_length_one_classes():
     table = build_word_table(1)
     assert table.m == 1
-    assert table.class_count == 3
+    assert len(table.classes) == 3
     by_word = {c.word: c for c in table.classes}
     assert set(by_word) == {"LL", "LR", "RR"}
     assert by_word["LL"].t_w == Fraction(1, 2)
@@ -90,7 +88,7 @@ def test_half_length_one_classes():
 
 def test_half_length_two_classes():
     table = build_word_table(2)
-    assert table.class_count == 6
+    assert len(table.classes) == 6
     by_word = {c.word: c for c in table.classes}
     llrr = by_word["LLRR"]
     assert llrr.t_w == Fraction(2)
@@ -102,14 +100,14 @@ def test_half_length_two_classes():
 
 def test_class_count_equals_necklace_count():
     for m in range(1, 9):
-        assert build_word_table(m).class_count == necklace_count(2 * m)
+        assert len(build_word_table(m).classes) == necklace_count(2 * m)
 
 
 def test_classes_agree_with_orbit_records():
     pot = build_potential(0.7, 0.5)
     for m in range(1, 6):
         for cls in build_word_table(m).classes:
-            assert cls.word == canonical_rotation(cls.word)
+            assert cls.word == min_rotation(cls.word)
             rec = orbit_record(
                 OrbitCode(word=cls.word, nu=cls.nu, primitive_length=len(cls.word) // cls.nu),
                 pot,
@@ -154,7 +152,7 @@ def test_half_length_six_row():
 
 def test_sum_rule_polynomial_is_unity():
     for m in range(1, 9):
-        coeffs, ok = verify_sum_rule(m)
+        coeffs, ok = sum_rule_polynomial(binomial_sums(m))
         assert ok
         assert coeffs[0] == 1
         assert all(c == 0 for c in coeffs[1:])
@@ -246,7 +244,7 @@ def test_signed_counts_equal_the_dp_built_counts(monkeypatch):
 @pytest.mark.parametrize("m", [63, 64])
 def test_sum_rules_hold_at_the_documented_cap(m):
     assert binomial_sums(m) == tuple(Fraction(math.comb(m, beta)) for beta in range(m + 1))
-    assert verify_sum_rule(m)[1]
+    assert sum_rule_polynomial(binomial_sums(m))[1]
 
 
 def test_m_range_validation():

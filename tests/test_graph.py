@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import counting_function, secular
 from raysplit.model import build_nstep, build_potential, step_parameters
-from raysplit.graph import (
-    _DET_BLOCK,
-    _blocks,
-    build_smatrix,
-    counting_function,
-    det_one_minus_s,
-    trace_power,
-    trace_powers,
-)
+from raysplit.graph import _DET_BLOCK, _blocks, build_smatrix, det_one_minus_s, trace_powers
 from raysplit.orbits import orbit_classes
-from raysplit.spectrum import find_roots, secular
+from raysplit.spectrum import find_roots
 from raysplit.trace import trace_formula
 
 REF = build_potential(0.7, 0.5)
@@ -148,7 +141,7 @@ def test_det_has_no_extra_zeros_between_roots():
 def test_odd_traces_vanish():
     for k in (0.7, 3.1, 11.0):
         for n in (1, 3, 5, 7, 9):
-            assert abs(trace_power(REF, k, n)) < 1e-12
+            assert abs(trace_powers(REF, k, n)[-1]) < 1e-12
 
 
 def test_trace_square_closed_form():
@@ -156,18 +149,18 @@ def test_trace_square_closed_form():
     # evaluate against the direct 2x2 block product instead
     k = 1.9
     S = build_smatrix(REF, k)
-    assert trace_power(REF, k, 2) == pytest.approx(complex(np.trace(S @ S)), abs=1e-13)
+    assert trace_powers(REF, k, 2)[-1] == pytest.approx(complex(np.trace(S @ S)), abs=1e-13)
 
 
 def test_transparent_step_traces():
     pot = build_potential(0.3, 0.0)
     for k in (0.8, 2.6):
-        assert abs(trace_power(pot, k, 2)) < 1e-13
-        assert trace_power(pot, k, 4) == pytest.approx(
+        assert abs(trace_powers(pot, k, 2)[-1]) < 1e-13
+        assert trace_powers(pot, k, 4)[-1] == pytest.approx(
             4 * np.exp(2j * k), abs=1e-12
         )
         assert formula_sums(pot, k, 1)[0] == pytest.approx(
-            complex(trace_power(pot, k, 2)), abs=1e-12
+            complex(trace_powers(pot, k, 2)[-1]), abs=1e-12
         )
 
 
@@ -177,7 +170,7 @@ def test_transparent_step_traces():
     n=st.integers(1, 8),
 )
 def test_word_sum_reproduces_matrix_traces(k, n):
-    direct = trace_power(REF, k, 2 * n)
+    direct = trace_powers(REF, k, 2 * n)[-1]
     words = formula_sums(REF, k, n)[n - 1]
     assert abs(direct - words) < 1e-10
 
@@ -199,7 +192,7 @@ def test_word_sum_larger_powers():
     sums = formula_sums(pot, ks, 32)
     for i, k in enumerate(ks):
         for n in range(1, 33):
-            assert abs(trace_power(pot, k, 2 * n) - sums[n - 1, i]) < 1e-10
+            assert abs(trace_powers(pot, k, 2 * n)[-1] - sums[n - 1, i]) < 1e-10
 
 
 def test_word_sums_take_scalar_or_array_k():
@@ -219,8 +212,6 @@ def test_word_sum_rejects_bad_input():
         formula_sums(REF, 1.0, 33)
     with pytest.raises(ValueError, match=r"n_max must be >= 1, got 0"):
         trace_powers(REF, 1.0, 0)
-    with pytest.raises(ValueError):
-        trace_power(REF, 1.0, 0)
 
 
 @pytest.mark.parametrize("breakpoints, lambdas", [

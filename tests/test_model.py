@@ -48,7 +48,7 @@ def test_equal_weighted_lengths_at_special_b():
 def test_build_nstep_three_regions():
     pot = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
     assert isinstance(pot, NStepPotential)
-    assert pot.n_regions == 3
+    assert len(pot.lambdas) == 3
     assert pot.betas == pytest.approx((1.0, math.sqrt(0.5), 0.5), abs=1e-15)
     assert pot.lengths == pytest.approx((0.3, 0.3 * math.sqrt(0.5), 0.2), abs=1e-15)
     assert pot.total_length == pytest.approx(0.5 + 0.3 * math.sqrt(0.5), abs=1e-15)
@@ -56,7 +56,7 @@ def test_build_nstep_three_regions():
 
 def test_build_nstep_single_region_is_free_well():
     pot = build_nstep([0.0, 1.0], [0.0])
-    assert pot.n_regions == 1
+    assert len(pot.lambdas) == 1
     assert pot.lengths == (1.0,)
 
 

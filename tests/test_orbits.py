@@ -6,17 +6,15 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import enumerate_necklaces, min_rotation, necklace_count
 from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.orbits import (
     OrbitClass,
     _pair_counts,
     action_spectrum,
     amplitude,
-    canonical_rotation,
     classes_of,
-    enumerate_necklaces,
     enumerate_primitive,
-    necklace_count,
     orbit_classes,
     orbit_record,
     primitive_count,
@@ -29,18 +27,14 @@ OMEGA1 = REF.total_length
 
 def brute_necklaces(n):
     """Independent oracle: canonicalize every binary word by brute force."""
-    out = set()
-    for bits in product("LR", repeat=n):
-        word = "".join(bits)
-        out.add(min(word[i:] + word[:i] for i in range(n)))
-    return out
+    return {min_rotation("".join(bits)) for bits in product("LR", repeat=n)}
 
 
 def test_counts_match_enumeration():
     for n in range(1, 13):
         codes = enumerate_necklaces(n)
         assert len(codes) == necklace_count(n)
-        assert sum(1 for c in codes if c.is_primitive) == primitive_count(n)
+        assert sum(1 for c in codes if c.nu == 1) == primitive_count(n)
 
 
 def test_count_formulas_against_brute_force():
@@ -70,16 +64,6 @@ def test_forty_one_primitives_up_to_length_seven():
     assert sum(primitive_count(n) for n in range(1, 8)) == 41
     lengths = [c.length for c in codes]
     assert lengths == sorted(lengths)           # shortest first
-
-
-def test_canonical_rotation():
-    assert canonical_rotation("RL") == "LR"
-    assert canonical_rotation("RRL") == "LRR"
-    assert canonical_rotation("LLR") == "LLR"
-    with pytest.raises(ValueError):
-        canonical_rotation("LXR")
-    with pytest.raises(ValueError):
-        canonical_rotation("")
 
 
 def test_length_bounds():
@@ -128,12 +112,6 @@ def test_record_double_bounce_word():
     assert rec.s0 == pytest.approx(4 * OMEGA1, abs=1e-15)
 
 
-def test_period_is_action_slope():
-    rec = lookup("LR")
-    k = 7.3
-    assert rec.period(k) == pytest.approx(rec.s0 / (2 * k), abs=1e-15)
-
-
 @st.composite
 def words(draw, max_len=12):
     n = draw(st.integers(1, max_len))
@@ -142,7 +120,7 @@ def words(draw, max_len=12):
 
 @given(words())
 def test_record_invariants(word):
-    canon = canonical_rotation(word)
+    canon = min_rotation(word)
     code = [c for c in enumerate_necklaces(len(word)) if c.word == canon][0]
     rec = orbit_record(code, REF)
     assert rec.n_l + rec.n_r == len(word)
@@ -155,7 +133,7 @@ def test_record_invariants(word):
 @given(words(max_len=10))
 def test_amplitude_equals_per_pair_product(word):
     # independent route: one factor per cyclic adjacent pair
-    canon = canonical_rotation(word)
+    canon = min_rotation(word)
     code = [c for c in enumerate_necklaces(len(word)) if c.word == canon][0]
     rec = orbit_record(code, REF)
     factors = {"LL": -R, "RR": R, "LR": -T, "RL": -T}

@@ -22,7 +22,7 @@ def test_dir_and_star_import_list_every_export():
     namespace = {}
     exec("from raysplit import *", namespace)
     assert set(raysplit.__all__) <= set(namespace)
-    assert namespace["verify_sum_rule"](3)[1]
+    assert namespace["sum_rule_polynomial"](namespace["binomial_sums"](3))[1]
 
 
 def test_an_unknown_name_is_an_attribute_error():

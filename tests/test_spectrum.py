@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import matching_determinant, secular
 from raysplit import graph, spectrum
 from raysplit.model import build_nstep, build_potential, step_parameters
-from raysplit.spectrum import (
-    CompletenessError,
-    find_roots,
-    matching_determinant,
-    secular,
-    weyl_count,
-)
+from raysplit.spectrum import CompletenessError, find_roots
 
 REF = build_potential(0.7, 0.5)
 L1, L2, R, _ = step_parameters(REF)
@@ -126,14 +121,6 @@ def test_comb_roots_within_four_ulp(lam):
     _assert_nearest_floats(pot, np.random.default_rng(8).choice(roots, 60, replace=False))
 
 
-def test_weyl_count_examples():
-    assert weyl_count(REF, 10.0) == pytest.approx(10.0 * OMEGA1 / math.pi, abs=1e-15)
-    chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
-    assert weyl_count(chain, 10.0) == pytest.approx(
-        10.0 * chain.total_length / math.pi, abs=1e-15
-    )
-
-
 def test_newton_polish_hits_machine_precision():
     res = find_roots(REF, 100.0)
     # polished roots should be far below the contract tolerance
@@ -189,11 +176,6 @@ def test_engine_raises_when_roots_stay_missing(monkeypatch):
         assert lo < k20 < hi
         if broken is lose:
             assert exc.value.deviation > 1.5
-
-
-def test_energies_property():
-    res = find_roots(REF, 20.0)
-    assert np.allclose(res.energies, res.roots**2, rtol=0, atol=0)
 
 
 class Counted:
@@ -259,7 +241,7 @@ def test_sign_change_across_a_chunk_boundary_is_found(monkeypatch, j):
     assert len(roots) == j + 1
     assert np.array_equal(roots, whole[:j + 1])
     n = np.arange(1, j + 2)
-    half = 0.5 * (CHAIN3.n_regions - 1)
+    half = 0.5 * (len(CHAIN3.lambdas) - 1)
     assert np.all(np.abs(roots * CHAIN3.total_length / np.pi - n) <= half)
 
 
@@ -340,11 +322,11 @@ def test_chain_function_is_the_rotated_det(seed):
     chain, rng = _random_chain(seed)
     k = rng.uniform(0.0, 200.0, 200)
     theta0 = np.angle(np.linalg.det(graph.build_smatrix(chain, 0.0)))
-    dim = 2 * chain.n_regions
+    dim = 2 * len(chain.lambdas)
     rotate = np.exp(-0.5j * (2.0 * chain.total_length * k + theta0 + np.pi * dim))
     xi = (rotate * graph.det_one_minus_s(chain, k)).real
     f = spectrum.secular_function(chain)(k)
-    sign = (-1) ** (chain.n_regions - 1)
+    sign = (-1) ** (len(chain.lambdas) - 1)
     assert np.max(np.abs(f - sign * xi)) <= 1e-12 * np.max(np.abs(xi))
 
 
@@ -449,7 +431,7 @@ def _psi_end_sign_changes(chain, k_max):
 @pytest.mark.parametrize("seed", range(40))
 def test_random_chain_count_intervals_and_bound(seed):
     chain, rng = _random_chain(seed)
-    omega, half = chain.total_length, 0.5 * (chain.n_regions - 1)
+    omega, half = chain.total_length, 0.5 * (len(chain.lambdas) - 1)
     k_max = rng.uniform(40.0, 80.0) * np.pi / omega
     res = find_roots(chain, k_max)
     assert len(res.roots) == _psi_end_sign_changes(chain, k_max)

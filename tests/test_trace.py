@@ -6,21 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from oracles import enumerate_necklaces, evaluate_cycle_terms, secular
 from raysplit.model import build_nstep, build_potential
 from raysplit.graph import det_one_minus_s
 from raysplit.orbits import (
     amplitude,
     classes_of,
-    enumerate_necklaces,
     enumerate_primitive,
     orbit_classes,
     orbit_record,
     primitive_count,
 )
-from raysplit.spectrum import find_roots, secular
+from raysplit.spectrum import find_roots
 from raysplit.trace import (
     cycle_expansion,
-    evaluate_cycle_terms,
     newtonian_prediction,
     rho_resummed,
     rho_trace,
