@@ -13,8 +13,9 @@ recovers F (Greengard & Lee, SIAM Rev. 46, 443 (2004); Barnett, Magland &
 af Klinteberg, SIAM J. Sci. Comput. 41, C479 (2019)).  A large grid of S
 actions is cut into B <= 8 bands, each its own transform about its own
 centre on a grid of M ~ 2 S / B points.  That costs O(B J w + S log M) time
-and O(J w + M) memory besides the output, for J levels and kernel width w:
-the memory goes to the levels' stencil and one band's grid and FFT scratch.
+and O(J + M + C w) memory besides the output, for J levels and kernel width
+w: two numbers per level, one band's grids and FFT scratch, and the stencil
+of a chunk of C levels, built afresh in every band and never stored whole.
 It agrees with the direct sum to within 1e-12 J.  The direct sum stays as
 the exact path for non-uniform grids and as the oracle.
 """
@@ -47,6 +48,7 @@ _TAU = _HALF_WIDTH * _OVERSAMPLING / (4.0 * np.pi * (_OVERSAMPLING - 0.5))
 _BANDS = 8                                # transforms a large action grid is cut into
 _BAND_MIN = 1 << 15                       # fewest actions per band when there are several
 _TWO_PI_LO = 2.4492935982947064e-16      # 2 pi - fl(2 pi)
+_BLOCK = 1 << 15                          # stencil entries, or grid steps, per working array
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def fourier_transform(roots: Sequence[float], s_grid: Sequence[float]) -> Fourie
         raise ValueError("roots must be non-empty")
     s = np.asarray(s_grid, dtype=float)
     ds = s[1] - s[0] if s.size >= 3 else None
-    if ds is not None and np.allclose(np.diff(s), ds, rtol=1e-9, atol=0.0):
+    if ds is not None and all(np.allclose(step, ds, rtol=1e-9, atol=0.0) for step in _steps(s)):
         mag = _magnitude_nufft(k, s, ds)
     else:
         mag = _magnitude_direct(k, s)
@@ -107,28 +109,36 @@ def _magnitude_nufft(k: np.ndarray, s: np.ndarray, ds: float) -> np.ndarray:
     J k_max ulp(s), so a second transform, weighted by k_j, gives dF/ds and
     moves each value onto its float.
 
-    Every band has the same FFT length, about twice the largest band, so the
-    levels' stencil (grid indices and Gaussian weights) is built once and a
-    band changes only the phases w_j.  Each band's grids are spread by
-    np.bincount, transformed in place and written into |F| one after the
-    other, so the memory is the J * 2 _HALF_WIDTH stencil, one band-sized
-    grid and its FFT scratch, not two grids over the whole action range.
+    Every band has the same FFT length, about twice the largest band, so
+    each level's first grid point and fractional offset are found once, one
+    value and one slope grid serve every band, and a band changes only the
+    phases w_j.  The working memory is those two numbers per level, the two
+    grids with their FFT scratch, and the stencil of _BLOCK grid points that
+    _spread builds at a time: O(J + M) besides the output, however many
+    levels share a band.
     """
     n = s.size
     edges = _band_edges(n)
     size = _fft_length(_OVERSAMPLING * max(b - a for a, b in zip(edges, edges[1:])))
-    idx, gauss = _stencil(k * ds, size)
-    tau = _TAU * (2.0 * np.pi / size) ** 2
+    start, frac = _grid_positions(k * ds, size)
+    grids = np.empty((2, size), dtype=complex)
     mag = np.empty(n)
     for lo, hi in zip(edges, edges[1:]):
-        m = hi - lo
-        c = m // 2
-        weight = np.exp(-1j * s[lo + c] * k)
-        f = _band_modes(idx, gauss, weight, size, m, c)
-        f -= 1j * _grid_offsets(s[lo:hi], c, ds) * _band_modes(idx, gauss, weight * k, size, m, c)
-        p = np.arange(m) - c
-        mag[lo:hi] = np.abs(f) * (np.exp(p * p * tau) / (2.0 * np.sqrt(np.pi * _TAU)))
+        mag[lo:hi] = _band_magnitude(k, s[lo:hi], ds, start, frac, grids)
     return mag
+
+
+def _band_magnitude(k, s: np.ndarray, ds: float, start, frac, grids: np.ndarray) -> np.ndarray:
+    """|F| on one band s of the grid, centred on s[c], c = s.size // 2; the
+    band's temporaries are freed before the next band is spread."""
+    m = s.size
+    c = m // 2
+    _spread(k, s[c], start, frac, grids)
+    f = _band_modes(grids[0], m, c)
+    f -= 1j * _grid_offsets(s, c, ds) * _band_modes(grids[1], m, c)
+    p = np.arange(m) - c
+    tau = _TAU * (2.0 * np.pi / grids.shape[1]) ** 2
+    return np.abs(f) * (np.exp(p * p * tau) / (2.0 * np.sqrt(np.pi * _TAU)))
 
 
 def _band_edges(n: int) -> list[int]:
@@ -138,8 +148,9 @@ def _band_edges(n: int) -> list[int]:
     return [n * b // bands for b in range(bands + 1)]
 
 
-def _stencil(kds: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat grid indices and (J, 2 _HALF_WIDTH) Gaussian weights of the levels.
+def _grid_positions(kds: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """First grid point of each level's stencil on the periodic grid, and the
+    level's offset from the point _HALF_WIDTH - 1 after it.
 
     Level j sits at x_j size / 2 pi grid steps, x_j = k_j ds; its fractional
     part is taken first, then each stencil point lies an integer offset from it.
@@ -148,19 +159,37 @@ def _stencil(kds: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     u = kds * scale_hi
     base = np.floor(u)
     frac = (u - base) + kds * scale_lo
-    start = (base % size).astype(np.intp)
-    offsets = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)
-    idx = (start[:, None] + offsets) % size
-    return idx.ravel(), np.exp(-(frac[:, None] - offsets) ** 2 / (4.0 * _TAU))
+    return ((base % size).astype(np.intp) + (1 - _HALF_WIDTH)) % size, frac
 
 
-def _band_modes(idx, gauss, weight, size: int, n: int, c: int) -> np.ndarray:
-    """Modes p = -c .. n - c - 1 of the grid spread from per-level weights."""
-    grid = np.empty(size, dtype=complex)
-    grid.real = np.bincount(idx, (gauss * weight.real[:, None]).ravel(), size)
-    grid.imag = np.bincount(idx, (gauss * weight.imag[:, None]).ravel(), size)
+def _spread(k, s_c: float, start, frac, grids: np.ndarray) -> None:
+    """Spread e^{-i s_c k_j} onto grids[0] and k_j e^{-i s_c k_j} onto grids[1],
+    each over the 2 _HALF_WIDTH Gaussian-weighted grid points of level j.
+
+    The stencil is built for _BLOCK grid points of consecutive levels at a
+    time.  Each part of a real weight times a complex phase is rounded once,
+    as a product of reals, and np.add.at adds in stencil order, as one
+    np.bincount over the whole stencil would: the sums are the same floats.
+    """
+    size = grids.shape[1]
+    grids.fill(0.0)
+    steps = np.arange(2 * _HALF_WIDTH)
+    chunk = _BLOCK // steps.size
+    for i in range(0, k.size, chunk):
+        idx = start[i:i + chunk, None] + steps
+        np.remainder(idx, size, out=idx, where=idx >= size)
+        gauss = frac[i:i + chunk, None] - (steps + (1 - _HALF_WIDTH))
+        # exp(-x^2 / 4 tau), the sign taken by the divisor: rounding is symmetric
+        np.exp(np.divide(np.square(gauss, out=gauss), -4.0 * _TAU, out=gauss), out=gauss)
+        weight = np.exp(-1j * s_c * k[i:i + chunk])
+        for grid, w in zip(grids, (weight, weight * k[i:i + chunk])):
+            np.add.at(grid, idx.ravel(), (gauss * w[:, None]).ravel())
+
+
+def _band_modes(grid: np.ndarray, n: int, c: int) -> np.ndarray:
+    """Modes p = -c .. n - c - 1 of a spread grid, which is transformed in place."""
     np.fft.fft(grid, out=grid)
-    return np.concatenate((grid[size - c:], grid[:n - c]))
+    return np.concatenate((grid[grid.size - c:], grid[:n - c]))
 
 
 def _fft_length(n: int) -> int:
@@ -205,6 +234,11 @@ def _grid_offsets(s: np.ndarray, c: int, ds: float) -> np.ndarray:
     return (s - a) - (b + p * ds_lo)
 
 
+def _steps(s: np.ndarray):
+    """np.diff(s) in consecutive pieces of up to _BLOCK steps."""
+    return (np.diff(s[i:i + _BLOCK + 1]) for i in range(0, s.size - 1, _BLOCK))
+
+
 def _magnitude_direct(k: np.ndarray, s: np.ndarray) -> np.ndarray:
     out = np.empty(s.size)
     chunk = max(1, 4_000_000 // max(1, k.size))
@@ -245,7 +279,7 @@ def detect_peaks(profile: FourierProfile, threshold_fraction: float) -> np.ndarr
     candidates = np.where(inner)[0] + 1
     if candidates.size == 0:
         return np.empty(0)
-    ds = np.diff(s).min()
+    ds = np.min([step.min() for step in _steps(s)])
     win = max(1, int(np.ceil(default_tolerance(profile.k_max) / ds)))
     peaks = []
     for i in candidates:

@@ -443,9 +443,11 @@ def trace_cmd(ctx, **opts):
 
 def _read_roots_csv(path: str):
     """The 'k' column of a roots CSV as a float array."""
+    from array import array
+
     import numpy as np
 
-    ks = []
+    ks = array("d")
     with open(path, "r", encoding="utf-8") as fh:
         idx = None
         for n, line in enumerate(fh, 1):

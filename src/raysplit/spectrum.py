@@ -151,20 +151,33 @@ def _prufer_angle(pot: NStepPotential, k, slope=True):
     return (theta, d) if slope else theta
 
 
-def _staircase_deviation(roots: np.ndarray, slope: float, k_max: float, bound: float):
-    """sup_k |N(k) - slope k / pi| over (0, k_max], and the index in
-    roots + [k_max] of the first point where it exceeds bound (of the sup,
-    if nowhere).
+def _certificate(roots: np.ndarray, slope: float, k_max: float, bound: float):
+    """sup_k |N(k) - slope k / pi| over (0, k_max]; the index in roots + [k_max]
+    of the first point where it exceeds bound (of the sup, if nowhere); and
+    the first i with roots[i + 1] <= roots[i], or None.
 
     N(k) jumps at the roots and the comparison line is monotone, so the
     supremum is attained just before or just after a root, or at k_max.
+    The roots are read _REFINE_BLOCK at a time; np.argmax over the block
+    maxima finds the point it would find over the whole list.
     """
-    w = slope * roots / np.pi
-    n = np.arange(1, len(roots) + 1)
-    devs = np.append(np.maximum(np.abs(n - 1 - w), np.abs(n - w)),
-                     abs(len(roots) - slope * k_max / np.pi))
-    over = np.flatnonzero(devs > bound)
-    return float(devs.max()), int(over[0] if over.size else np.argmax(devs))
+    tops, over, unordered = [], None, None
+    for i in range(0, len(roots) + 1, _REFINE_BLOCK):
+        block = roots[i:i + _REFINE_BLOCK]
+        w = slope * block / np.pi
+        n = np.arange(i + 1, i + block.size + 1)
+        devs = np.maximum(np.abs(n - 1 - w), np.abs(n - w))
+        if i + _REFINE_BLOCK > len(roots):
+            devs = np.append(devs, abs(len(roots) - slope * k_max / np.pi))
+        j = int(np.argmax(devs))
+        tops.append((float(devs[j]), i + j))
+        if over is None and (hit := np.flatnonzero(devs > bound)).size:
+            over = i + int(hit[0])
+        after = roots[i + 1:i + _REFINE_BLOCK + 1]
+        if unordered is None and (hit := np.flatnonzero(after <= block[:after.size])).size:
+            unordered = i + int(hit[0])
+    sup, at = tops[int(np.argmax([dev for dev, _ in tops]))]
+    return sup, at if over is None else over, unordered
 
 
 def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
@@ -180,6 +193,9 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     term is the rounding of sin and cos at small k.  Roots listed as
     near-degenerate in the report sit where secular_function(pot) is flat.
 
+    Levels are solved, polished, kept and certified _REFINE_BLOCK at a time,
+    so the working memory besides the returned roots is O(_REFINE_BLOCK).
+
     k = 0 is never returned.  Raises ValueError unless 0 < k_max < inf, and
     CompletenessError (with the offending interval) when the roots are not
     strictly increasing or their staircase deviation exceeds the bound
@@ -192,7 +208,7 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     theta = partial(_prufer_angle, pot)
     count = int(theta(float(k_max), slope=False) // np.pi)
     spacing = np.pi / omega
-    roots, near = np.empty(count), []
+    roots, near, kept = np.empty(count), [], 0
     for i in range(0, count, _REFINE_BLOCK):
         n = np.arange(i + 1, min(count, i + _REFINE_BLOCK) + 1)
         k = _newton(theta, n * spacing, np.maximum((n - half) * spacing, 0.0),
@@ -204,19 +220,21 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
         value, slopes = _chain_psi(pot, k)
         step = value / slopes
         window = _POLISH_ULP * np.spacing(omega * k) / pot.lengths[-1]
-        roots[n - 1] = np.where(np.abs(step) <= window, k - step, k)
-        near.extend(roots[n - 1][np.abs(slopes) < _DEGENERATE_SLOPE])
-    roots = roots[roots <= k_max]
-    near = tuple(float(x) for x in near if x <= k_max)
+        k = np.where(np.abs(step) <= window, k - step, k)
+        below = k <= k_max
+        near.extend(float(x) for x in k[below & (np.abs(slopes) < _DEGENERATE_SLOPE)])
+        k = k[below]
+        roots[kept:kept + k.size] = k
+        kept += k.size
+    roots = roots[:kept]
 
     bound = 1.0 + half
     # the free well (N = 1) attains the bound as a supremum just below each root
     slack = _CERTIFICATE_ULP * np.spacing(omega * k_max / np.pi)
-    dev, i = _staircase_deviation(roots, omega, k_max, bound + slack)
-    unordered = np.flatnonzero(np.diff(roots) <= 0.0)
-    if unordered.size or dev > bound + slack:
-        if unordered.size:
-            i = unordered[0]
+    dev, i, unordered = _certificate(roots, omega, k_max, bound + slack)
+    if unordered is not None or dev > bound + slack:
+        if unordered is not None:
+            i = unordered
             what = "roots are not strictly increasing"
         else:
             what = f"staircase deviates by {dev:.3f} (> {bound:g})"
@@ -230,7 +248,7 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     report = CompletenessReport(
         max_staircase_deviation=dev,
         tolerance=bound,
-        near_degenerate=near,
+        near_degenerate=tuple(near),
         rescans=0,
     )
     return SpectrumResult(roots=roots, k_max=float(k_max), completeness=report)

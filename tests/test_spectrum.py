@@ -207,14 +207,49 @@ def test_refinement_evaluations_per_bracket(case, monkeypatch):
 
 
 def test_find_roots_memory_is_bounded():
+    # the roots and one more count-sized array at most: levels are solved,
+    # kept and certified _REFINE_BLOCK at a time
     tracemalloc.start()
     try:
         res = find_roots(REF, 1e6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res.roots) == 290340
-    assert peak <= 48e6
+    count = len(res.roots)
+    assert count == 290340
+    assert peak <= 2 * 8 * count + 2e6
+
+
+def _whole_certificate(roots, slope, k_max, bound):
+    """spectrum._certificate over the whole list at once."""
+    w = slope * roots / np.pi
+    n = np.arange(1, len(roots) + 1)
+    devs = np.append(np.maximum(np.abs(n - 1 - w), np.abs(n - w)),
+                     abs(len(roots) - slope * k_max / np.pi))
+    over = np.flatnonzero(devs > bound)
+    unordered = np.flatnonzero(np.diff(roots) <= 0.0)
+    return (float(devs.max()), int(over[0] if over.size else np.argmax(devs)),
+            int(unordered[0]) if unordered.size else None)
+
+
+@pytest.mark.parametrize("size", [0, 1, 6, 7, 8, 20, 21, 22])
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_certificate_matches_whole_list(monkeypatch, size, seed):
+    # blocks of 7: lists that end just before, on and after a block boundary,
+    # with a lost level, a repeated one, a tie of the sup or a nan
+    monkeypatch.setattr(spectrum, "_REFINE_BLOCK", 7)
+    rng = np.random.default_rng(seed)
+    roots = np.arange(1, size + 1) + rng.uniform(-0.4, 0.4, size)
+    if size > 2:
+        i = int(rng.integers(1, size - 1))
+        broken = [np.delete(roots, i), np.where(np.arange(size) == i, roots[i - 1], roots),
+                  np.round(roots), np.where(np.arange(size) == i, np.nan, roots)]
+    else:
+        broken = []
+    for r in (roots, *broken):
+        for k_max in (size + 0.5, size + 3.0):
+            np.testing.assert_equal(spectrum._certificate(r, np.pi, k_max, 1.0),
+                                    _whole_certificate(r, np.pi, k_max, 1.0))
 
 
 def test_small_chunks_give_the_same_roots(monkeypatch):
