@@ -27,7 +27,7 @@ from functools import wraps
 import click
 
 from . import __version__
-from .model import ContractFailure, NStepPotential, build_nstep, build_potential
+from .model import ContractFailure, build_nstep, build_potential, step_parameters
 
 SCHEMA_VERSION = 3
 
@@ -339,24 +339,6 @@ def spectrum_cmd(ctx, **opts):
                  meta={"k_max": result.k_max, "completeness": completeness}, trailer=trailer)
 
 
-def _sized_records(pot: NStepPotential, max_length: int | None, count: int | None):
-    """Primitive orbit records in (length, action, word) order, truncated."""
-    from . import orbits
-
-    if count is not None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count!r}")
-        # the shortest length whose primitive necklaces number at least count
-        max_length = 1
-        while sum(map(orbits.primitive_count, range(1, max_length + 1))) < count:
-            if max_length == 32:
-                raise ValueError(f"count {count} needs orbits longer than 32 symbols")
-            max_length += 1
-    recs = [orbits.orbit_record(c, pot) for c in orbits.enumerate_primitive(max_length)]
-    recs.sort(key=lambda rec: (rec.code.length, rec.s0, rec.code.word))
-    return recs if count is None else recs[:count]
-
-
 @main.command("orbits")
 @_step_options
 @click.option("--max-length", type=int, default=None,
@@ -373,15 +355,24 @@ def orbits_cmd(ctx, **opts):
         opts["max_length"] = 7
     if opts["b"] is None or opts["lam"] is None:
         raise ValueError("--b and --lambda are required")
-    pot = build_potential(opts["b"], opts["lam"])
-    recs = _sized_records(pot, opts["max_length"], opts["count"])
-    columns = {
-        "code": [r.code.word for r in recs], "length": [r.code.length for r in recs],
-        "nu": [r.code.nu for r in recs], "nL": [r.n_l for r in recs],
-        "nR": [r.n_r for r in recs], "sigma": [r.sigma for r in recs],
-        "tau2": [r.tau2 for r in recs], "sign": [r.sign for r in recs],
-        "S0": [r.s0 for r in recs],
-    }
+    from . import orbits
+
+    l1, l2, _, _ = step_parameters(build_potential(opts["b"], opts["lam"]))
+    count, max_length = opts["count"], opts["max_length"]
+    if count is not None:
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count!r}")
+        # the shortest length whose primitive necklaces number at least count
+        max_length = 1
+        while sum(map(orbits.primitive_count, range(1, max_length + 1))) < count:
+            if max_length == 32:
+                raise ValueError(f"count {count} needs orbits longer than 32 symbols")
+            max_length += 1
+    # rows in (length, action, word) order, straight from the Lyndon words as ints
+    length, s0, x, n_l, n_r, sigma, tau2, _, sign = zip(
+        *sorted(orbits._row(n, x, l1, l2) for n, x in orbits._lyndon(max_length))[:count])
+    columns = {"code": list(map(orbits._word, length, x)), "length": length, "nu": (1,) * len(x),
+               "nL": n_l, "nR": n_r, "sigma": sigma, "tau2": tau2, "sign": sign, "S0": s0}
     _write_table(opts, "orbits", columns, records="orbits")
 
 

@@ -7,6 +7,8 @@ orbit, so orbits are necklaces.  Adjacent equal symbols (LL or RR) mean a
 reflection off the step, adjacent unequal symbols a transmission through it.
 The step is any two-region chain: its actions and amplitudes read only
 model.step_parameters, and any other region count raises ValueError.
+Primitive necklaces (Lyndon words) come from Duval's algorithm (J. Algorithms
+4, 363 (1983)) on ints; a recursive string generator is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from typing import Iterable, Iterator
 from .model import NStepPotential, step_parameters
 
 _MAX_LENGTH = 32
-# Largest orbit table enumerate_primitive lists: every length up to 20
-# (111,013 orbits; with their records about 2 s and 50 MB on a 2-vCPU VM).
-# Length 21 would double that, and length 31 would hold 1.4e8 Python objects.
+# Largest orbit table: every length up to 20 (111,013 orbits; the orbits
+# command lists them in 0.45 s and 50 MB on a 2-vCPU VM).  Length 21 would
+# double that, and length 31 would hold 1.4e8 Python objects.
 _MAX_ROWS = 2 ** 17
 _BITS = str.maketrans("LR", "01")   # a word as the binary digits of an int, R as 1
+_SYMBOLS = str.maketrans("01", "LR")
 
 __all__ = [
     "OrbitCode",
@@ -93,35 +96,6 @@ class OrbitClass:
     multiplicity: int
 
 
-def _code_from_word(word: str, period: int) -> OrbitCode:
-    return OrbitCode(word=word, nu=len(word) // period, primitive_length=period)
-
-
-def _necklaces_with_period(n: int) -> Iterator[tuple[str, int]]:
-    """Yield (canonical word, primitive period) for all binary necklaces of
-    length n, in lexicographic order.
-
-    Classic iterative-deepening generator: extends pre-necklaces a[1..t]
-    maintaining the current period p, emitting whenever p divides n.  Each
-    emitted word is the smallest rotation of its class.
-    """
-    a = [0] * (n + 1)
-    symbols = "LR"
-
-    def gen(t: int, p: int) -> Iterator[tuple[str, int]]:
-        if t > n:
-            if n % p == 0:
-                yield "".join(symbols[x] for x in a[1:]), p
-        else:
-            a[t] = a[t - p]
-            yield from gen(t + 1, p)
-            if a[t - p] == 0:
-                a[t] = 1
-                yield from gen(t + 1, t)
-
-    yield from gen(1, 1)
-
-
 def primitive_count(length: int) -> int:
     """Number of primitive binary necklaces of the given length (Moebius sum)."""
     return sum(_moebius(d) * 2 ** (length // d) for d in _divisors(length)) // length
@@ -151,14 +125,11 @@ def _check_length(length: int, what: str) -> None:
         raise ValueError(f"{what} must lie in [1, {_MAX_LENGTH}], got {length!r}")
 
 
-def enumerate_primitive(max_length: int) -> list[OrbitCode]:
-    """All primitive necklaces of length 1..max_length.
-
-    Ordered by length, then lexicographically; this is the deterministic
-    "shortest orbits first" ordering used for trace-formula truncations.
-    Raises ValueError, before building any necklace, when the table would
-    hold more than _MAX_ROWS orbits.
-    """
+def _lyndon(max_length: int) -> Iterator[tuple[int, int]]:
+    """(n, x) of each primitive necklace of length n <= max_length in word
+    order, x its least rotation in binary (R as 1, first symbol highest):
+    repeat the last word to max_length symbols, drop its trailing R's, turn
+    its last L into R.  Checks _MAX_ROWS before yielding."""
     _check_length(max_length, "max_length")
     rows = sum(map(primitive_count, range(1, max_length + 1)))
     if rows > _MAX_ROWS:
@@ -166,12 +137,26 @@ def enumerate_primitive(max_length: int) -> list[OrbitCode]:
             f"orbits up to length {max_length} number {rows}, more than the "
             f"{_MAX_ROWS} one table may hold"
         )
-    out: list[OrbitCode] = []
-    for n in range(1, max_length + 1):
-        out.extend(
-            _code_from_word(w, p) for w, p in _necklaces_with_period(n) if p == n
-        )
-    return out
+    n, x = 1, 0
+    while n:
+        yield n, x
+        m = n
+        while m < max_length:
+            x, m = x << m | x, 2 * m
+        x >>= m - max_length
+        ones = (~x & (x + 1)).bit_length() - 1   # trailing R's
+        n, x = max_length - ones, (x >> ones) + 1
+
+
+def _word(n: int, x: int) -> str:
+    return format(x, f"0{n}b").translate(_SYMBOLS)
+
+
+def enumerate_primitive(max_length: int) -> list[OrbitCode]:
+    """All primitive necklaces of length 1..max_length, by length, then
+    lexicographically.  Raises ValueError past _MAX_ROWS orbits."""
+    return [OrbitCode(word=_word(n, x), nu=1, primitive_length=n)
+            for n, x in sorted(_lyndon(max_length))]
 
 
 def _pair_counts(x: int, n: int) -> tuple[int, int, int]:
@@ -185,17 +170,20 @@ def _pair_counts(x: int, n: int) -> tuple[int, int, int]:
     return x.bit_count(), (x & rot).bit_count(), (x ^ rot).bit_count()
 
 
+def _row(n: int, x: int, l1: float, l2: float) -> tuple:
+    """(length, s0, x) of the length-n word x, the orbits table's sort key,
+    then OrbitRecord's n_l, n_r, sigma, tau2, rr_pairs and sign."""
+    n_r, rr, tau2 = _pair_counts(x, n)
+    n_l = n - n_r
+    return (n, 2.0 * (n_l * l1 + n_r * l2), x, n_l, n_r, n - tau2, tau2, rr,
+            -1 if (n + rr) % 2 else 1)
+
+
 def orbit_record(code: OrbitCode, pot: NStepPotential) -> OrbitRecord:
     """Compute counts, sign and reduced action from the popcounts of the word."""
     l1, l2, _, _ = step_parameters(pot)
-    n = code.length
-    n_r, rr, tau2 = _pair_counts(int(code.word.translate(_BITS), 2), n)
-    n_l = n - n_r
-    return OrbitRecord(
-        code=code, n_l=n_l, n_r=n_r, sigma=n - tau2, tau2=tau2,
-        rr_pairs=rr, sign=-1 if (n + rr) % 2 else 1,
-        s0=2.0 * (n_l * l1 + n_r * l2),
-    )
+    _, s0, _, *counts = _row(code.length, int(code.word.translate(_BITS), 2), l1, l2)
+    return OrbitRecord(code, *counts, s0)
 
 
 def _word_count(n: int, n_r: int, tau2: int) -> int:

@@ -183,7 +183,8 @@ def _certificate(roots: np.ndarray, slope: float, k_max: float, bound: float):
 def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     """All levels in (0, k_max] of an N-region chain.
 
-    The count is floor(theta(1; k_max) / pi), and level n is the root of
+    Levels n <= floor(theta(1; k_max) / pi) + 1, one past the rounded count,
+    are solved and those <= k_max kept.  Level n is the root of
     theta(1; k) - n pi in its index interval (module docstring), solved for
     from the Weyl point n pi / Omega until a step is at most _NEWTON_TOL of
     pi / Omega.  One Newton step on secular_function(pot), whose value and
@@ -206,7 +207,7 @@ def find_roots(pot: NStepPotential, k_max: float) -> SpectrumResult:
     omega = pot.total_length
     half = 0.5 * (len(pot.lengths) - 1)
     theta = partial(_prufer_angle, pot)
-    count = int(theta(float(k_max), slope=False) // np.pi)
+    count = int(theta(float(k_max), slope=False) // np.pi) + 1
     spacing = np.pi / omega
     roots, near, kept = np.empty(count), [], 0
     for i in range(0, count, _REFINE_BLOCK):

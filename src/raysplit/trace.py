@@ -70,6 +70,15 @@ def _check_args(k_grid, eta: float, domain: str) -> np.ndarray:
     return k
 
 
+def _phases(orbits: Sequence[OrbitClass], kc):
+    """Each class with e^{i s0 kc}, taken once per run of classes of equal s0."""
+    s0 = phase = None
+    for cls in orbits:
+        if cls.s0 != s0:
+            s0, phase = cls.s0, np.exp(1j * cls.s0 * kc)
+        yield cls, phase
+
+
 def trace_formula(pot: NStepPotential, orbits: Sequence[OrbitClass], k) -> np.ndarray:
     """Tr S(k)^{2n} for n = 1..L from orbit classes, L the longest class given.
 
@@ -117,8 +126,8 @@ def rho_trace(
     k = _check_args(k_grid, eta, domain)
     rho = _weyl_density(pot, k).astype(complex)
     kc = k + 1j * eta
-    for cls in orbits:
-        term = base = amplitude(cls, pot) * np.exp(1j * cls.s0 * kc)
+    for cls, phase in _phases(orbits, kc):
+        term = base = amplitude(cls, pot) * phase
         total = np.zeros_like(kc)
         for _ in range(nu_max):
             total += term
@@ -151,17 +160,17 @@ def rho_resummed(
     k = _check_args(k_grid, eta, domain)
     rho = _weyl_density(pot, k)
     kc = k + 1j * eta
-    for cls in orbits:
+    for cls, phase in _phases(orbits, kc):
         amp = amplitude(cls, pot)
-        z = amp * np.exp(1j * cls.s0 * kc)
-        gap = np.abs(1.0 - z)
+        z = amp * phase
+        gap = np.abs(den := 1.0 - z)
         if np.any(gap < _POLE_TOLERANCE):
             bad = k[gap < _POLE_TOLERANCE][0]
             raise ValueError(
                 f"grid point k={bad!r} lies within {_POLE_TOLERANCE} of a pole "
                 f"of the resummed series (|amplitude| = {abs(amp)!r})"
             )
-        rho = rho + (cls.multiplicity * cls.s0 / (2.0 * k)) * (z / (1.0 - z)).real / np.pi
+        rho = rho + (cls.multiplicity * cls.s0 / (2.0 * k)) * (z / den).real / np.pi
     values = rho * 2.0 * k if domain == "k" else rho
     return DensityProfile(
         k_grid=k, values=values,

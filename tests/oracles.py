@@ -3,9 +3,9 @@
 No command runs any of these.  Each is a second route to something the
 package computes another way: the step's closed-form secular function and
 its wavefunction-matching form, the staircase from the trace expansion, the
-cycle-expansion cells summed at a wavenumber, necklaces listed one by one and
-counted by Burnside's sum, and the cyclic word classes listed with their
-exact weights.
+cycle-expansion cells summed at a wavenumber, necklaces listed one by one as
+strings and counted by Burnside's sum, and the cyclic word classes listed
+with their exact weights.
 """
 
 from __future__ import annotations
@@ -13,21 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
 from raysplit.combinatorics import _check_m
 from raysplit.graph import trace_powers
 from raysplit.model import NStepPotential, step_parameters
-from raysplit.orbits import (
-    _BITS,
-    OrbitCode,
-    _check_length,
-    _code_from_word,
-    _divisors,
-    _necklaces_with_period,
-    _pair_counts,
-)
+from raysplit.orbits import _BITS, OrbitCode, _check_length, _divisors, _pair_counts
 
 _MAX_TABLE_M = 13    # build_word_table lists the classes, ~2.6M at M = 13
 
@@ -84,6 +77,36 @@ def evaluate_cycle_terms(
 def min_rotation(word: str) -> str:
     """Lexicographically smallest rotation of a word, by brute force."""
     return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def _code_from_word(word: str, period: int) -> OrbitCode:
+    return OrbitCode(word=word, nu=len(word) // period, primitive_length=period)
+
+
+def _necklaces_with_period(n: int) -> Iterator[tuple[str, int]]:
+    """Yield (canonical word, primitive period) for all binary necklaces of
+    length n, in lexicographic order.
+
+    Classic iterative-deepening generator: extends pre-necklaces a[1..t]
+    maintaining the current period p, emitting whenever p divides n.  Each
+    emitted word is the smallest rotation of its class.  The package lists
+    primitive necklaces by Duval's algorithm on ints instead (orbits._lyndon).
+    """
+    a = [0] * (n + 1)
+    symbols = "LR"
+
+    def gen(t: int, p: int) -> Iterator[tuple[str, int]]:
+        if t > n:
+            if n % p == 0:
+                yield "".join(symbols[x] for x in a[1:]), p
+        else:
+            a[t] = a[t - p]
+            yield from gen(t + 1, p)
+            if a[t - p] == 0:
+                a[t] = 1
+                yield from gen(t + 1, t)
+
+    yield from gen(1, 1)
 
 
 def enumerate_necklaces(length: int) -> list[OrbitCode]:

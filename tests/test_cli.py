@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from oracles import enumerate_necklaces
 from raysplit import analysis, cli, graph, orbits, spectrum
 from raysplit.cli import main
 
@@ -822,13 +823,46 @@ def test_float_formatting_is_fifteen_digits(runner):
             assert len(mantissa.lstrip("0")) <= 15
 
 
+def _oracle_orbit_records(b, lam, max_length=16):
+    """Primitive orbit records from the string-necklace oracle, in the orbits
+    table's (length, action, word) order."""
+    pot = cli.build_potential(b, lam)
+    recs = [orbits.orbit_record(c, pot) for n in range(1, max_length + 1)
+            for c in enumerate_necklaces(n) if c.nu == 1]
+    return sorted(recs, key=lambda rec: (rec.code.length, rec.s0, rec.code.word))
+
+
 def test_csv_float_list_column_has_fifteen_digits(runner):
     # a float column that arrives as a Python list, like orbits' S0, is not printed by repr
     assert "".join(cli._csv_rows([["a", "b"], [0.1 + 0.2, 1 / 3], [1, 2]])) == (
         "a,0.3,1\nb,0.333333333333333,2\n")
     res = runner.invoke(main, ["orbits", *STEP, "--max-length", "5"])
-    recs = cli._sized_records(cli.build_potential(0.7, 0.5), 5, None)
+    recs = _oracle_orbit_records(0.7, 0.5, 5)
     assert [row.split(",")[-1] for row in data_rows(res.stdout)] == [f"{r.s0:.15g}" for r in recs]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.3, 0.9)])
+def test_orbits_table_matches_oracle_records(runner, tmp_path, b, lam, fmt):
+    # the table from Duval's integers, byte for byte the table of orbit_record
+    # over the recursive string generator's necklaces
+    recs = _oracle_orbit_records(b, lam)
+    sizes = [("--max-length", str(n), [r for r in recs if r.code.length <= n]) for n in range(1, 17)]
+    sizes += [("--count", str(n), recs[:n]) for n in (1, 43, 500)]
+    for flag, size, table in sizes:
+        columns = {
+            "code": [r.code.word for r in table], "length": [r.code.length for r in table],
+            "nu": [r.code.nu for r in table], "nL": [r.n_l for r in table],
+            "nR": [r.n_r for r in table], "sigma": [r.sigma for r in table],
+            "tau2": [r.tau2 for r in table], "sign": [r.sign for r in table],
+            "S0": [r.s0 for r in table],
+        }
+        expected = tmp_path / "expected"
+        cli._write_table({"fmt": fmt, "out": str(expected)}, "orbits", columns, records="orbits")
+        res = runner.invoke(main, ["orbits", "--b", str(b), "--lambda", str(lam), flag, size,
+                                   "--format", fmt])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == expected.read_text(), (flag, size)
 
 
 @pytest.mark.parametrize("payload", [

@@ -1,6 +1,7 @@
 """Necklace enumeration, orbit records and action bookkeeping."""
 
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import given, strategies as st
 from oracles import enumerate_necklaces, min_rotation, necklace_count
 from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.orbits import (
+    _BITS,
     OrbitClass,
+    _lyndon,
     _pair_counts,
+    _word,
     action_spectrum,
     amplitude,
     classes_of,
@@ -64,6 +68,27 @@ def test_forty_one_primitives_up_to_length_seven():
     assert sum(primitive_count(n) for n in range(1, 8)) == 41
     lengths = [c.length for c in codes]
     assert lengths == sorted(lengths)           # shortest first
+
+
+def test_lyndon_kernel_matches_the_string_oracle_and_brute_force():
+    # Duval on ints against the recursive string generator and against every
+    # word canonicalised by brute force, length by length up to 14
+    kernel = list(_lyndon(14))
+    words = [_word(n, x) for n, x in kernel]
+    assert words == sorted(words)               # lexicographic across lengths
+    for n in range(1, 15):
+        got = [(m, x) for m, x in kernel if m == n]
+        oracle = [c.word for c in enumerate_necklaces(n) if c.nu == 1]
+        assert got == [(n, int(w.translate(_BITS), 2)) for w in oracle]
+        brute = {min_rotation(w) for w in map("".join, product("LR", repeat=n))
+                 if all(w[i:] + w[:i] != w for i in range(1, n))}
+        assert sorted(brute) == [_word(m, x) for m, x in got]
+
+
+def test_lyndon_kernel_counts_every_length():
+    assert Counter(n for n, _ in _lyndon(20)) == {n: primitive_count(n) for n in range(1, 21)}
+    with pytest.raises(ValueError, match="more than the 131072"):
+        next(_lyndon(21))
 
 
 def test_length_bounds():

@@ -206,6 +206,20 @@ def test_refinement_evaluations_per_bracket(case, monkeypatch):
     assert sum(c.points for c in counters) / len(roots) <= 6.0
 
 
+@pytest.mark.parametrize("pot", [REF, CHAIN3], ids=["step", "chain3"])
+def test_level_at_k_max_is_kept(pot):
+    # every level whose float is <= k_max is returned, and none above it: a
+    # k_max on a level's own float keeps it, the float just below drops it
+    low, high = find_roots(pot, 2e4).roots, find_roots(pot, 1e6).roots
+    picks = [*np.linspace(0, len(low) - 1, 40).astype(int), *range(len(high) - 3, len(high))]
+    for i in picks:
+        level = (low if i < len(low) else high)[i]
+        roots = find_roots(pot, level).roots
+        assert len(roots) == i + 1 and roots[-1] == level
+        below = find_roots(pot, np.nextafter(level, 0.0)).roots
+        assert len(below) == i and (i == 0 or below[-1] < level)
+
+
 def test_find_roots_memory_is_bounded():
     # the roots and one more count-sized array at most: levels are solved,
     # kept and certified _REFINE_BLOCK at a time
