@@ -14,17 +14,19 @@ lists, shorter tables and any other value go through Python's % and json.
 Each subcommand imports the layers it runs in its own body, so importing this
 module loads neither numpy nor any layer; `orbits`, and `identity` without
 --poisson, run without numpy.
+
+Flags are parsed by argparse when main runs, from each subcommand's table of
+options, which also reads --config files.  A flag that takes a value takes the
+next argument, whatever it starts with (--kmax -1e5); no flag is abbreviated.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import random
 import sys
-from functools import wraps
-
-import click
 
 from . import __version__
 from .model import ContractFailure, build_nstep, build_potential, step_parameters
@@ -45,65 +47,62 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _error_json(kind: str, message: str) -> str:
-    return json.dumps({"error": {"type": kind, "message": message}}, sort_keys=True)
+# the words of a switch's config value
+_TRUE, _FALSE = ("1", "yes", "true", "on", "t", "y"), ("0", "no", "false", "off", "f", "n", "")
 
 
-def _guard(fn):
-    """Map exception classes onto the documented exit codes."""
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except ValueError as exc:
-            click.echo(_error_json("invalid-parameter", str(exc)), err=True)
-            sys.exit(EXIT_RANGE)
-        except OSError as exc:
-            click.echo(_error_json("io-failure", str(exc)), err=True)
-            sys.exit(EXIT_IO)
-        except ContractFailure as exc:
-            click.echo(_error_json("contract-violation", str(exc)), err=True)
-            sys.exit(EXIT_CONTRACT)
-
-    return wrapper
+def _fail(kind, exc, code):
+    print(json.dumps({"error": {"type": kind, "message": str(exc)}}, sort_keys=True),
+          file=sys.stderr)
+    sys.exit(code)
 
 
-def _apply_config(ctx: click.Context, opts: dict) -> dict:
-    """Fill defaulted options from the --config JSON file, flags winning.
+def _convert(kind, value):
+    """A --config value as its flag reads it; JSON null stays None."""
+    if value is None or kind is bool and isinstance(value, bool):
+        return value
+    if kind is bool:
+        word = str(value).strip().lower()
+        if word not in _TRUE + _FALSE:
+            raise ValueError(f"{value!r} is not a valid boolean. Recognized values: "
+                             + ", ".join(sorted(_TRUE + _FALSE)))
+        return word in _TRUE
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{value!r} is not one of {', '.join(map(repr, kind))}.")
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{value!r} is not a valid {'float' if kind is float else 'integer'}.")
 
-    Config keys mirror the flag spellings ("lambda", "max-length", ...).
-    """
-    path = opts.get("config")
-    if not path:
-        return opts
-    with open(path, "r", encoding="utf-8") as fh:
-        loaded = json.load(fh)
-    if not isinstance(loaded, dict):
-        raise ValueError(f"config file {path!r} must hold a JSON object")
-    params = {}
-    for param in ctx.command.params:
-        for flag in param.opts:
-            params[flag.lstrip("-").replace("-", "_")] = param
-    for key, value in loaded.items():
-        param = params.get(key.replace("-", "_"))
-        if param is None or param.name not in opts:
-            raise ValueError(f"config key {key!r} is not an option of this command")
-        if ctx.get_parameter_source(param.name) == click.core.ParameterSource.DEFAULT:
-            try:
-                opts[param.name] = param.type_cast_value(ctx, value)
-            except (click.BadParameter, TypeError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-    return opts
+
+def _apply_config(options: dict, given: dict) -> dict:
+    """A command's options by name: the defaults, overridden by the --config file's
+    values, which the flags given override."""
+    opts = {name: default for name, (_, default, _) in options.items()}
+    path = given.get("config")
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {path!r} must hold a JSON object")
+        for key, value in loaded.items():
+            name = key.replace("-", "_")
+            if name not in options:
+                raise ValueError(f"config key {key!r} is not an option of this command")
+            if name not in given:
+                try:
+                    opts[name] = _convert(options[name][0], value)
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from None
+    return {**opts, **given}
 
 
 def _write(path: str, pieces) -> None:
     """Write an iterable of text pieces to path ('-' = stdout), each as it is made."""
     if path == "-":
-        for piece in pieces:
-            click.echo(piece, nl=False)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(pieces)
@@ -225,7 +224,7 @@ def _write_table(opts: dict, kind: str, columns: dict, records: str | None = Non
     column when records is None, plus the meta fields; its floats are the
     shortest repr that reads back to the same float.
     """
-    if opts["fmt"] == "csv":
+    if opts["format"] == "csv":
         _write(opts["out"], _csv_text(kind, list(columns), _csv_rows([*columns.values()]), trailer))
         return
     if records is not None:
@@ -242,16 +241,14 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 def _potential_from(opts: dict):
     """Either a single step from --b/--lambda or a chain from the list flags."""
-    if opts.get("breakpoints") is not None or opts.get("lambdas") is not None:
-        if opts.get("breakpoints") is None or opts.get("lambdas") is None:
+    if opts["breakpoints"] is not None or opts["lambdas"] is not None:
+        if opts["breakpoints"] is None or opts["lambdas"] is None:
             raise ValueError("--breakpoints and --lambdas must be given together")
-        return build_nstep(
-            _parse_floats(opts["breakpoints"], "--breakpoints"),
-            _parse_floats(opts["lambdas"], "--lambdas"),
-        )
-    if opts.get("b") is None or opts.get("lam") is None:
+        return build_nstep(_parse_floats(opts["breakpoints"], "--breakpoints"),
+                           _parse_floats(opts["lambdas"], "--lambdas"))
+    if opts["b"] is None or opts["lambda"] is None:
         raise ValueError("either --b and --lambda or --breakpoints and --lambdas are required")
-    return build_potential(opts["b"], opts["lam"])
+    return build_potential(opts["b"], opts["lambda"])
 
 
 def _check_levels(pot, k_max: float) -> None:
@@ -262,60 +259,45 @@ def _check_levels(pot, k_max: float) -> None:
                          f"more than {_MAX_POINTS}")
 
 
-def _exclusive(opts: dict, name: str, flag: str, other: str, other_flag: str):
+def _exclusive(opts: dict, name: str, other: str):
     """The value of whichever of two options excluding each other was given, else None."""
     if opts[name] is not None and opts[other] is not None:
-        raise ValueError(f"{flag} and {other_flag} exclude each other; give one")
+        raise ValueError(f"{_flag(name)} and {_flag(other)} exclude each other; give one")
     return opts[name] if opts[name] is not None else opts[other]
 
 
-def _out_and_config(fn):
-    fn = click.option("--out", default="-", show_default=True,
-                      help="Output path for the main artifact ('-' = stdout).")(fn)
-    fn = click.option("--config", type=click.Path(), default=None,
-                      help="JSON file supplying defaults for any option of this command.")(fn)
-    return fn
+# A command's options map each name (max_length for the flag --max-length, and the
+# config key max-length) to (type, default, help); the type is float, int, str, bool
+# for a switch, or a tuple of choices.
+_POTENTIAL = {
+    "b": (float, None, "Step position in (0, 1)."),
+    "lambda": (float, None, "Scaling constant in [0, 1)."),
+    "breakpoints": (str, None, "Region boundaries 0,...,1 of a chain."),
+    "lambdas": (str, None, "Comma-separated per-region scaling constants.")}
+_OUT_CONFIG = {
+    "out": (str, "-", "Output path for the main artifact ('-' = stdout)."),
+    "config": (str, None, "JSON file of defaults for any option of this command.")}
+_COMMON = {"format": (("csv", "json"), "csv", ""), **_OUT_CONFIG}
+
+_COMMANDS = {}   # name -> (function of the options, its options)
 
 
-def _common(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                      default="csv", show_default=True)(fn)
-    return _out_and_config(fn)
+def _command(name: str, **options):
+    def register(fn):
+        _COMMANDS[name] = (fn, options)
+        return fn
+    return register
 
 
-def _step_options(fn):
-    fn = click.option("--b", type=float, default=None, help="Step position in (0, 1).")(fn)
-    fn = click.option("--lambda", "lam", type=float, default=None,
-                      help="Scaling constant in [0, 1).")(fn)
-    return fn
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _chain_options(fn):
-    fn = click.option("--breakpoints", default=None,
-                      help="Comma-separated region boundaries 0,...,1 for a chain.")(fn)
-    fn = click.option("--lambdas", default=None,
-                      help="Comma-separated per-region scaling constants.")(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="raysplit")
-def main() -> None:
-    """Spectra of scaled step potentials and their periodic-orbit analysis."""
-
-
-@main.command("spectrum")
-@_step_options
-@_chain_options
-@click.option("--kmax", type=float, default=100.0, show_default=True)
-@_common
-@click.pass_context
-@_guard
-def spectrum_cmd(ctx, **opts):
+@_command("spectrum", **_POTENTIAL, kmax=(float, 100.0, ""), **_COMMON)
+def spectrum_cmd(opts):
     """Compute all roots up to --kmax with a completeness report."""
     from . import spectrum
 
-    opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
     _check_levels(pot, opts["kmax"])
     result = spectrum.find_roots(pot, opts["kmax"])
@@ -339,25 +321,17 @@ def spectrum_cmd(ctx, **opts):
                  meta={"k_max": result.k_max, "completeness": completeness}, trailer=trailer)
 
 
-@main.command("orbits")
-@_step_options
-@click.option("--max-length", type=int, default=None,
-              help="Truncate by binary code length.  [default: 7]")
-@click.option("--count", type=int, default=None,
-              help="Truncate to exactly this many shortest orbits instead.")
-@_common
-@click.pass_context
-@_guard
-def orbits_cmd(ctx, **opts):
+@_command("orbits", **_POTENTIAL,
+          max_length=(int, None, "Truncate by code length.  [default: 7]"),
+          count=(int, None, "Truncate to this many shortest orbits instead."), **_COMMON)
+def orbits_cmd(opts):
     """Tabulate primitive periodic orbits with counts, signs and actions."""
-    opts = _apply_config(ctx, opts)
-    if _exclusive(opts, "max_length", "--max-length", "count", "--count") is None:
+    if _exclusive(opts, "max_length", "count") is None:
         opts["max_length"] = 7
-    if opts["b"] is None or opts["lam"] is None:
-        raise ValueError("--b and --lambda are required")
+    pot = _potential_from(opts)
     from . import orbits
 
-    l1, l2, _, _ = step_parameters(build_potential(opts["b"], opts["lam"]))
+    l1, l2, _, _ = step_parameters(pot)
     count, max_length = opts["count"], opts["max_length"]
     if count is not None:
         if count < 1:
@@ -376,33 +350,19 @@ def orbits_cmd(ctx, **opts):
     _write_table(opts, "orbits", columns, records="orbits")
 
 
-@main.command("trace")
-@_step_options
-@click.option("--kmin", type=float, default=1.0, show_default=True)
-@click.option("--kmax", type=float, default=30.0, show_default=True)
-@click.option("--points", type=int, default=2000, show_default=True)
-@click.option("--max-length", type=int, default=7, show_default=True)
-@click.option("--nu-max", type=int, default=10, show_default=True)
-@click.option("--eta", type=float, default=0.0, show_default=True)
-@click.option("--domain", type=click.Choice(["energy", "k"]), default="energy",
-              show_default=True)
-@click.option("--resummed", is_flag=True, default=False,
-              help="Close the repetition sum into its geometric form.")
-@click.option("--report", type=click.Path(), default=None,
-              help="Also write a JSON report with density peaks and the ballistic comb.")
-@_common
-@click.pass_context
-@_guard
-def trace_cmd(ctx, **opts):
+@_command("trace", **_POTENTIAL, kmin=(float, 1.0, ""), kmax=(float, 30.0, ""),
+          points=(int, 2000, ""), max_length=(int, 7, ""), nu_max=(int, 10, ""),
+          eta=(float, 0.0, ""), domain=(("energy", "k"), "energy", ""),
+          resummed=(bool, False, "Close the repetition sum into its geometric form."),
+          report=(str, None, "Also write a JSON report of density peaks and the ballistic comb."),
+          **_COMMON)
+def trace_cmd(opts):
     """Reconstruct the level density from periodic orbits on a k grid."""
     import numpy as np
 
     from . import orbits, trace
 
-    opts = _apply_config(ctx, opts)
-    if opts["b"] is None or opts["lam"] is None:
-        raise ValueError("--b and --lambda are required")
-    pot = build_potential(opts["b"], opts["lam"])
+    pot = _potential_from(opts)
     if not 0 < opts["kmin"] < opts["kmax"] < math.inf:
         raise ValueError("need 0 < kmin < kmax < inf")
     if not 2 <= opts["points"] <= _MAX_POINTS:
@@ -478,32 +438,22 @@ def _action_step(opts: dict, k_top: float) -> float:
     return ds
 
 
-@main.command("fourier")
-@_step_options
-@click.option("--roots", "roots_path", type=click.Path(), default=None,
-              help="CSV of precomputed roots (any file with a 'k' column).")
-@click.option("--kmax", type=float, default=None,
-              help="Compute roots up to here when --roots is not given.")
-@click.option("--smin", type=float, default=0.2, show_default=True)
-@click.option("--smax", type=float, default=10.0, show_default=True)
-@click.option("--ds", type=float, default=None,
-              help="Action grid step (default pi / (4 k_max)).")
-@click.option("--threshold", type=float, default=0.05, show_default=True,
-              help="Peak threshold as a fraction of the root count.")
-@click.option("--max-length", type=int, default=7, show_default=True,
-              help="Orbit code length for the candidate action set.")
-@click.option("--report", type=click.Path(), default=None,
-              help="Also write the JSON peak-match report here.")
-@_common
-@click.pass_context
-@_guard
-def fourier_cmd(ctx, **opts):
+@_command("fourier", **_POTENTIAL,
+          roots=(str, None, "CSV of roots (any file with a 'k' column)."),
+          kmax=(float, None, "Compute roots up to here when --roots is not given."),
+          smin=(float, 0.2, ""), smax=(float, 10.0, ""),
+          ds=(float, None, "Action grid step (default pi / (4 k_max))."),
+          threshold=(float, 0.05, "Peak threshold, a fraction of the roots."),
+          max_length=(int, 7, "Orbit code length of the candidate actions."),
+          report=(str, None, "Also write the JSON peak-match report here."),
+          **_COMMON)
+def fourier_cmd(opts):
     """Transform the level sequence and match |F(s)| peaks to orbit actions."""
     import numpy as np
 
     from . import analysis, orbits, spectrum
 
-    opts = _apply_config(ctx, opts)
+    stepped = any(opts[name] is not None for name in _POTENTIAL)
     if not 0 < opts["smin"] < opts["smax"] < math.inf:
         raise ValueError(f"need 0 < --smin < --smax < inf, got --smin {opts['smin']!r} "
                          f"and --smax {opts['smax']!r}")
@@ -511,16 +461,16 @@ def fourier_cmd(ctx, **opts):
         raise ValueError(f"--threshold must lie in (0, 1), got {opts['threshold']!r}")
     if opts["ds"] is not None and not 0 < opts["ds"] < math.inf:
         raise ValueError(f"ds must be finite and positive, got {opts['ds']!r}")
-    if opts["report"] and (opts["b"] is None or opts["lam"] is None):
+    if opts["report"] and not stepped:
         raise ValueError("--report needs --b and --lambda for the candidate actions")
-    if opts["ds"] is not None or not opts["roots_path"] and 0 < (opts["kmax"] or 0) < math.inf:
+    if opts["ds"] is not None or not opts["roots"] and 0 < (opts["kmax"] or 0) < math.inf:
         _action_step(opts, opts["kmax"])   # before any root: k_top <= --kmax
     pot = classes = None
-    if opts["b"] is not None and opts["lam"] is not None:
-        pot = build_potential(opts["b"], opts["lam"])
+    if stepped:
+        pot = _potential_from(opts)
         classes = orbits.orbit_classes(pot, opts["max_length"])
-    if opts["roots_path"]:
-        roots = _read_roots_csv(opts["roots_path"])
+    if opts["roots"]:
+        roots = _read_roots_csv(opts["roots"])
     else:
         if pot is None or opts["kmax"] is None:
             raise ValueError("--roots or (--b, --lambda, --kmax) is required")
@@ -551,30 +501,19 @@ def fourier_cmd(ctx, **opts):
         }))
 
 
-@main.command("graph-check")
-@_step_options
-@_chain_options
-@click.option("--kmax", type=float, default=100.0, show_default=True)
-@click.option("--samples", type=int, default=100, show_default=True)
-@click.option("--nmax", type=int, default=12, show_default=True)
-@click.option("--roots", "n_roots", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
-@_out_and_config
-@click.pass_context
-@_guard
-def graph_check_cmd(ctx, **opts):
+@_command("graph-check", **_POTENTIAL, kmax=(float, 100.0, ""), samples=(int, 100, ""),
+          nmax=(int, 12, ""), roots=(int, 100, ""), seed=(int, 7, ""), **_OUT_CONFIG)
+def graph_check_cmd(opts):
     """Verify unitarity, odd traces, the trace formula and quantization; report in JSON."""
     import numpy as np
 
     from . import graph, orbits, spectrum, trace
 
-    opts = _apply_config(ctx, opts)
     pot = _potential_from(opts)
     if not 0 < opts["kmax"] < math.inf:
         raise ValueError(f"kmax must be finite and positive, got {opts['kmax']!r}")
-    for flag, value, top in (("samples", opts["samples"], _MAX_SAMPLES),
-                             ("nmax", opts["nmax"], math.inf),
-                             ("roots", opts["n_roots"], _MAX_POINTS)):
+    for flag, top in (("samples", _MAX_SAMPLES), ("nmax", math.inf), ("roots", _MAX_POINTS)):
+        value = opts[flag]
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value!r}")
         if value > top:
@@ -589,8 +528,8 @@ def graph_check_cmd(ctx, **opts):
         unit_dev = max(unit_dev, float(np.max(np.abs(gram))))
     traces = graph.trace_powers(pot, ks, 2 * opts["nmax"] + 1)
     odd_dev = float(np.max(np.abs(traces[0::2])))
-    k_top = (opts["n_roots"] + 1.5) * np.pi / pot.total_length
-    roots = spectrum.find_roots(pot, k_top).roots[:opts["n_roots"]]
+    k_top = (opts["roots"] + 1.5) * np.pi / pot.total_length
+    roots = spectrum.find_roots(pot, k_top).roots[:opts["roots"]]
     det_dev = float(np.max(np.abs(graph.det_one_minus_s(pot, roots)))) if len(roots) else 0.0
     checks = {
         "unitarity": {"max_deviation": unit_dev, "tolerance": 1e-12},
@@ -611,24 +550,18 @@ def graph_check_cmd(ctx, **opts):
         )
 
 
-@main.command("identity")
-@click.option("--m", "m_single", type=int, default=None, help="Verify one half-length M.")
-@click.option("--max-m", type=int, default=None, help="Verify every M up to here.")
-@click.option("--poisson", "poisson_lam", type=float, default=None,
-              help="Also check the equal-weight geometry at this lambda.")
-@_common
-@click.pass_context
-@_guard
-def identity_cmd(ctx, **opts):
+@_command("identity", m=(int, None, "Verify one half-length M."),
+          max_m=(int, None, "Verify every M up to here."),
+          poisson=(float, None, "Also check the equal-weight geometry at this lambda."), **_COMMON)
+def identity_cmd(opts):
     """Verify the exact cyclic-word sum rules in rational arithmetic."""
     from . import combinatorics
 
-    opts = _apply_config(ctx, opts)
-    if _exclusive(opts, "m_single", "--m", "max_m", "--max-m") is None:
+    if _exclusive(opts, "m", "max_m") is None:
         raise ValueError("one of --m or --max-m is required")
     if opts["max_m"] is not None:
         combinatorics._check_m(opts["max_m"], combinatorics._MAX_M)
-    ms = [opts["m_single"]] if opts["m_single"] is not None else list(range(1, opts["max_m"] + 1))
+    ms = [opts["m"]] if opts["m"] is not None else list(range(1, opts["max_m"] + 1))
     results = []
     for m in ms:
         sums = combinatorics.binomial_sums(m)
@@ -638,15 +571,15 @@ def identity_cmd(ctx, **opts):
                         "ok": poly_ok and all(s == math.comb(m, i) for i, s in enumerate(sums))})
     failures = [r["M"] for r in results if not r["ok"]]
     payload = {"kind": "identity", "results": results}
-    if opts["poisson_lam"] is not None:
-        rep = combinatorics.poisson_special_case_check(opts["poisson_lam"])
+    if opts["poisson"] is not None:
+        rep = combinatorics.poisson_special_case_check(opts["poisson"])
         payload["poisson"] = {
             "lambda": rep.lam, "b": rep.b, "max_root_deviation": rep.max_root_deviation,
             "max_action_deviation": rep.max_action_deviation, "ok": rep.ok,
         }
         if not rep.ok:
             failures.append("poisson")
-    if opts["fmt"] == "json":
+    if opts["format"] == "json":
         _write(opts["out"], _json_text(payload))
     else:
         lines = []
@@ -667,6 +600,49 @@ def identity_cmd(ctx, **opts):
         _write_text(opts["out"], "\n".join(lines) + "\n")
     if failures:
         raise ContractFailure(f"identity verification failed for {failures!r}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="raysplit", add_help=False, allow_abbrev=False,
+        description="Spectra of scaled step potentials and their periodic-orbit analysis.")
+    parser.add_argument("--version", action="version", version=f"raysplit, version {__version__}")
+    parser.add_argument("--help", action="help")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, add_help=False,
+                                  allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        for option, (kind, default, text) in options.items():
+            if default is not None:
+                text = f"{text} [default: {default}]".lstrip()
+            typed = ({"action": "store_true"} if kind is bool else
+                     {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            sub.add_argument(_flag(option), help=text, **typed)
+        sub.add_argument("--help", action="help")
+    return parser
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the subcommand that args (default sys.argv[1:]) names; standalone_mode
+    is ignored, kept only because bench/tracer.py passes it."""
+    args = sys.argv[1:] if args is None else list(args)
+    if args and args[0] in _COMMANDS:   # join each '--flag value' as '--flag=value'
+        options = _COMMANDS[args[0]][1]
+        takes_value = {_flag(name) for name in options if options[name][0] is not bool}
+        rest, args = iter(args[1:]), args[:1]
+        for arg in rest:
+            value = next(rest, None) if arg in takes_value else None
+            args.append(arg if value is None else f"{arg}={value}")
+    given = vars(_parser().parse_args(args))
+    fn, options = _COMMANDS[given.pop("command")]
+    try:
+        fn(_apply_config(options, given))
+    except ValueError as exc:
+        _fail("invalid-parameter", exc, EXIT_RANGE)
+    except OSError as exc:
+        _fail("io-failure", exc, EXIT_IO)
+    except ContractFailure as exc:
+        _fail("contract-violation", exc, EXIT_CONTRACT)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,19 @@
 """End-to-end checks of the command-line interface and its artifacts."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from oracles import enumerate_necklaces
 from raysplit import analysis, cli, graph, orbits, spectrum
@@ -20,9 +23,34 @@ STEP = ["--b", "0.7", "--lambda", "0.5"]
 CHAIN3 = ["--breakpoints", "0,0.3,0.6,1", "--lambdas", "0,0.5,0.75"]
 
 
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class Runner:
+    """Runs main(args) in this process with stdout and stderr captured."""
+
+    def invoke(self, command, args) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                command(args)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code or 0
+        return Result(code, out.getvalue(), err.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def data_rows(text):
@@ -204,6 +232,10 @@ def test_config_file_supplies_defaults(runner, tmp_path):
     # explicit flags win over config values
     override = runner.invoke(main, ["spectrum", "--config", str(cfg), "--kmax", "8"])
     assert len(data_rows(override.stdout)) == 2
+    # a config value that a flag overrides is not read, so it need not convert
+    cfg.write_text(json.dumps({"b": 0.7, "lambda": 0.5, "kmax": "x"}))
+    unread = runner.invoke(main, ["spectrum", "--config", str(cfg), "--kmax", "8"])
+    assert (unread.exit_code, unread.stdout) == (0, override.stdout)
 
 
 def test_config_rejects_unknown_keys(runner, tmp_path):
@@ -460,7 +492,7 @@ def test_step_is_the_two_region_chain(runner, args):
     step = runner.invoke(main, [*args, *STEP])
     chain = runner.invoke(main, [*args, "--breakpoints", "0,0.7,1", "--lambdas", "0,0.5"])
     assert step.exit_code == chain.exit_code == 0, step.output + chain.output
-    assert step.stdout_bytes == chain.stdout_bytes
+    assert step.stdout == chain.stdout
     if args[0] == "graph-check":
         assert json.loads(step.stdout)["checks"]["trace_word_sums"]["ok"]
 
@@ -683,7 +715,7 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
         for row in zip(*columns.values()))
     monkeypatch.setattr(cli, "_BLOCK", block)
     out = tmp_path / "t.csv"
-    cli._write_table({"fmt": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
+    cli._write_table({"format": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
     text = out.read_text()
     assert text == "# schema_version=3 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
 
@@ -723,7 +755,7 @@ def test_writes_do_not_grow_with_the_table(monkeypatch, tmp_path, fmt, records):
         columns = {"n": np.ones(n, dtype=int), "k": np.full(n, 1 / 3), "code": ["w1"] * n}
         out = tmp_path / f"{blocks}.{fmt}"
         sizes.clear()
-        cli._write_table({"fmt": fmt, "out": str(out)}, "t", columns, records=records,
+        cli._write_table({"format": fmt, "out": str(out)}, "t", columns, records=records,
                          trailer=["note=1"])
         assert sum(sizes) == len(out.read_text()) and len(sizes) > blocks
         largest.append(max(sizes))
@@ -858,7 +890,7 @@ def test_orbits_table_matches_oracle_records(runner, tmp_path, b, lam, fmt):
             "S0": [r.s0 for r in table],
         }
         expected = tmp_path / "expected"
-        cli._write_table({"fmt": fmt, "out": str(expected)}, "orbits", columns, records="orbits")
+        cli._write_table({"format": fmt, "out": str(expected)}, "orbits", columns, records="orbits")
         res = runner.invoke(main, ["orbits", "--b", str(b), "--lambda", str(lam), flag, size,
                                    "--format", fmt])
         assert res.exit_code == 0, res.output
@@ -953,3 +985,181 @@ def test_identity_cap_message_speaks_to_the_command_line(runner):
     res = runner.invoke(main, ["identity", "--m", "65"])
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"]["message"] == "M must lie in [1, 64], got 65"
+
+
+# --- command-line parsing: the behaviours that hold whatever parses the flags
+
+def _error_bytes(kind, message):
+    return json.dumps({"error": {"type": kind, "message": message}}, sort_keys=True) + "\n"
+
+
+def test_each_exit_code_and_its_stderr_bytes(runner, monkeypatch, tmp_path):
+    res = runner.invoke(main, ["identity", "--m", "3"])
+    assert (res.exit_code, res.stderr) == (0, "")
+    monkeypatch.setattr(graph, "det_one_minus_s", lambda pot, k: np.ones(np.shape(k)))
+    res = runner.invoke(main, ["graph-check", *STEP, "--samples", "5", "--nmax", "3",
+                               "--roots", "5"])
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["checks"]["det_at_roots"]["ok"] is False
+    assert res.stderr == _error_bytes(
+        "contract-violation", "graph oracle deviations exceed tolerances: det_at_roots")
+    res = runner.invoke(main, ["spectrum", "--kmax"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    res = runner.invoke(main, ["spectrum", "--b", "1.7", "--lambda", "0.5"])
+    assert res.exit_code == 3
+    assert res.stderr == _error_bytes("invalid-parameter", "b must lie in (0, 1), got b=1.7")
+    path = tmp_path / "no" / "x.csv"
+    res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "10", "--out", str(path)])
+    assert res.exit_code == 4
+    assert res.stderr == _error_bytes(
+        "io-failure", f"[Errno 2] No such file or directory: {str(path)!r}")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spectrum", *STEP, "--kmax", "-1e5"], "k_max must be finite and positive, got -100000.0"),
+    (["spectrum", "--breakpoints", "0,0.5,1", "--lambdas", "-0.1,0.5"],
+     "lambda must lie in [0, 1), got lambdas[0]=-0.1"),
+    (["trace", *STEP, "--kmin", "-1"], "need 0 < kmin < kmax < inf"),
+    (["orbits", *STEP, "--count", "-5"], "count must be >= 1, got -5"),
+])
+def test_a_flag_takes_the_next_argument_whatever_it_starts_with(runner, args, message):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stderr == _error_bytes("invalid-parameter", message)
+
+
+def test_equals_spelling_and_the_last_of_a_repeated_flag(runner):
+    direct = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20"])
+    equals = runner.invoke(main, ["spectrum", "--b=0.7", "--lambda=0.5", "--kmax=20"])
+    repeated = runner.invoke(main, ["spectrum", *STEP, "--kmax", "5", "--kmax=8", "--kmax", "20"])
+    assert direct.exit_code == equals.exit_code == repeated.exit_code == 0
+    assert equals.stdout == direct.stdout == repeated.stdout
+
+
+@pytest.mark.parametrize("args", [
+    [], ["bogus"], ["-h"], ["spectrum", "--no-such-flag", "1"], ["spectrum", "--kmax"],
+    ["spectrum", *STEP, "extra"], ["spectrum", *STEP, "--kmax", "x"],
+    ["orbits", *STEP, "--count", "2.5"], ["spectrum", *STEP, "--format", "xml"],
+    ["trace", *STEP, "--domain", "x"], ["trace", *STEP, "--resummed=yes"],
+    # abbreviations are not flags
+    ["spectrum", *STEP, "--km", "5"], ["trace", *STEP, "--res"], ["identity", "--max", "3"],
+], ids=["no-command", "unknown-command", "short-help", "unknown-flag", "missing-value",
+        "extra-argument", "bad-float", "bad-int", "bad-format", "bad-domain",
+        "value-for-a-switch", "abbreviated-kmax", "abbreviated-switch", "abbreviated-max-m"])
+def test_usage_errors_exit_two_and_write_nothing_to_stdout(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr
+
+
+# every flag of each command and, where it has one, its default as --help shows it
+HELP = {
+    "spectrum": {"--b": None, "--lambda": None, "--breakpoints": None, "--lambdas": None,
+                 "--kmax": "100.0", "--format": "csv", "--out": "-", "--config": None},
+    "orbits": {"--b": None, "--lambda": None, "--max-length": "7", "--count": None,
+               "--format": "csv", "--out": "-", "--config": None},
+    "trace": {"--b": None, "--lambda": None, "--kmin": "1.0", "--kmax": "30.0",
+              "--points": "2000", "--max-length": "7", "--nu-max": "10", "--eta": "0.0",
+              "--domain": "energy", "--resummed": None, "--report": None, "--format": "csv",
+              "--out": "-", "--config": None},
+    "fourier": {"--b": None, "--lambda": None, "--roots": None, "--kmax": None, "--smin": "0.2",
+                "--smax": "10.0", "--ds": None, "--threshold": "0.05", "--max-length": "7",
+                "--report": None, "--format": "csv", "--out": "-", "--config": None},
+    "graph-check": {"--b": None, "--lambda": None, "--breakpoints": None, "--lambdas": None,
+                    "--kmax": "100.0", "--samples": "100", "--nmax": "12", "--roots": "100",
+                    "--seed": "7", "--out": "-", "--config": None},
+    "identity": {"--m": None, "--max-m": None, "--poisson": None, "--format": "csv",
+                 "--out": "-", "--config": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_lists_every_flag_with_its_default(runner, command):
+    res = runner.invoke(main, [command, "--help"])
+    assert res.exit_code == 0
+    text = " ".join(res.stdout.split())
+    for flag, default in HELP[command].items():
+        assert re.search(re.escape(flag) + r"(?![\w-])", text), flag
+        if default is not None:
+            pattern = re.escape(flag) + r"(?![\w-])(?:(?! --).)*?\[default: " + re.escape(default)
+            assert re.search(pattern + r"\]", text), (flag, default)
+    res = runner.invoke(main, ["--help"])
+    assert res.exit_code == 0
+    assert all(name in res.stdout for name in HELP)
+
+
+def test_version_line(runner):
+    res = runner.invoke(main, ["--version"])
+    assert (res.exit_code, res.stdout, res.stderr) == (0, "raysplit, version 0.1.0\n", "")
+
+
+@pytest.mark.parametrize("word, on", [
+    ("yes", True), ("no", False), ("true", True), ("false", False), ("1", True), ("0", False),
+    ("on", True), ("off", False), ("y", True), ("n", False), ("t", True), ("f", False),
+    ("Yes", True), (" OFF ", False), (True, True), (False, False),
+    (1, True), (0, False),   # JSON numbers read as their digits
+])
+def test_config_takes_the_boolean_words(runner, tmp_path, word, on):
+    args = ["trace", *STEP, "--kmax", "5", "--points", "50", "--format", "json"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resummed": word}))
+    via_cfg = runner.invoke(main, [*args, "--config", str(cfg)])
+    direct = runner.invoke(main, [*args, *(["--resummed"] if on else [])])
+    assert via_cfg.exit_code == direct.exit_code == 0
+    assert via_cfg.stdout == direct.stdout
+    assert json.loads(direct.stdout)["truncation"].endswith("resummed") == on
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_dash_writes_the_bytes_of_out_file(runner, tmp_path, fmt):
+    args = ["spectrum", *STEP, "--kmax", "15000", "--format", fmt]   # 4,355 roots: two blocks
+    res = runner.invoke(main, args)
+    path = tmp_path / f"spectrum.{fmt}"
+    to_file = runner.invoke(main, [*args, "--out", str(path)])
+    assert res.exit_code == to_file.exit_code == 0
+    assert to_file.stdout == ""
+    assert res.stdout.encode("utf-8") == path.read_bytes()
+    assert len(data_rows(res.stdout) if fmt == "csv" else json.loads(res.stdout)["roots"]) > 4096
+
+
+# --- one option set for the potential
+
+@pytest.mark.parametrize("args", [
+    ["orbits", "--max-length", "6"],
+    ["orbits", "--count", "20", "--format", "json"],
+    ["trace", "--kmin", "2", "--kmax", "10", "--points", "100"],
+    ["fourier", "--kmax", "100"],
+])
+def test_orbit_commands_take_the_chain_spelling_of_the_step(runner, tmp_path, args):
+    outs = []
+    for n, geometry in enumerate((STEP, ["--breakpoints", "0,0.7,1", "--lambdas", "0,0.5"])):
+        report = tmp_path / f"report{n}.json"
+        extra = ["--report", str(report)] if args[0] in ("trace", "fourier") else []
+        res = runner.invoke(main, [*args, *geometry, *extra])
+        assert res.exit_code == 0, res.output
+        outs.append((res.stdout, report.read_bytes() if extra else None))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["orbits"], ["trace", "--kmax", "10", "--points", "100"], ["fourier", "--kmax", "100"],
+])
+def test_orbit_commands_take_a_damped_first_region(runner, tmp_path, args):
+    # lambda_1 != 0: the orbit picture needs only l1, l2, r and t
+    geometry = ["--breakpoints", "0,0.6,1", "--lambdas", "0.3,0.8"]
+    extra = ["--report", str(tmp_path / "r.json")] if args[0] != "orbits" else []
+    res = runner.invoke(main, [*args, *geometry, *extra])
+    assert res.exit_code == 0, res.output
+    if args[0] == "orbits":
+        assert len(data_rows(res.stdout)) == 41
+    if args[0] == "fourier":
+        assert json.loads((tmp_path / "r.json").read_text())["matched_fraction"] > 0
+
+
+@pytest.mark.parametrize("args", [["orbits"], ["trace"], ["fourier", "--kmax", "100"]])
+def test_orbit_commands_reject_three_regions(runner, args):
+    res = runner.invoke(main, [*args, *CHAIN3])
+    assert res.exit_code == 3
+    assert res.stderr == _error_bytes(
+        "invalid-parameter", "a single step has two regions, got a potential with 3")
