@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": ("NStepPotential", "build_nstep", "build_potential", "interface_coefficients",
               "step_parameters"),
-    "spectrum": ("CompletenessError", "CompletenessReport", "SpectrumResult", "find_roots"),
-    "orbits": ("OrbitClass", "OrbitCode", "OrbitRecord", "action_spectrum", "amplitude",
-               "classes_of", "enumerate_primitive", "orbit_classes", "orbit_record",
+    "spectrum": ("CompletenessError", "CompletenessReport", "SpectrumResult", "find_roots",
+                 "secular_function"),
+    "orbits": ("OrbitClass", "action_spectrum", "amplitude", "orbit_classes", "orbit_table",
                "primitive_count"),
     "graph": ("build_smatrix", "det_one_minus_s", "trace_powers"),
     "trace": ("DensityProfile", "cycle_expansion", "newtonian_prediction", "rho_resummed",

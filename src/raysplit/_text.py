@@ -87,8 +87,6 @@ _ZEROS = _words([b"0" * z + b"%d" % d for z in range(4) for d in range(10)] + [b
 # the exponent X in [-300, 300) at X + 300 as two words, "e+05" "" or "e-12" "3"; then blanks
 _EXPONENTS = _words([(b"e%+03d" % x)[i:i + 4] for x in range(-300, 300) for i in (0, 4)]
                     + [b"", b""]).reshape(-1, 2)
-_BOOLS = {False: _words([b"Fals", b"e", b"True", b""]).reshape(2, 2),
-          True: _words([b"fals", b"e", b"true", b""]).reshape(2, 2)}
 
 
 def _integer(v) -> list:
@@ -222,28 +220,21 @@ def _ints(x) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _field(col, kind: str, as_json: bool) -> np.ndarray:
-    """Word rows of one column: '%.15g' for kind 'g', else str, or json.dumps as_json, of each cell."""
+def _field(col, kind: str) -> np.ndarray:
+    """Word rows of one column, a range or an int64 or float64 array: str of each
+    integer, and '%.15g' of each float for kind 'g', else json.dumps."""
     if isinstance(col, range):
         col = np.arange(col.start, col.stop, col.step, dtype=np.int64)
-    elif kind == "g" and not isinstance(col, np.ndarray):
-        col = np.array(col, dtype=np.float64)
-    if isinstance(col, np.ndarray):
-        if kind == "g" or as_json and col.dtype.kind == "f":
-            return _floats(col.astype(np.float64), shortest=kind != "g")
-        if col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
-            return _ints(col.astype(np.int64))
-        if col.dtype.kind == "b":
-            return _BOOLS[as_json][col.view(np.uint8)]
-        col = col.tolist()
-    return _ragged(map(json.dumps if as_json else str, col))
+    if col.dtype.kind == "i":
+        return _ints(col)
+    return _floats(col, shortest=kind != "g")
 
 
-def block(row: str, sep: str = "", as_json: bool = False):
+def block(row: str, sep: str = ""):
     """The block function that fills the %-template row once per row and joins the rows by sep.
 
-    row holds fields %.15g and %s and literal %%; a %s cell is str of the cell,
-    or json.dumps of it when as_json.  Columns are numpy arrays, ranges or lists.
+    row holds fields %.15g and %s and literal %%; a %s cell is str of an
+    integer, json.dumps of a float.  Columns are ranges and int64 or float64 arrays.
     """
     literals, kinds, text = [], [], ""
     for token in re.split(r"(%%|%\.15g|%s)", row):
@@ -261,7 +252,7 @@ def block(row: str, sep: str = "", as_json: bool = False):
         n = len(columns[0])
         parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
         for col, kind, literal in zip(columns, kinds, literals[1:]):
-            parts += [_field(col, kind, as_json), np.broadcast_to(literal, (n, len(literal)))]
+            parts += [_field(col, kind), np.broadcast_to(literal, (n, len(literal)))]
         words = np.empty((n, sum(p.shape[1] for p in parts)), np.uint32)
         data = np.concatenate(parts, axis=1, out=words).tobytes().translate(None, b"\xff")
         return data[:len(data) - cut].decode()

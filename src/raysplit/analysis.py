@@ -32,6 +32,8 @@ from .model import _split
 __all__ = [
     "FourierProfile",
     "PeakMatchReport",
+    "default_s_spacing",
+    "default_tolerance",
     "fourier_transform",
     "detect_peaks",
     "match_peaks",

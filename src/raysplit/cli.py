@@ -29,7 +29,7 @@ import random
 import sys
 
 from . import __version__
-from .model import ContractFailure, build_nstep, build_potential, step_parameters
+from .model import ContractFailure, build_nstep, build_potential
 
 SCHEMA_VERSION = 3
 
@@ -154,13 +154,16 @@ def _template(row: str, sep: str = "", as_json: bool = False):
 
 
 def _block(columns: list, row: str, sep: str = "", as_json: bool = False):
-    """_template's block, or numpy's for a table of _BLOCK rows or more holding an array:
-    the same text, without a Python object per cell."""
-    if not any(map(_is_array, columns)) or len(columns[0]) < _BLOCK:
+    """_template's block, or numpy's for a table of _BLOCK rows or more whose columns are
+    ranges and int64 or float64 arrays, one array at least: the same text, without a
+    Python object per cell."""
+    arrays = [col for col in columns if not isinstance(col, range)]
+    if not arrays or len(columns[0]) < _BLOCK or not all(
+            _is_array(col) and col.dtype.kind in "if" and col.dtype.itemsize == 8 for col in arrays):
         return _template(row, sep, as_json)
     from . import _text
 
-    return _text.block(row, sep, as_json)
+    return _text.block(row, sep)
 
 
 def _csv_rows(columns: list) -> _Rows:
@@ -331,23 +334,8 @@ def orbits_cmd(opts):
     pot = _potential_from(opts)
     from . import orbits
 
-    l1, l2, _, _ = step_parameters(pot)
-    count, max_length = opts["count"], opts["max_length"]
-    if count is not None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count!r}")
-        # the shortest length whose primitive necklaces number at least count
-        max_length = 1
-        while sum(map(orbits.primitive_count, range(1, max_length + 1))) < count:
-            if max_length == 32:
-                raise ValueError(f"count {count} needs orbits longer than 32 symbols")
-            max_length += 1
-    # rows in (length, action, word) order, straight from the Lyndon words as ints
-    length, s0, x, n_l, n_r, sigma, tau2, _, sign = zip(
-        *sorted(orbits._row(n, x, l1, l2) for n, x in orbits._lyndon(max_length))[:count])
-    columns = {"code": list(map(orbits._word, length, x)), "length": length, "nu": (1,) * len(x),
-               "nL": n_l, "nR": n_r, "sigma": sigma, "tau2": tau2, "sign": sign, "S0": s0}
-    _write_table(opts, "orbits", columns, records="orbits")
+    _write_table(opts, "orbits", orbits.orbit_table(pot, opts["max_length"], opts["count"]),
+                 records="orbits")
 
 
 @_command("trace", **_POTENTIAL, kmin=(float, 1.0, ""), kmax=(float, 30.0, ""),
@@ -462,7 +450,8 @@ def fourier_cmd(opts):
     if opts["ds"] is not None and not 0 < opts["ds"] < math.inf:
         raise ValueError(f"ds must be finite and positive, got {opts['ds']!r}")
     if opts["report"] and not stepped:
-        raise ValueError("--report needs --b and --lambda for the candidate actions")
+        raise ValueError("--report needs --b and --lambda, or --breakpoints and --lambdas, "
+                         "for the candidate actions")
     if opts["ds"] is not None or not opts["roots"] and 0 < (opts["kmax"] or 0) < math.inf:
         _action_step(opts, opts["kmax"])   # before any root: k_top <= --kmax
     pot = classes = None
@@ -473,7 +462,8 @@ def fourier_cmd(opts):
         roots = _read_roots_csv(opts["roots"])
     else:
         if pot is None or opts["kmax"] is None:
-            raise ValueError("--roots or (--b, --lambda, --kmax) is required")
+            raise ValueError("--roots, or --kmax with --b and --lambda or --breakpoints and "
+                             "--lambdas, is required")
         _check_levels(pot, opts["kmax"])
         roots = spectrum.find_roots(pot, opts["kmax"]).roots
         if not len(roots):

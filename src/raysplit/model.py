@@ -21,6 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+__all__ = ["NStepPotential", "build_nstep", "build_potential", "interface_coefficients",
+           "step_parameters"]
+
 
 def _split(a):
     """Dekker's split a = hi + lo into halves whose products are exact."""

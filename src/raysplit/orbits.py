@@ -24,66 +24,20 @@ _MAX_LENGTH = 32
 # command lists them in 0.45 s and 50 MB on a 2-vCPU VM).  Length 21 would
 # double that, and length 31 would hold 1.4e8 Python objects.
 _MAX_ROWS = 2 ** 17
-_BITS = str.maketrans("LR", "01")   # a word as the binary digits of an int, R as 1
 _SYMBOLS = str.maketrans("01", "LR")
 
-__all__ = [
-    "OrbitCode",
-    "OrbitRecord",
-    "OrbitClass",
-    "enumerate_primitive",
-    "orbit_record",
-    "orbit_classes",
-    "classes_of",
-    "amplitude",
-    "action_spectrum",
-]
-
-
-@dataclass(frozen=True)
-class OrbitCode:
-    """Canonical representative of a cyclic binary word.
-
-    word is the lexicographically smallest rotation (L < R), nu the number of
-    repetitions of the shortest sub-code, primitive_length = len(word) // nu.
-    """
-
-    word: str
-    nu: int
-    primitive_length: int
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    """Scattering counts and reduced action of one orbit on a given potential.
-
-    sigma counts step reflections (cyclic LL or RR pairs), tau2 counts step
-    transmissions (LR or RL pairs), sign is the phase factor (-1)^(length +
-    rr_pairs) collecting one -1 per wall bounce and one per right-side step
-    reflection.  s0 is the reduced action 2 * (n_l * l1 + n_r * l2); the full
-    action at wavenumber k is s0 * k.
-    """
-
-    code: OrbitCode
-    n_l: int
-    n_r: int
-    sigma: int
-    tau2: int
-    rr_pairs: int
-    sign: int
-    s0: float
+__all__ = ["OrbitClass", "primitive_count", "orbit_table", "orbit_classes", "amplitude",
+           "action_spectrum"]
 
 
 @dataclass(frozen=True)
 class OrbitClass:
     """Primitive orbits of one length, R count n_r and transmission count tau2.
 
-    All of them share sigma, sign and reduced action s0 (fields as in
-    OrbitRecord), hence every orbit-sum term; multiplicity counts them.
+    All share n_l, the step reflections sigma (cyclic LL or RR pairs), the sign
+    (-1)^(length + RR pairs), a -1 per wall bounce and per right-side step
+    reflection, and the reduced action s0 = 2 (n_l l1 + n_r l2) (s0 k at
+    wavenumber k), hence every orbit-sum term; multiplicity counts them.
     """
 
     length: int
@@ -152,13 +106,6 @@ def _word(n: int, x: int) -> str:
     return format(x, f"0{n}b").translate(_SYMBOLS)
 
 
-def enumerate_primitive(max_length: int) -> list[OrbitCode]:
-    """All primitive necklaces of length 1..max_length, by length, then
-    lexicographically.  Raises ValueError past _MAX_ROWS orbits."""
-    return [OrbitCode(word=_word(n, x), nu=1, primitive_length=n)
-            for n, x in sorted(_lyndon(max_length))]
-
-
 def _pair_counts(x: int, n: int) -> tuple[int, int, int]:
     """(n_r, rr, tau2) of a length-n word encoded with R as bit 1.
 
@@ -171,19 +118,39 @@ def _pair_counts(x: int, n: int) -> tuple[int, int, int]:
 
 
 def _row(n: int, x: int, l1: float, l2: float) -> tuple:
-    """(length, s0, x) of the length-n word x, the orbits table's sort key,
-    then OrbitRecord's n_l, n_r, sigma, tau2, rr_pairs and sign."""
+    """(length, s0, x, n_l, n_r, sigma, tau2, sign) of the length-n word x: the
+    orbits table's sort key, then its counts."""
     n_r, rr, tau2 = _pair_counts(x, n)
     n_l = n - n_r
-    return (n, 2.0 * (n_l * l1 + n_r * l2), x, n_l, n_r, n - tau2, tau2, rr,
+    return (n, 2.0 * (n_l * l1 + n_r * l2), x, n_l, n_r, n - tau2, tau2,
             -1 if (n + rr) % 2 else 1)
 
 
-def orbit_record(code: OrbitCode, pot: NStepPotential) -> OrbitRecord:
-    """Compute counts, sign and reduced action from the popcounts of the word."""
+def orbit_table(pot: NStepPotential, max_length: int | None = None,
+                count: int | None = None) -> dict:
+    """The orbits command's columns code, length, nu, nL, nR, sigma, tau2, sign
+    and S0 (fields as in OrbitClass) of every primitive orbit of length
+    1..max_length, or of the count shortest, in (length, action, word) order.
+
+    count, when given, sets max_length to the shortest length whose primitive
+    necklaces number at least count.  Raises ValueError past _MAX_ROWS orbits.
+    """
     l1, l2, _, _ = step_parameters(pot)
-    _, s0, _, *counts = _row(code.length, int(code.word.translate(_BITS), 2), l1, l2)
-    return OrbitRecord(code, *counts, s0)
+    if max_length is None and count is None:
+        raise ValueError("orbit_table needs max_length or count")
+    if count is not None:
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count!r}")
+        max_length = 1
+        while sum(map(primitive_count, range(1, max_length + 1))) < count:
+            if max_length == _MAX_LENGTH:
+                raise ValueError(f"count {count} needs orbits longer than {_MAX_LENGTH} symbols")
+            max_length += 1
+    # one transposition of the sorted rows: a list of named rows would raise the peak
+    length, s0, x, n_l, n_r, sigma, tau2, sign = zip(
+        *sorted(_row(n, x, l1, l2) for n, x in _lyndon(max_length))[:count])
+    return {"code": list(map(_word, length, x)), "length": length, "nu": (1,) * len(x),
+            "nL": n_l, "nR": n_r, "sigma": sigma, "tau2": tau2, "sign": sign, "S0": s0}
 
 
 def _word_count(n: int, n_r: int, tau2: int) -> int:
@@ -243,27 +210,10 @@ def orbit_classes(pot: NStepPotential, max_length: int) -> tuple[OrbitClass, ...
     return tuple(out)
 
 
-def classes_of(records: Iterable[OrbitRecord]) -> tuple[OrbitClass, ...]:
-    """Group explicit primitive orbit records into classes, as orbit_classes orders them."""
-    groups: dict[tuple[int, int, int], tuple[OrbitRecord, int]] = {}
-    for rec in records:
-        if rec.code.nu != 1:
-            raise ValueError(f"orbit {rec.code.word!r} is not primitive")
-        key = (rec.code.length, rec.n_r, rec.tau2)
-        groups[key] = (rec, groups[key][1] + 1 if key in groups else 1)
-    return tuple(
-        OrbitClass(
-            length=rec.code.length, n_l=rec.n_l, n_r=rec.n_r, sigma=rec.sigma,
-            tau2=rec.tau2, sign=rec.sign, s0=rec.s0, multiplicity=count,
-        )
-        for _, (rec, count) in sorted(groups.items())
-    )
-
-
-def amplitude(rec: OrbitRecord | OrbitClass, pot: NStepPotential) -> float:
+def amplitude(cls: OrbitClass, pot: NStepPotential) -> float:
     """Stability amplitude sign * r^sigma * t^(2 tau) of one orbit traversal."""
     _, _, r, t = step_parameters(pot)
-    return rec.sign * r ** rec.sigma * t ** rec.tau2
+    return cls.sign * r ** cls.sigma * t ** cls.tau2
 
 
 def action_spectrum(classes: Iterable[OrbitClass], s_max: float) -> list[float]:

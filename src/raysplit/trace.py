@@ -14,7 +14,7 @@ matrix picture) are sums over primitive orbits and their repetitions.  An
 orbit enters these sums only through its action and amplitude, which depend
 on its length, R count and transmission count alone, so trace_formula,
 rho_trace, rho_resummed, zeta and cycle_expansion take orbit classes
-(orbits.orbit_classes, or orbits.classes_of for an explicit record list) and
+(orbits.orbit_classes; one orbit alone is a class of multiplicity 1) and
 weight each class term by its multiplicity.  The cycle expansion of the
 step's determinant terminates: each directed bond enters a determinant term
 at most once, so its exact integer cells stop at degree 2.

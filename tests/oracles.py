@@ -4,8 +4,9 @@ No command runs any of these.  Each is a second route to something the
 package computes another way: the step's closed-form secular function and
 its wavefunction-matching form, the staircase from the trace expansion, the
 cycle-expansion cells summed at a wavenumber, necklaces listed one by one as
-strings and counted by Burnside's sum, and the cyclic word classes listed
-with their exact weights.
+strings and counted by Burnside's sum, the orbits table's rows read off each
+word's cyclic pairs, and the cyclic word classes listed with their exact
+weights.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from raysplit.combinatorics import _check_m
 from raysplit.graph import trace_powers
 from raysplit.model import NStepPotential, step_parameters
-from raysplit.orbits import _BITS, OrbitCode, _check_length, _divisors, _pair_counts
+from raysplit.orbits import _check_length, _divisors
 
 _MAX_TABLE_M = 13    # build_word_table lists the classes, ~2.6M at M = 13
 
@@ -79,8 +80,12 @@ def min_rotation(word: str) -> str:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def _code_from_word(word: str, period: int) -> OrbitCode:
-    return OrbitCode(word=word, nu=len(word) // period, primitive_length=period)
+@dataclass(frozen=True)
+class Necklace:
+    """A necklace's smallest rotation, nu repetitions of its shortest period."""
+
+    word: str
+    nu: int
 
 
 def _necklaces_with_period(n: int) -> Iterator[tuple[str, int]]:
@@ -109,10 +114,37 @@ def _necklaces_with_period(n: int) -> Iterator[tuple[str, int]]:
     yield from gen(1, 1)
 
 
-def enumerate_necklaces(length: int) -> list[OrbitCode]:
+def enumerate_necklaces(length: int) -> list[Necklace]:
     """All binary necklaces of exactly the given length, lexicographic order."""
     _check_length(length, "length")
-    return [_code_from_word(w, p) for w, p in _necklaces_with_period(length)]
+    return [Necklace(w, length // p) for w, p in _necklaces_with_period(length)]
+
+
+def cyclic_pairs(word: str) -> tuple[int, int, int]:
+    """(RR pairs, equal pairs, unequal pairs) of a word read cyclically, pair by pair."""
+    pairs = [word[i - 1] + word[i] for i in range(len(word))]
+    equal = pairs.count("LL") + pairs.count("RR")
+    return pairs.count("RR"), equal, pairs.count("LR") + pairs.count("RL")
+
+
+def orbit_rows(pot: NStepPotential, max_length: int) -> list[tuple]:
+    """The orbits table's rows (code, length, nu, nL, nR, sigma, tau2, sign, S0)
+    of every primitive necklace up to max_length, in (length, action, word) order.
+
+    sigma and tau2 count the equal and unequal cyclic pairs, the sign is
+    (-1)^(length + RR pairs) and S0 = 2 (nL l1 + nR l2).
+    """
+    l1, l2, _, _ = step_parameters(pot)
+    rows = []
+    for n in range(1, max_length + 1):
+        for necklace in enumerate_necklaces(n):
+            if necklace.nu == 1:
+                word = necklace.word
+                rr, sigma, tau2 = cyclic_pairs(word)
+                n_l, n_r = word.count("L"), word.count("R")
+                rows.append((word, n, 1, n_l, n_r, sigma, tau2, (-1) ** (n + rr),
+                             2.0 * (n_l * l1 + n_r * l2)))
+    return sorted(rows, key=lambda row: (row[1], row[8], row[0]))
 
 
 def necklace_count(length: int) -> int:
@@ -155,7 +187,7 @@ def build_word_table(m: int) -> WordClassTable:
     n = 2 * m
     classes = []
     for word, period in _necklaces_with_period(n):
-        _, rr, tau2 = _pair_counts(int(word.translate(_BITS), 2), n)
+        rr, _, tau2 = cyclic_pairs(word)
         nu = n // period
         classes.append(WordClass(
             word=word, nu=nu, t_w=Fraction(m, nu),

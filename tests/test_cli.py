@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import enumerate_necklaces
+from oracles import orbit_rows
 from raysplit import analysis, cli, graph, orbits, spectrum
 from raysplit.cli import main
 
@@ -648,8 +648,17 @@ def test_fourier_rejects_a_report_without_the_step_before_any_root(runner, monke
                                str(tmp_path / "rep.json"), "--out", str(out)])
     assert res.exit_code == 3
     assert json.loads(res.stderr)["error"]["message"] == (
-        "--report needs --b and --lambda for the candidate actions")
+        "--report needs --b and --lambda, or --breakpoints and --lambdas, "
+        "for the candidate actions")
     assert not out.exists()
+
+
+def test_fourier_without_roots_or_levels_names_both_potential_spellings(runner):
+    for args in ([], [*STEP], ["--breakpoints", "0,0.7,1", "--lambdas", "0,0.5"]):
+        res = runner.invoke(main, ["fourier", *args])
+        assert res.exit_code == 3
+        assert json.loads(res.stderr)["error"]["message"] == (
+            "--roots, or --kmax with --b and --lambda or --breakpoints and --lambdas, is required")
 
 
 def test_no_subcommand_forks(runner, monkeypatch, tmp_path):
@@ -710,14 +719,17 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
         "r": rng.uniform(0.0, 1e-17, 10), "E": rng.uniform(0.0, 1e12, 10),
         "y": np.array([-1.5, -0.0, 0.0, 1e-5, -1e15, 1e16, np.nan, np.inf, -np.inf, 0.1]),
     }
-    expected = "".join(
-        ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in zip(*columns.values()))
     monkeypatch.setattr(cli, "_BLOCK", block)
-    out = tmp_path / "t.csv"
-    cli._write_table({"format": "csv", "out": str(out)}, "t", columns, trailer=["note=1"])
-    text = out.read_text()
-    assert text == "# schema_version=3 kind=t\nn,k,code,m,x,ok,r,E,y\n" + expected + "# note=1\n"
+    # the whole table goes through Python's %, its ranges and arrays alone through numpy
+    numeric = {name: columns[name] for name in ("n", "k", "m", "r", "E", "y")}
+    for table in (columns, numeric):
+        expected = "".join(
+            ",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in zip(*table.values()))
+        out = tmp_path / "t.csv"
+        cli._write_table({"format": "csv", "out": str(out)}, "t", table, trailer=["note=1"])
+        assert out.read_text() == (f"# schema_version=3 kind=t\n{','.join(table)}\n"
+                                   + expected + "# note=1\n")
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4096])
@@ -728,6 +740,8 @@ def test_json_and_writes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, 
                                         "s": [f"%s{i}é" for i in range(10)],
                                         "r": np.linspace(-1e-17, 1e-17, 10),
                                         "E": np.geomspace(1.0, 1e12, 10)}),
+               "numbers": cli._Records({"k": np.arange(10) / 3, "n": range(10),
+                                        "m": np.arange(-5, 5)}),
                "y": np.array([-1.5, -0.0, 0.0, 1e-5, -1e15, 1e16, np.nan, np.inf, -np.inf, 0.1])}
     monkeypatch.setattr(cli, "_BLOCK", block)
     text = json_text(payload)
@@ -855,40 +869,26 @@ def test_float_formatting_is_fifteen_digits(runner):
             assert len(mantissa.lstrip("0")) <= 15
 
 
-def _oracle_orbit_records(b, lam, max_length=16):
-    """Primitive orbit records from the string-necklace oracle, in the orbits
-    table's (length, action, word) order."""
-    pot = cli.build_potential(b, lam)
-    recs = [orbits.orbit_record(c, pot) for n in range(1, max_length + 1)
-            for c in enumerate_necklaces(n) if c.nu == 1]
-    return sorted(recs, key=lambda rec: (rec.code.length, rec.s0, rec.code.word))
-
-
 def test_csv_float_list_column_has_fifteen_digits(runner):
     # a float column that arrives as a Python list, like orbits' S0, is not printed by repr
     assert "".join(cli._csv_rows([["a", "b"], [0.1 + 0.2, 1 / 3], [1, 2]])) == (
         "a,0.3,1\nb,0.333333333333333,2\n")
     res = runner.invoke(main, ["orbits", *STEP, "--max-length", "5"])
-    recs = _oracle_orbit_records(0.7, 0.5, 5)
-    assert [row.split(",")[-1] for row in data_rows(res.stdout)] == [f"{r.s0:.15g}" for r in recs]
+    rows = orbit_rows(cli.build_potential(0.7, 0.5), 5)
+    assert [row.split(",")[-1] for row in data_rows(res.stdout)] == [f"{r[-1]:.15g}" for r in rows]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("b, lam", [(0.7, 0.5), (0.3, 0.9)])
 def test_orbits_table_matches_oracle_records(runner, tmp_path, b, lam, fmt):
-    # the table from Duval's integers, byte for byte the table of orbit_record
-    # over the recursive string generator's necklaces
-    recs = _oracle_orbit_records(b, lam)
-    sizes = [("--max-length", str(n), [r for r in recs if r.code.length <= n]) for n in range(1, 17)]
-    sizes += [("--count", str(n), recs[:n]) for n in (1, 43, 500)]
+    # the table from Duval's integers, byte for byte the table of the recursive
+    # string generator's necklaces with counts, signs and actions from their cyclic pairs
+    rows = orbit_rows(cli.build_potential(b, lam), 16)
+    sizes = [("--max-length", str(n), [r for r in rows if r[1] <= n]) for n in range(1, 17)]
+    sizes += [("--count", str(n), rows[:n]) for n in (1, 43, 500)]
     for flag, size, table in sizes:
-        columns = {
-            "code": [r.code.word for r in table], "length": [r.code.length for r in table],
-            "nu": [r.code.nu for r in table], "nL": [r.n_l for r in table],
-            "nR": [r.n_r for r in table], "sigma": [r.sigma for r in table],
-            "tau2": [r.tau2 for r in table], "sign": [r.sign for r in table],
-            "S0": [r.s0 for r in table],
-        }
+        columns = dict(zip(["code", "length", "nu", "nL", "nR", "sigma", "tau2", "sign", "S0"],
+                           map(list, zip(*table))))
         expected = tmp_path / "expected"
         cli._write_table({"format": fmt, "out": str(expected)}, "orbits", columns, records="orbits")
         res = runner.invoke(main, ["orbits", "--b", str(b), "--lambda", str(lam), flag, size,

@@ -16,13 +16,12 @@ from raysplit.combinatorics import (
 )
 from raysplit.model import build_potential, step_parameters
 from raysplit.orbits import (
-    OrbitCode,
     _divisors,
     _moebius,
     _primitive_necklace_counts,
     _word_count,
     orbit_classes,
-    orbit_record,
+    orbit_table,
     primitive_count,
 )
 
@@ -104,17 +103,18 @@ def test_class_count_equals_necklace_count():
 
 
 def test_classes_agree_with_orbit_records():
-    pot = build_potential(0.7, 0.5)
+    # each class is the orbit-table row of its primitive root, repeated nu times
+    table = orbit_table(build_potential(0.7, 0.5), 10)
+    rows = dict(zip(table["code"], zip(table["length"], table["sigma"], table["tau2"],
+                                       table["sign"])))
     for m in range(1, 6):
         for cls in build_word_table(m).classes:
             assert cls.word == min_rotation(cls.word)
-            rec = orbit_record(
-                OrbitCode(word=cls.word, nu=cls.nu, primitive_length=len(cls.word) // cls.nu),
-                pot,
-            )
-            assert cls.alpha == rec.rr_pairs % 2
-            assert cls.beta == rec.sigma // 2
-            assert cls.gamma == rec.tau2 // 2
+            n, sigma, tau2, sign = rows[cls.word[:2 * m // cls.nu]]
+            rr = (n + (sign < 0)) % 2       # the root's RR-pair parity, from (-1)^(n + RR)
+            assert cls.alpha == cls.nu * rr % 2
+            assert cls.beta == cls.nu * sigma // 2
+            assert cls.gamma == cls.nu * tau2 // 2
             assert cls.t_w == Fraction(m, cls.nu)
 
 

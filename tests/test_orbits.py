@@ -1,5 +1,6 @@
-"""Necklace enumeration, orbit records and action bookkeeping."""
+"""Necklace enumeration, the orbit table, orbit classes and action bookkeeping."""
 
+import dataclasses
 import math
 from collections import Counter
 from itertools import product
@@ -10,23 +11,35 @@ from hypothesis import given, strategies as st
 from oracles import enumerate_necklaces, min_rotation, necklace_count
 from raysplit.model import build_nstep, build_potential, step_parameters
 from raysplit.orbits import (
-    _BITS,
     OrbitClass,
     _lyndon,
     _pair_counts,
     _word,
     action_spectrum,
     amplitude,
-    classes_of,
-    enumerate_primitive,
     orbit_classes,
-    orbit_record,
+    orbit_table,
     primitive_count,
 )
 
 REF = build_potential(0.7, 0.5)
 L1, L2, R, T = step_parameters(REF)
 OMEGA1 = REF.total_length
+
+
+def table_rows(pot, max_length=None, count=None):
+    """orbit_table's rows, each a dict keyed by column."""
+    table = orbit_table(pot, max_length, count)
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+ROWS = {row["code"]: row for row in table_rows(REF, 12)}
+
+
+def as_class(row):
+    """One orbit of the table as a class of multiplicity 1."""
+    return OrbitClass(length=row["length"], n_l=row["nL"], n_r=row["nR"], sigma=row["sigma"],
+                      tau2=row["tau2"], sign=row["sign"], s0=row["S0"], multiplicity=1)
 
 
 def brute_necklaces(n):
@@ -63,11 +76,11 @@ def test_small_length_tables():
 
 
 def test_forty_one_primitives_up_to_length_seven():
-    codes = enumerate_primitive(7)
-    assert len(codes) == 41
+    table = orbit_table(REF, 7)
+    assert len(table["code"]) == 41
     assert sum(primitive_count(n) for n in range(1, 8)) == 41
-    lengths = [c.length for c in codes]
-    assert lengths == sorted(lengths)           # shortest first
+    assert list(table["length"]) == sorted(table["length"])   # shortest first
+    assert set(table["nu"]) == {1}
 
 
 def test_lyndon_kernel_matches_the_string_oracle_and_brute_force():
@@ -79,7 +92,7 @@ def test_lyndon_kernel_matches_the_string_oracle_and_brute_force():
     for n in range(1, 15):
         got = [(m, x) for m, x in kernel if m == n]
         oracle = [c.word for c in enumerate_necklaces(n) if c.nu == 1]
-        assert got == [(n, int(w.translate(_BITS), 2)) for w in oracle]
+        assert got == [(n, int(w.replace("L", "0").replace("R", "1"), 2)) for w in oracle]
         brute = {min_rotation(w) for w in map("".join, product("LR", repeat=n))
                  if all(w[i:] + w[:i] != w for i in range(1, n))}
         assert sorted(brute) == [_word(m, x) for m, x in got]
@@ -96,45 +109,56 @@ def test_length_bounds():
         enumerate_necklaces(0)
     with pytest.raises(ValueError):
         enumerate_necklaces(33)
-    with pytest.raises(ValueError):
-        enumerate_primitive(0)
+    with pytest.raises(ValueError, match="max_length"):
+        orbit_table(REF, 0)
+    with pytest.raises(ValueError, match="max_length"):
+        orbit_table(REF, 33)
 
 
-def lookup(word):
-    code = [c for c in enumerate_necklaces(len(word)) if c.word == word]
-    assert len(code) == 1
-    return orbit_record(code[0], REF)
+def test_orbit_table_by_count():
+    rows = table_rows(REF, 8)
+    assert table_rows(REF, count=43) == rows[:43]
+    assert table_rows(REF, 7, count=1) == rows[:1]   # count sets the length
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        orbit_table(REF, count=0)
+    with pytest.raises(ValueError, match="needs max_length or count"):
+        orbit_table(REF)
+    with pytest.raises(ValueError, match="more than the 131072"):
+        orbit_table(REF, count=111_014)
+    every = sum(map(primitive_count, range(1, 33)))
+    with pytest.raises(ValueError, match=f"count {every + 1} needs orbits longer than 32 symbols"):
+        orbit_table(REF, count=every + 1)
 
 
 def test_record_left_bounce():
-    rec = lookup("L")
-    assert (rec.n_l, rec.n_r) == (1, 0)
-    assert (rec.sigma, rec.tau2, rec.rr_pairs) == (1, 0, 0)
-    assert rec.sign == -1
-    assert rec.s0 == pytest.approx(2 * L1, abs=1e-15)
+    row = ROWS["L"]
+    assert (row["length"], row["nu"], row["nL"], row["nR"]) == (1, 1, 1, 0)
+    assert (row["sigma"], row["tau2"]) == (1, 0)
+    assert row["sign"] == -1
+    assert row["S0"] == pytest.approx(2 * L1, abs=1e-15)
 
 
 def test_record_right_bounce():
-    rec = lookup("R")
-    assert (rec.n_l, rec.n_r) == (0, 1)
-    assert (rec.sigma, rec.tau2, rec.rr_pairs) == (1, 0, 1)
-    assert rec.sign == 1
-    assert rec.s0 == pytest.approx(2 * L2, abs=1e-15)
+    row = ROWS["R"]
+    assert (row["nL"], row["nR"]) == (0, 1)
+    assert (row["sigma"], row["tau2"]) == (1, 0)
+    assert row["sign"] == 1                     # the wall bounce and the RR reflection
+    assert row["S0"] == pytest.approx(2 * L2, abs=1e-15)
 
 
 def test_record_full_crossing():
-    rec = lookup("LR")
-    assert (rec.sigma, rec.tau2) == (0, 2)
-    assert rec.sign == 1
-    assert rec.s0 == pytest.approx(2 * OMEGA1, abs=1e-15)
-    assert amplitude(rec, REF) == pytest.approx(T**2, abs=1e-15)
+    row = ROWS["LR"]
+    assert (row["sigma"], row["tau2"]) == (0, 2)
+    assert row["sign"] == 1
+    assert row["S0"] == pytest.approx(2 * OMEGA1, abs=1e-15)
+    assert amplitude(as_class(row), REF) == pytest.approx(T**2, abs=1e-15)
 
 
 def test_record_double_bounce_word():
-    rec = lookup("LLRR")
-    assert (rec.sigma, rec.tau2, rec.rr_pairs) == (2, 2, 1)
-    assert rec.sign == -1
-    assert rec.s0 == pytest.approx(4 * OMEGA1, abs=1e-15)
+    row = ROWS["LLRR"]
+    assert (row["sigma"], row["tau2"]) == (2, 2)
+    assert row["sign"] == -1                    # four wall bounces and one RR reflection
+    assert row["S0"] == pytest.approx(4 * OMEGA1, abs=1e-15)
 
 
 @st.composite
@@ -143,30 +167,33 @@ def words(draw, max_len=12):
     return "".join(draw(st.sampled_from("LR")) for _ in range(n))
 
 
+def primitive_root(word):
+    """The table's row of the primitive orbit that the word repeats."""
+    canon, n = min_rotation(word), len(word)
+    period = min(p for p in range(1, n + 1) if n % p == 0 and canon == canon[:p] * (n // p))
+    return ROWS[canon[:period]]
+
+
 @given(words())
 def test_record_invariants(word):
-    canon = min_rotation(word)
-    code = [c for c in enumerate_necklaces(len(word)) if c.word == canon][0]
-    rec = orbit_record(code, REF)
-    assert rec.n_l + rec.n_r == len(word)
-    assert rec.sigma + rec.tau2 == len(word)    # every step visit splits
-    assert rec.tau2 % 2 == 0                    # transmissions pair up
-    assert rec.sign in (-1, 1)
-    assert rec.s0 > 0
+    row = primitive_root(word)
+    assert row["nL"] + row["nR"] == row["length"]
+    assert row["sigma"] + row["tau2"] == row["length"]   # every step visit splits
+    assert row["tau2"] % 2 == 0                 # transmissions pair up
+    assert row["sign"] in (-1, 1)
+    assert row["S0"] > 0
 
 
 @given(words(max_len=10))
 def test_amplitude_equals_per_pair_product(word):
     # independent route: one factor per cyclic adjacent pair
-    canon = min_rotation(word)
-    code = [c for c in enumerate_necklaces(len(word)) if c.word == canon][0]
-    rec = orbit_record(code, REF)
+    row = primitive_root(word)
     factors = {"LL": -R, "RR": R, "LR": -T, "RL": -T}
     prod = 1.0
-    n = len(canon)
+    code, n = row["code"], row["length"]
     for i in range(n):
-        prod *= factors[canon[i] + canon[(i + 1) % n]]
-    assert amplitude(rec, REF) == pytest.approx(prod, abs=1e-14)
+        prod *= factors[code[i] + code[(i + 1) % n]]
+    assert amplitude(as_class(row), REF) == pytest.approx(prod, abs=1e-14)
 
 
 def test_pair_counts_equal_a_scan_of_the_word():
@@ -177,17 +204,6 @@ def test_pair_counts_equal_a_scan_of_the_word():
             pairs = [w[i] + w[(i + 1) % n] for i in range(n)]
             expected = (w.count("R"), pairs.count("RR"), pairs.count("LR") + pairs.count("RL"))
             assert _pair_counts(x, n) == expected
-
-
-def test_repetition_power_law():
-    base = lookup("LR")
-    twice = lookup("LRLR")
-    thrice = lookup("LRLRLR")
-    assert twice.code.nu == 2 and thrice.code.nu == 3
-    assert amplitude(twice, REF) == pytest.approx(amplitude(base, REF) ** 2, abs=1e-14)
-    assert amplitude(thrice, REF) == pytest.approx(amplitude(base, REF) ** 3, abs=1e-14)
-    assert twice.s0 == pytest.approx(2 * base.s0, abs=1e-14)
-    assert thrice.s0 == pytest.approx(3 * base.s0, abs=1e-14)
 
 
 def test_action_spectrum_reference_potential():
@@ -208,10 +224,13 @@ def test_action_spectrum_merges_degenerate_actions():
 def test_orbit_classes_equal_grouped_records(b, lam):
     # the counted classes against the listed orbits, multiplicities included
     pot = build_potential(b, lam)
-    recs = [orbit_record(c, pot) for c in enumerate_primitive(16)]
+    rows = {}
+    for row in table_rows(pot, 16):
+        rows.setdefault((row["length"], row["nR"], row["tau2"]), []).append(row)
     for max_length in range(1, 17):
-        assert orbit_classes(pot, max_length) == classes_of(
-            rec for rec in recs if rec.code.length <= max_length)
+        assert orbit_classes(pot, max_length) == tuple(
+            dataclasses.replace(as_class(group[0]), multiplicity=len(group))
+            for key, group in sorted(rows.items()) if key[0] <= max_length)
 
 
 def test_class_multiplicities_count_every_primitive_orbit():
@@ -225,26 +244,21 @@ def test_class_multiplicities_count_every_primitive_orbit():
         orbit_classes(REF, 0)
 
 
-def test_classes_of_small_set():
-    recs = [orbit_record(c, REF) for c in enumerate_primitive(4)]
-    by_key = {(c.length, c.n_r, c.tau2): c for c in classes_of(recs)}
+def test_length_four_classes_by_hand():
+    by_key = {(c.length, c.n_r, c.tau2): c for c in orbit_classes(REF, 4)}
     # LLLR and LRRR differ in n_r; LLRR is alone with two transmissions at length 4
     assert by_key[(4, 2, 2)] == OrbitClass(
         length=4, n_l=2, n_r=2, sigma=2, tau2=2, sign=-1,
-        s0=lookup("LLRR").s0, multiplicity=1)
+        s0=ROWS["LLRR"]["S0"], multiplicity=1)
     assert by_key[(3, 1, 2)].multiplicity == 1
-    assert sum(c.multiplicity for c in by_key.values()) == len(recs)
-    assert classes_of([]) == ()
-    with pytest.raises(ValueError, match="primitive"):
-        classes_of([lookup("LRLR")])
+    assert sum(c.multiplicity for c in by_key.values()) == 8   # L R LR LLR LRR LLLR LLRR LRRR
 
 
 def test_orbit_layer_needs_two_regions():
     # the orbit picture is that of one step; a 3-region chain has none here
     chain = build_nstep([0.0, 0.3, 0.6, 1.0], [0.0, 0.5, 0.75])
-    code = enumerate_primitive(2)[-1]
-    rec, cls = orbit_record(code, REF), orbit_classes(REF, 2)[-1]
-    for call in (lambda: orbit_record(code, chain), lambda: orbit_classes(chain, 4),
-                 lambda: amplitude(rec, chain), lambda: amplitude(cls, chain)):
+    cls = orbit_classes(REF, 2)[-1]
+    for call in (lambda: orbit_table(chain, 2), lambda: orbit_table(chain, count=3),
+                 lambda: orbit_classes(chain, 4), lambda: amplitude(cls, chain)):
         with pytest.raises(ValueError, match="two regions"):
             call()

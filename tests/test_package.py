@@ -1,6 +1,7 @@
 """The package namespace: lazy exports that resolve to their modules' objects."""
 
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -15,6 +16,12 @@ def test_every_export_is_the_object_of_its_module():
         obj = getattr(raysplit, name)
         assert obj.__module__.startswith("raysplit."), name
         assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_each_layer_exports_exactly_its_public_names():
+    # one list of public names per layer: the package exports what the layer's __all__ lists
+    for module, names in raysplit._EXPORTS.items():
+        assert sorted(import_module(f"raysplit.{module}").__all__) == sorted(names), module
 
 
 def test_dir_and_star_import_list_every_export():

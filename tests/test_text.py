@@ -18,7 +18,7 @@ def g15_oracle(x):
 
 
 def shortest(x):
-    return _text.block("%s", ",", as_json=True)([x])
+    return _text.block("%s", ",")([x])
 
 
 def shortest_oracle(x):
@@ -92,24 +92,21 @@ def test_integers_and_ranges_as_str():
                      info.max - 1, info.min + 1], dtype=np.int64)
     ints = np.concatenate([ints, np.random.default_rng(5).integers(info.min, info.max, 10_000)])
     assert _text.block("%s\n")([ints]) == "".join(f"{v}\n" for v in ints.tolist())
-    assert _text.block("%s", ",", as_json=True)([ints]) == ",".join(map(json.dumps, ints.tolist()))
-    small = np.array([0, 200, 65535], dtype=np.uint16)
-    assert _text.block("%s;")([small]) == "0;200;65535;"
+    assert _text.block("%s", ",")([ints]) == ",".join(map(json.dumps, ints.tolist()))
     assert _text.block("%s\n")([range(-3, 10 ** 6, 99_999)]) == "".join(
         f"{v}\n" for v in range(-3, 10 ** 6, 99_999))
 
 
 def test_rows_of_mixed_columns_match_the_template():
-    # a %-template row with literal %%, bools, text and floats given as a list
+    # a %-template row with literal %%, a range, and int and float arrays
     rng = np.random.default_rng(6)
     n = 500
-    columns = [range(n), rng.normal(size=n), [f"w%s{i}é" for i in range(n)],
-               rng.normal(size=n) > 0, [float(v) for v in rng.normal(size=n)]]
-    row = "%s,%.15g,%s,%%,%s,%.15g\n"
+    columns = [range(n), rng.normal(size=n), rng.integers(-10 ** 6, 10 ** 6, n), rng.normal(size=n)]
+    row = "%s,%.15g,%s,%%,%.15g\n"
     rows = list(zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns]))
     cells = [c for cells in rows for c in cells]
     assert _text.block(row)(columns) == ("".join([row] * n) % tuple(cells))
-    record = '{"a%%s": %s, "b": %s, "c": %s, "d": %s}'
+    record = '{"a%%s": %s, "b": %s, "c": %s}'
     sep = ",\n  "
-    assert _text.block(record, sep, as_json=True)(columns[1:]) == sep.join(
+    assert _text.block(record, sep)(columns[1:]) == sep.join(
         record % tuple(map(json.dumps, cells[1:])) for cells in rows)

@@ -6,15 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import enumerate_necklaces, evaluate_cycle_terms, secular
+from oracles import evaluate_cycle_terms, secular
 from raysplit.model import build_nstep, build_potential
 from raysplit.graph import det_one_minus_s
 from raysplit.orbits import (
+    OrbitClass,
     amplitude,
-    classes_of,
-    enumerate_primitive,
     orbit_classes,
-    orbit_record,
+    orbit_table,
     primitive_count,
 )
 from raysplit.spectrum import find_roots
@@ -32,7 +31,13 @@ OMEGA1 = REF.total_length
 
 
 def records(pot, max_length):
-    return [orbit_record(c, pot) for c in enumerate_primitive(max_length)]
+    """Every primitive orbit of the orbit table, each a class of multiplicity 1."""
+    table = orbit_table(pot, max_length)
+    return [OrbitClass(length=n, n_l=n_l, n_r=n_r, sigma=sigma, tau2=tau2, sign=sign, s0=s0,
+                       multiplicity=1)
+            for n, n_l, n_r, sigma, tau2, sign, s0 in zip(
+                table["length"], table["nL"], table["nR"], table["sigma"], table["tau2"],
+                table["sign"], table["S0"])]
 
 
 def test_empty_orbit_set_gives_smooth_density():
@@ -42,12 +47,11 @@ def test_empty_orbit_set_gives_smooth_density():
 
 
 def test_single_orbit_hand_formula():
-    rec = records(REF, 1)[0]          # the left bouncing orbit
-    assert rec.code.word == "L"
+    rec, = (r for r in records(REF, 1) if r.n_l == 1)   # the left bouncing orbit
     k = np.linspace(2.0, 8.0, 40)
     eta = 0.1
     nu_max = 3
-    prof = rho_trace(REF, classes_of([rec]), nu_max, k, eta=eta)
+    prof = rho_trace(REF, [rec], nu_max, k, eta=eta)
     amp = amplitude(rec, REF)
     osc = sum(
         (amp**nu) * np.exp(1j * nu * rec.s0 * (k + 1j * eta))
@@ -172,9 +176,6 @@ def test_grid_and_argument_validation():
         rho_trace(REF, recs, 0, np.array([1.0]))
     with pytest.raises(ValueError, match="domain"):
         rho_trace(REF, recs, 3, np.array([1.0]), domain="momentum")
-    repeated = [orbit_record(c, REF) for c in enumerate_necklaces(4) if c.nu == 2]
-    with pytest.raises(ValueError, match="primitive"):
-        rho_trace(REF, classes_of(repeated), 3, np.array([1.0]))
 
 
 def test_newtonian_prediction_values():
@@ -233,8 +234,8 @@ def test_phase_winds_once_per_level():
 
 
 def test_cycle_expansion_single_orbit():
-    rec = records(REF, 1)[0]          # L, sign -1, one reflection: 1 + r x
-    cells = cycle_expansion(classes_of([rec]))
+    rec, = (r for r in records(REF, 1) if r.n_l == 1)   # L, sign -1, one reflection: 1 + r x
+    cells = cycle_expansion([rec])
     assert cells == {(0, 0, 0): 1, (1, 0, 0): 1}
     k = 2.3 + 0.1j
     assert evaluate_cycle_terms(cells, REF, k) == pytest.approx(
