@@ -454,10 +454,10 @@ def fourier_cmd(opts):
                          "for the candidate actions")
     if opts["ds"] is not None or not opts["roots"] and 0 < (opts["kmax"] or 0) < math.inf:
         _action_step(opts, opts["kmax"])   # before any root: k_top <= --kmax
-    pot = classes = None
-    if stepped:
-        pot = _potential_from(opts)
-        classes = orbits.orbit_classes(pot, opts["max_length"])
+    orbits._check_length(opts["max_length"], "max_length")
+    pot = _potential_from(opts) if stepped else None
+    # only the report reads orbit classes, which need a two-region potential
+    classes = orbits.orbit_classes(pot, opts["max_length"]) if opts["report"] else None
     if opts["roots"]:
         roots = _read_roots_csv(opts["roots"])
     else:

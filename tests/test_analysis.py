@@ -103,13 +103,16 @@ def _transform_peak(roots, s):
 
 def test_nufft_peak_memory_is_one_band(bench_levels):
     # the default grid of 374,326 actions is transformed band by band: the
-    # traced peak is the output, one band's value and slope grids with their
-    # FFT scratch and a block of the stencil, not grids over the whole action
-    # range nor a stencil over every level
+    # traced peak, 8.1 MB, is the 3 MB output, the one grid of 93,750 points
+    # that a band's value and slope transforms take in turn, the band's modes
+    # and its offset correction, not a second grid, grids over the whole
+    # action range nor a stencil over every level.  pocketfft's plan and
+    # scratch, about 2.8 MB more, are allocated in C++ and not traced, so the
+    # peak RSS is bounded by the continuous-integration workflow instead
     roots, ds = bench_levels
     s = np.arange(0.2, 10.0 + ds, ds)
     assert s.size == 374_326
-    assert _transform_peak(roots, s) <= 12e6
+    assert _transform_peak(roots, s) <= 9.0e6
 
 
 def test_nufft_memory_does_not_grow_with_the_levels(bench_levels):

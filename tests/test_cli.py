@@ -18,6 +18,7 @@ import pytest
 from oracles import orbit_rows
 from raysplit import analysis, cli, graph, orbits, spectrum
 from raysplit.cli import main
+from raysplit.model import build_nstep
 
 STEP = ["--b", "0.7", "--lambda", "0.5"]
 CHAIN3 = ["--breakpoints", "0,0.3,0.6,1", "--lambdas", "0,0.5,0.75"]
@@ -1157,9 +1158,28 @@ def test_orbit_commands_take_a_damped_first_region(runner, tmp_path, args):
         assert json.loads((tmp_path / "r.json").read_text())["matched_fraction"] > 0
 
 
-@pytest.mark.parametrize("args", [["orbits"], ["trace"], ["fourier", "--kmax", "100"]])
-def test_orbit_commands_reject_three_regions(runner, args):
+@pytest.mark.parametrize("args", [
+    ["orbits"], ["trace"], ["fourier", "--kmax", "100", "--report", os.devnull],
+])
+def test_orbit_commands_reject_three_regions(runner, monkeypatch, args):
+    def no_roots(*args):
+        raise AssertionError("roots were found")
+
+    monkeypatch.setattr(spectrum, "find_roots", no_roots)
     res = runner.invoke(main, [*args, *CHAIN3])
     assert res.exit_code == 3
     assert res.stderr == _error_bytes(
         "invalid-parameter", "a single step has two regions, got a potential with 3")
+
+
+def test_fourier_transforms_any_chain_without_a_report(runner):
+    # only the peak report reads orbit classes, so a 3-region chain's levels are
+    # transformed as any others
+    res = runner.invoke(main, ["fourier", *CHAIN3, "--kmax", "200", "--smin", "1",
+                               "--smax", "3", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    roots = spectrum.find_roots(build_nstep((0, 0.3, 0.6, 1), (0, 0.5, 0.75)), 200.0).roots
+    payload = json.loads(res.stdout)
+    assert payload["j_roots"] == len(roots) > 0
+    profile = analysis.fourier_transform(roots, np.array(payload["s"]))
+    assert payload["absF"] == profile.magnitude.tolist()
