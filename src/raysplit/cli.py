@@ -15,14 +15,20 @@ Each subcommand imports the layers it runs in its own body, so importing this
 module loads neither numpy nor any layer; `orbits`, and `identity` without
 --poisson, run without numpy.
 
-Flags are parsed by argparse when main runs, from each subcommand's table of
-options, which also reads --config files.  A flag that takes a value takes the
-next argument, whatever it starts with (--kmax -1e5); no flag is abbreviated.
+Flags are parsed by argparse when main runs, from the table of options of the
+subcommand that runs, which also reads --config files.  A flag that takes a
+value takes the next argument, whatever it starts with (--kmax -1e5); no flag
+is abbreviated.
+
+A command process (main() without args) ends by freezing the collector, so the
+interpreter's last collections skip numpy's objects; no output is lost, as
+artifact files are closed by then and atexit and the std-stream flush still run.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
@@ -497,9 +503,12 @@ def graph_check_cmd(opts):
     """Verify unitarity, odd traces, the trace formula and quantization; report in JSON."""
     import numpy as np
 
-    from . import graph, orbits, spectrum, trace
+    from . import graph, orbits, spectrum
 
     pot = _potential_from(opts)
+    stepped = len(pot.lengths) == 2   # the orbit picture of a single step
+    if stepped:   # before any array: imported later, it raises the peak RSS
+        from . import trace
     if not 0 < opts["kmax"] < math.inf:
         raise ValueError(f"kmax must be finite and positive, got {opts['kmax']!r}")
     for flag, top in (("samples", _MAX_SAMPLES), ("nmax", math.inf), ("roots", _MAX_POINTS)):
@@ -526,7 +535,7 @@ def graph_check_cmd(opts):
         "odd_traces": {"max_deviation": odd_dev, "tolerance": 1e-12},
         "det_at_roots": {"max_deviation": det_dev, "tolerance": 1e-8, "roots": len(roots)},
     }
-    if len(pot.lengths) == 2:   # the orbit picture of a single step
+    if stepped:
         formula = trace.trace_formula(pot, orbits.orbit_classes(pot, opts["nmax"]), ks)
         word_dev = float(np.max(np.abs(traces[1::2] - formula)))
         checks["trace_word_sums"] = {"max_deviation": word_dev, "tolerance": 1e-10}
@@ -592,30 +601,39 @@ def identity_cmd(opts):
         raise ContractFailure(f"identity verification failed for {failures!r}")
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its flags only when it runs."""
+
+    def __init__(self, options: dict, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        for option, (kind, default, text) in self.options.items():
+            if default is not None:
+                text = f"{text} [default: {default}]".lstrip()
+            typed = ({"action": "store_true"} if kind is bool else
+                     {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            self.add_argument(_flag(option), help=text, **typed)
+        self.add_argument("--help", action="help")
+        return super().parse_known_args(args, namespace)
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raysplit", add_help=False, allow_abbrev=False,
         description="Spectra of scaled step potentials and their periodic-orbit analysis.")
     parser.add_argument("--version", action="version", version=f"raysplit, version {__version__}")
     parser.add_argument("--help", action="help")
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True,
+                                     parser_class=_Subcommand)
     for name, (fn, options) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, add_help=False,
-                                  allow_abbrev=False, argument_default=argparse.SUPPRESS)
-        for option, (kind, default, text) in options.items():
-            if default is not None:
-                text = f"{text} [default: {default}]".lstrip()
-            typed = ({"action": "store_true"} if kind is bool else
-                     {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
-            sub.add_argument(_flag(option), help=text, **typed)
-        sub.add_argument("--help", action="help")
+        commands.add_parser(name, options=options, help=fn.__doc__, description=fn.__doc__,
+                            add_help=False, allow_abbrev=False, argument_default=argparse.SUPPRESS)
     return parser
 
 
-def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
-    """Run the subcommand that args (default sys.argv[1:]) names; standalone_mode
-    is ignored, kept only because bench/tracer.py passes it."""
-    args = sys.argv[1:] if args is None else list(args)
+def _run(args: list[str]) -> None:
     if args and args[0] in _COMMANDS:   # join each '--flag value' as '--flag=value'
         options = _COMMANDS[args[0]][1]
         takes_value = {_flag(name) for name in options if options[name][0] is not bool}
@@ -633,6 +651,18 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
         _fail("io-failure", exc, EXIT_IO)
     except ContractFailure as exc:
         _fail("contract-violation", exc, EXIT_CONTRACT)
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run the subcommand that args names, or as a process sys.argv[1:], freezing
+    the collector after it; standalone_mode is ignored, kept for bench/tracer.py."""
+    if args is not None:
+        _run(list(args))
+        return
+    try:
+        _run(sys.argv[1:])
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

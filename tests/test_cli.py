@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface and its artifacts."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -548,7 +549,13 @@ def modules_after(tmp_path, args):
     # a table of one block or more is formatted by numpy
     (["spectrum", *STEP, "--kmax", "15000"], {"cli", "model", "spectrum", "numpy", "_text"}),
     (["trace", *STEP], {"cli", "model", "orbits", "trace", "numpy"}),
-], ids=["import", "orbits", "identity", "spectrum", "spectrum-blocks", "trace"])
+    (["fourier", *STEP, "--kmax", "100"], {"cli", "model", "orbits", "spectrum", "analysis",
+                                           "numpy"}),
+    # only a two-region potential has the trace formula's word sums
+    (["graph-check", *STEP], {"cli", "model", "orbits", "spectrum", "graph", "trace", "numpy"}),
+    (["graph-check", *CHAIN3], {"cli", "model", "orbits", "spectrum", "graph", "numpy"}),
+], ids=["import", "orbits", "identity", "spectrum", "spectrum-blocks", "trace", "fourier",
+        "graph-check", "graph-check-chain"])
 def test_each_command_loads_only_its_layers(tmp_path, args, loaded):
     assert modules_after(tmp_path, args) == loaded
 
@@ -1027,6 +1034,59 @@ def test_a_flag_takes_the_next_argument_whatever_it_starts_with(runner, args, me
     res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert res.stderr == _error_bytes("invalid-parameter", message)
+
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+
+def entry(*args) -> subprocess.CompletedProcess:
+    """A fresh `python -m raysplit.cli` process, its stdout and stderr piped as bytes."""
+    return subprocess.run([sys.executable, "-m", "raysplit.cli", *args], capture_output=True,
+                          timeout=60, env=SRC_ENV)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["identity", "--m", "3"], 0),
+    (["spectrum", "--b", "1.7", "--lambda", "0.5"], 3),
+], ids=["success", "range-error"])
+def test_the_process_entry_freezes_the_collector_for_the_exit(tmp_path, args, code):
+    # the hook runs after main, as the interpreter exits; frozen objects are skipped
+    # by its last collections
+    script = ("import atexit, gc, runpy\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+              "runpy.run_module('raysplit.cli', run_name='__main__')\n")
+    res = subprocess.run([sys.executable, "-c", script, *args, "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=60, env=SRC_ENV)
+    assert (res.returncode, res.stdout) == (code, "frozen True\n"), res.stderr
+    assert (tmp_path / "out").exists() == (code == 0)
+
+
+def test_the_process_entry_keeps_exit_codes_and_the_bytes_of_main(runner, tmp_path):
+    res = entry("spectrum", "--kmax")
+    assert (res.returncode, res.stdout) == (2, b"")
+    assert res.stderr.startswith(b"usage: raysplit spectrum ")
+    res = entry("spectrum", "--b", "1.7", "--lambda", "0.5")
+    assert (res.returncode, res.stdout) == (3, b"")
+    assert res.stderr.decode() == _error_bytes("invalid-parameter", "b must lie in (0, 1), got b=1.7")
+    path = tmp_path / "no" / "x.csv"
+    res = entry("spectrum", *STEP, "--kmax", "10", "--out", str(path))
+    assert (res.returncode, res.stdout) == (4, b"")
+    assert res.stderr.decode() == _error_bytes(
+        "io-failure", f"[Errno 2] No such file or directory: {str(path)!r}")
+    # a table of numpy blocks and one of plain lists, through the pipe
+    for args in (["spectrum", *STEP, "--kmax", "2e4", "--format", "json"], ["orbits", *STEP]):
+        piped = entry(*args, "--out", "-")
+        in_process = runner.invoke(main, [*args, "--out", "-"])
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout == in_process.stdout.encode()
+
+
+def test_main_in_process_leaves_the_collector_alone(runner, tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    for args in (["identity", "--m", "3", "--out", str(tmp_path / "out")],
+                 ["spectrum", "--b", "1.7", "--lambda", "0.5"], ["bogus"]):
+        runner.invoke(main, args)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, args
 
 
 def test_equals_spelling_and_the_last_of_a_repeated_flag(runner):
