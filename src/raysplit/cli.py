@@ -12,8 +12,8 @@ A table of one block (4,096 rows) or more that holds a numpy column is
 formatted by numpy (raysplit._text) into the same bytes; tables of plain
 lists, shorter tables and any other value go through Python's % and json.
 Each subcommand imports the layers it runs in its own body, so importing this
-module loads neither numpy nor any layer; `orbits`, and `identity` without
---poisson, run without numpy.
+module loads neither numpy nor any layer; `orbits` and `identity` run without
+numpy.
 
 Flags are parsed by argparse when main runs, from the table of options of the
 subcommand that runs, which also reads --config files.  A flag that takes a
@@ -37,7 +37,7 @@ import sys
 from . import __version__
 from .model import ContractFailure, build_nstep, build_potential
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_CONTRACT = 1
 EXIT_RANGE = 3
@@ -573,8 +573,8 @@ def identity_cmd(opts):
     if opts["poisson"] is not None:
         rep = combinatorics.poisson_special_case_check(opts["poisson"])
         payload["poisson"] = {
-            "lambda": rep.lam, "b": rep.b, "max_root_deviation": rep.max_root_deviation,
-            "max_action_deviation": rep.max_action_deviation, "ok": rep.ok,
+            "lambda": rep.lam, "b": rep.b, "max_action_deviation": rep.max_action_deviation,
+            "ok": rep.ok,
         }
         if not rep.ok:
             failures.append("poisson")
@@ -592,7 +592,6 @@ def identity_cmd(opts):
             poisson = payload["poisson"]
             lines.append(
                 f"poisson lambda={_fmt(poisson['lambda'])} b={_fmt(poisson['b'])} "
-                f"root_dev={_fmt(poisson['max_root_deviation'])} "
                 f"action_dev={_fmt(poisson['max_action_deviation'])} "
                 f"{'PASS' if poisson['ok'] else 'FAIL'}"
             )

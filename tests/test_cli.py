@@ -63,7 +63,7 @@ def test_spectrum_csv_shape(runner):
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20"])
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
-    assert lines[0] == "# schema_version=3 kind=spectrum"
+    assert lines[0] == "# schema_version=4 kind=spectrum"
     assert lines[1] == "n,k,E,residual"
     rows = data_rows(res.stdout)
     assert len(rows) == 5
@@ -78,7 +78,7 @@ def test_spectrum_json_schema(runner):
     res = runner.invoke(main, ["spectrum", *STEP, "--kmax", "20", "--format", "json"])
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["kind"] == "spectrum"
     assert len(payload["roots"]) == 5
     assert payload["roots"][0]["k"] == pytest.approx(3.25522256931717, abs=1e-12)
@@ -133,7 +133,7 @@ def plain(value):
 def dumps_oracle(payload):
     """The JSON artifact as the plain (pure-Python) json.dumps path writes it."""
     payload = {key: plain(value) for key, value in payload.items()}
-    return json.dumps({"schema_version": 3, **payload}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"schema_version": 4, **payload}, indent=2, sort_keys=True) + "\n"
 
 
 def json_text(payload):
@@ -281,7 +281,7 @@ def test_orbits_table_by_length(runner):
     res = runner.invoke(main, ["orbits", *STEP, "--max-length", "7"])
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
-    assert lines[0] == "# schema_version=3 kind=orbits"
+    assert lines[0] == "# schema_version=4 kind=orbits"
     assert lines[1] == "code,length,nu,nL,nR,sigma,tau2,sign,S0"
     rows = data_rows(res.stdout)
     assert len(rows) == 41
@@ -332,7 +332,7 @@ def test_trace_artifacts(runner, tmp_path):
     rows = data_rows(out.read_text())
     assert len(rows) == 300
     payload = json.loads(rep.read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["density_maxima"]
     assert payload["newtonian_comb"]
     assert len(payload["maxima_to_comb_distance"]) == len(payload["density_maxima"])
@@ -429,7 +429,7 @@ def test_fourier_match_report(runner, tmp_path):
     assert payload["peaks"]
     assert payload["worst_residual"] < payload["tolerance"]
     header = out.read_text().splitlines()
-    assert header[0] == "# schema_version=3 kind=fourier"
+    assert header[0] == "# schema_version=4 kind=fourier"
     assert header[1] == "s,absF"
 
 
@@ -545,6 +545,9 @@ def modules_after(tmp_path, args):
     ([], {"cli", "model"}),
     (["orbits", *STEP, "--max-length", "8"], {"cli", "model", "orbits"}),
     (["identity", "--max-m", "4"], {"cli", "model", "orbits", "combinatorics"}),
+    # the Poisson check's action half runs on orbit classes, with no root finding
+    (["identity", "--max-m", "4", "--poisson", "0.5"], {"cli", "model", "orbits",
+                                                        "combinatorics"}),
     (["spectrum", *STEP], {"cli", "model", "spectrum", "numpy"}),
     # a table of one block or more is formatted by numpy
     (["spectrum", *STEP, "--kmax", "15000"], {"cli", "model", "spectrum", "numpy", "_text"}),
@@ -554,8 +557,8 @@ def modules_after(tmp_path, args):
     # only a two-region potential has the trace formula's word sums
     (["graph-check", *STEP], {"cli", "model", "orbits", "spectrum", "graph", "trace", "numpy"}),
     (["graph-check", *CHAIN3], {"cli", "model", "orbits", "spectrum", "graph", "numpy"}),
-], ids=["import", "orbits", "identity", "spectrum", "spectrum-blocks", "trace", "fourier",
-        "graph-check", "graph-check-chain"])
+], ids=["import", "orbits", "identity", "identity-poisson", "spectrum", "spectrum-blocks",
+        "trace", "fourier", "graph-check", "graph-check-chain"])
 def test_each_command_loads_only_its_layers(tmp_path, args, loaded):
     assert modules_after(tmp_path, args) == loaded
 
@@ -592,6 +595,7 @@ def test_identity_json_and_poisson(runner):
     payload = json.loads(res.stdout)
     assert [r["M"] for r in payload["results"]] == [1, 2, 3]
     assert all(r["ok"] for r in payload["results"])
+    assert set(payload["poisson"]) == {"lambda", "b", "max_action_deviation", "ok"}
     assert payload["poisson"]["ok"]
     assert payload["poisson"]["b"] == pytest.approx(
         math.sqrt(0.5) / (1 + math.sqrt(0.5)), abs=1e-12
@@ -689,7 +693,7 @@ def test_no_subcommand_forks(runner, monkeypatch, tmp_path):
     records, rep = payload["roots"], payload["completeness"]
     assert len(records) == 29034   # 8 blocks
     assert csv_text == (
-        "# schema_version=3 kind=spectrum\nn,k,E,residual\n"
+        "# schema_version=4 kind=spectrum\nn,k,E,residual\n"
         + "".join("%d,%.15g,%.15g,%.15g\n" % (r["n"], r["k"], r["E"], r["residual"])
                   for r in records)
         + "# max_staircase_deviation=%.15g\n# staircase_tolerance=%.15g\n"
@@ -736,7 +740,7 @@ def test_csv_rows_do_not_depend_on_the_block_size(monkeypatch, tmp_path, block):
             for row in zip(*table.values()))
         out = tmp_path / "t.csv"
         cli._write_table({"format": "csv", "out": str(out)}, "t", table, trailer=["note=1"])
-        assert out.read_text() == (f"# schema_version=3 kind=t\n{','.join(table)}\n"
+        assert out.read_text() == (f"# schema_version=4 kind=t\n{','.join(table)}\n"
                                    + expected + "# note=1\n")
 
 

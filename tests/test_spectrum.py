@@ -102,12 +102,13 @@ def test_root_invariants_random_geometry(b, lam):
     assert res.completeness.max_staircase_deviation <= 1.5
 
 
-@pytest.mark.parametrize("lam", [0.3, 0.7])
+@pytest.mark.parametrize("lam", [0.01, 0.3, 0.7, 0.75])
 def test_comb_roots_within_four_ulp(lam):
     # b = beta / (1 + beta) makes l1 = l2 in exact arithmetic, so the levels
     # are n pi / (l1 + l2).  The stored lengths differ in the last bit
-    # (l1 - l2 = -5.6e-17 at lam = 0.7), which moves the stored problem's
-    # levels up to 0.69 ulp off that comb: hence the looser bound there, and
+    # (l1 - l2 = -5.6e-17 at lam = 0.7 and 0.75, 1.1e-16 at lam = 0.01),
+    # which moves the stored problem's levels a fraction of an ulp off that
+    # comb (the roots lie within 0.75 ulp of it): hence the looser bound, and
     # sampled roots checked against the stored problem's levels at 200 bits
     beta = math.sqrt(1.0 - lam)
     pot = build_potential(beta / (1.0 + beta), lam)
