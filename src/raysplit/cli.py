@@ -553,7 +553,7 @@ def graph_check_cmd(opts):
           max_m=(int, None, "Verify every M up to here."),
           poisson=(float, None, "Also check the equal-weight geometry at this lambda."), **_COMMON)
 def identity_cmd(opts):
-    """Verify the exact cyclic-word sum rules in rational arithmetic."""
+    """Verify the exact cyclic-word sum rules in integer arithmetic."""
     from . import combinatorics
 
     if _exclusive(opts, "m", "max_m") is None:

@@ -7,20 +7,31 @@ read off adjacent pairs: beta_w reflection pairs, gamma_w transmission pairs
 identities tie the family together exactly, independent of the potential:
 summed against x^beta (1-x)^gamma the classes give the constant polynomial 1;
 restricted to fixed beta they give the binomial coefficient C(M, beta).  Both
-are verified here in exact rational arithmetic, never floating point.
+are verified here in integers, never floating point, in two steps.
 
-The verifiers never list the classes.  raysplit.orbits counts the primitive
-necklaces of each length by their R count and transmission count (a closed
-form for the cyclic words by runs, then Moebius inversion over the divisors);
-a class is a primitive necklace repeated nu times, and its RR-pair parity
-follows from those two counts.  The cost is polynomial in M.  The tests
-list the classes necklace by necklace as the oracle for these counts.
+Class to word: a class of repetition nu is u^nu for a primitive necklace u of
+period p = 2M / nu, so it holds p distinct words and T_w = p / 2.  A word
+with n_r R's and 2j unequal pairs has gamma = j and n_r - j RR pairs (each of
+its j runs of R loses one), and raysplit.orbits counts such words in closed
+form, W(2M; n_r, 2j).  So with j = M - beta the class sum at beta is
+1/2 sum over n_r of (-1)^(n_r - j) W(2M; n_r, 2j), and no class is listed.
+
+Word to binomial: j = 0 leaves the two constant words, and the sum is 1.  For
+j >= 1, W = (2M / j) C(a - 1, j - 1) C(b - 1, j - 1) with a = 2M - n_r and
+b = n_r, and the generating functions (x / (1 - x))^j and (-x / (1 + x))^j of
+the two factors give, for every M,
+
+    sum over a + b = 2M of (-1)^b C(a - 1, j - 1) C(b - 1, j - 1)
+        = [x^2M] (-x^2 / (1 - x^2))^j = (-1)^j C(M - 1, j - 1),
+
+so the signed word sum is (2M / j) C(M - 1, j - 1) = 2 C(M, j), and the class
+sum is C(M, beta).  The tests list the classes necklace by necklace as the
+oracle for this route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, sqrt
 
 from . import orbits as _orbits
@@ -33,7 +44,7 @@ __all__ = [
     "poisson_special_case_check",
 ]
 
-_MAX_M = 64  # binomial_sums counts the classes, in time polynomial in M
+_MAX_M = 64  # binomial_sums counts the words, in time polynomial in M
 
 
 def _check_m(m: int, cap: int) -> None:
@@ -41,45 +52,26 @@ def _check_m(m: int, cap: int) -> None:
         raise ValueError(f"M must lie in [1, {cap}], got {m!r}")
 
 
-def _signed_counts(m: int) -> dict[int, dict[int, int]]:
-    """acc[beta][nu] = sum over classes with that beta and nu of (-1)^alpha.
-
-    Counts the classes without listing them: a class of length 2M and
-    repetition nu is u^nu for a primitive necklace u of length p = 2M / nu,
-    counted by (n_r, tau2) in closed form by raysplit.orbits.  It has
-    tau2 = nu * tau2(u), beta = (2M - tau2) / 2 and alpha = nu * rr(u) mod 2,
-    where rr(u) = n_r(u) - tau2(u) / 2.  A cell is present exactly when some
-    class falls in it, even if its signed sum is zero.
-    """
-    n = 2 * m
-    acc: dict[int, dict[int, int]] = {}
-    for p in _orbits._divisors(n):
-        nu = n // p
-        for (n_r, tau2), count in _orbits._primitive_necklace_counts(p).items():
-            by_nu = acc.setdefault((n - nu * tau2) // 2, {})
-            sign = -1 if nu * _orbits._rr_pairs(n_r, tau2) % 2 else 1
-            by_nu[nu] = by_nu.get(nu, 0) + sign * count
-    return acc
-
-
-def binomial_sums(m: int) -> tuple[Fraction, ...]:
+def binomial_sums(m: int) -> tuple[int, ...]:
     """For each beta in 0..M, the exact sum of (-1)^alpha T_w over classes.
 
-    Every entry must equal C(M, beta); returning the computed values rather
-    than a verdict keeps the oracle reusable.
+    Half the signed count of closed words with gamma = M - beta (see the
+    module docstring).  Every entry must equal C(M, beta); returning the
+    computed values rather than a verdict keeps the oracle reusable.
     """
     _check_m(m, _MAX_M)
-    acc = _signed_counts(m)
+    n = 2 * m
     sums = []
     for beta in range(m + 1):
-        total = Fraction(0)
-        for nu, count in sorted(acc.get(beta, {}).items()):
-            total += Fraction(m * count, nu)
-        sums.append(total)
+        j = m - beta
+        # a word with 2j unequal pairs has j runs of each symbol, so j <= n_r <= n - j
+        n_rs = range(j, n - j + 1) if j else (0, n)
+        sums.append(sum((-1) ** (n_r - j) * _orbits._word_count(n, n_r, 2 * j)
+                        for n_r in n_rs) // 2)
     return tuple(sums)
 
 
-def sum_rule_polynomial(beta_sums: tuple[Fraction, ...]) -> tuple[tuple[Fraction, ...], bool]:
+def sum_rule_polynomial(beta_sums: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
     """Expand P(x) = sum_w T_w (-1)^alpha x^beta (1-x)^gamma exactly.
 
     beta_sums are the per-beta totals of binomial_sums(M); gamma = M - beta
@@ -88,13 +80,12 @@ def sum_rule_polynomial(beta_sums: tuple[Fraction, ...]) -> tuple[tuple[Fraction
     polynomial 1.
     """
     m = len(beta_sums) - 1
-    coeffs = [Fraction(0)] * (m + 1)
+    coeffs = [0] * (m + 1)
     for beta, total in enumerate(beta_sums):
         gamma = m - beta
         for j in range(gamma + 1):
             coeffs[beta + j] += total * comb(gamma, j) * (-1) ** j
-    expected = [Fraction(1)] + [Fraction(0)] * m
-    return tuple(coeffs), coeffs == expected
+    return tuple(coeffs), coeffs == [1] + [0] * m
 
 
 @dataclass(frozen=True)

@@ -185,11 +185,6 @@ def _primitive_necklace_counts(p: int) -> dict[tuple[int, int], int]:
     return primitive
 
 
-def _rr_pairs(n_r: int, tau2: int) -> int:
-    """Cyclic RR pairs of a word: each of its tau2 / 2 runs of R loses one."""
-    return n_r - tau2 // 2
-
-
 def orbit_classes(pot: NStepPotential, max_length: int) -> tuple[OrbitClass, ...]:
     """Every primitive orbit of length 1..max_length, counted by class.
 
@@ -202,9 +197,10 @@ def orbit_classes(pot: NStepPotential, max_length: int) -> tuple[OrbitClass, ...
     for n in range(1, max_length + 1):
         for (n_r, tau2), count in _primitive_necklace_counts(n).items():
             n_l = n - n_r
+            rr = n_r - tau2 // 2   # each of the tau2 / 2 runs of R loses one RR pair
             out.append(OrbitClass(
                 length=n, n_l=n_l, n_r=n_r, sigma=n - tau2, tau2=tau2,
-                sign=-1 if (n + _rr_pairs(n_r, tau2)) % 2 else 1,
+                sign=-1 if (n + rr) % 2 else 1,
                 s0=2.0 * (n_l * l1 + n_r * l2), multiplicity=count,
             ))
     return tuple(out)

@@ -1,4 +1,4 @@
-"""Exact rational identities of the cyclic word classes."""
+"""Exact identities of the cyclic word classes."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,6 @@ import pytest
 from oracles import build_word_table, min_rotation, necklace_count
 from raysplit import orbits
 from raysplit.combinatorics import (
-    _signed_counts,
     binomial_sums,
     poisson_special_case_check,
     sum_rule_polynomial,
@@ -54,7 +53,7 @@ def _cyclic_word_counts(max_length: int) -> list[dict[tuple[int, int], int]]:
 
 @cache
 def _dp_words() -> list[dict[tuple[int, int], int]]:
-    # every length that _signed_counts(64) reads
+    # every length that the class route at M = 64 reads
     return _cyclic_word_counts(128)
 
 
@@ -147,7 +146,7 @@ def test_fixed_beta_sums_are_binomial():
 
 
 def test_half_length_six_row():
-    assert binomial_sums(6) == tuple(Fraction(x) for x in (1, 6, 15, 20, 15, 6, 1))
+    assert binomial_sums(6) == (1, 6, 15, 20, 15, 6, 1)
 
 
 def test_sum_rule_polynomial_is_unity():
@@ -172,18 +171,8 @@ def test_table_route_matches_streaming_route():
             assert by_beta.get(beta, Fraction(0)) == sums[beta]
 
 
-def test_class_counts_match_enumerated_classes():
-    # every (beta, nu) cell, zero-sum cells included, against the listed classes
-    for m in range(1, 11):
-        expected = {}
-        for cls in build_word_table(m).classes:
-            by_nu = expected.setdefault(cls.beta, {})
-            by_nu[cls.nu] = by_nu.get(cls.nu, 0) + (-1) ** cls.alpha
-        assert _signed_counts(m) == expected
-
-
 def test_primitive_word_counts_give_primitive_necklaces():
-    # the kernel _signed_counts and orbit_classes read
+    # the kernel orbit_classes reads
     for p in range(1, 33):
         counts = _primitive_necklace_counts(p)
         assert list(counts) == sorted(counts)
@@ -234,17 +223,35 @@ def test_orbit_classes_equal_the_dp_built_classes(monkeypatch, b, lam):
     assert closed == [orbit_classes(pot, max_length) for max_length in range(1, 33)]
 
 
-def test_signed_counts_equal_the_dp_built_counts(monkeypatch):
-    closed = [_signed_counts(m) for m in range(1, 65)]
-    monkeypatch.setattr(orbits, "_primitive_necklace_counts", _dp_primitive_necklace_counts)
-    dp = [_signed_counts(m) for m in range(1, 65)]
-    assert [list(acc.items()) for acc in closed] == [list(acc.items()) for acc in dp]
+def _class_route(m: int) -> tuple[Fraction, ...]:
+    """binomial_sums(m) summed class by class, without listing them: a primitive
+    necklace u of period p | 2M with counts (n_r, tau2) is the class u^nu,
+    nu = 2M / p, with beta = M - nu tau2 / 2, weight T_w = p / 2 and sign
+    (-1)^(nu rr(u)), rr(u) = n_r - tau2 / 2."""
+    n = 2 * m
+    sums = [Fraction(0)] * (m + 1)
+    for p in _divisors(n):
+        nu = n // p
+        for (n_r, tau2), count in orbits._primitive_necklace_counts(p).items():
+            sums[m - nu * tau2 // 2] += Fraction(p, 2) * (-1) ** (nu * (n_r - tau2 // 2)) * count
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("kernel", ["closed-form", "dp"])
+def test_class_route_equals_the_word_route(monkeypatch, kernel):
+    if kernel == "dp":
+        monkeypatch.setattr(orbits, "_primitive_necklace_counts", _dp_primitive_necklace_counts)
+    for m in range(1, 65):
+        assert _class_route(m) == binomial_sums(m)
 
 
 @pytest.mark.parametrize("m", [63, 64])
 def test_sum_rules_hold_at_the_documented_cap(m):
-    assert binomial_sums(m) == tuple(Fraction(math.comb(m, beta)) for beta in range(m + 1))
-    assert sum_rule_polynomial(binomial_sums(m))[1]
+    sums = binomial_sums(m)
+    coeffs, ok = sum_rule_polynomial(sums)
+    assert sums == tuple(math.comb(m, beta) for beta in range(m + 1))
+    assert ok
+    assert all(type(x) is int for x in sums + coeffs)
 
 
 def test_m_range_validation():
